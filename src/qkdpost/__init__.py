@@ -8,7 +8,6 @@ Toeplitz hashing.
 
 __version__ = "0.1.0"
 
-from ._accel import backend_name
 from .channels import (
     AffineChannel,
     Basis,
@@ -89,3 +88,8 @@ from .worstcase import (
     worst_case_ambiguity,
     worst_case_lower_bound,
 )
+
+
+def backend_name() -> str:
+    """Name of the array backend, recorded in benchmark provenance; numpy is the only one."""
+    return "numpy"

@@ -105,9 +105,15 @@ class AffineChannel:
     def is_unital(self, tol: float = 1e-12) -> bool:
         return bool(np.abs(self.t).max() <= tol)
 
-    def compose(self, inner: "AffineChannel") -> "AffineChannel":
-        """Channel equal to applying ``inner`` first, then this one."""
-        return AffineChannel(self.r @ inner.r, self.r @ inner.t + self.t)
+
+def partial_trace_output(m: np.ndarray) -> np.ndarray:
+    """Trace of a 4x4 input (x) output matrix over the output system.
+
+    I/2 for any valid Choi matrix.
+    """
+    return np.array(
+        [[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]], [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]]
+    )
 
 
 @dataclass(frozen=True)
@@ -127,20 +133,13 @@ class ChoiMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
 
-    def partial_trace_output(self) -> np.ndarray:
-        """Trace over the output (second) system; I/2 for any valid Choi."""
-        m = self.matrix
-        return np.array(
-            [[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]], [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]]
-        )
-
     def validate(self, tol: float = 1e-9) -> None:
         m = self.matrix
         if np.abs(m - m.conj().T).max() > tol:
             raise ValueError("Choi matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > tol:
             raise ValueError("Choi matrix trace differs from 1")
-        if np.abs(self.partial_trace_output() - np.eye(2) / 2).max() > tol:
+        if np.abs(partial_trace_output(m) - np.eye(2) / 2).max() > tol:
             raise ValueError("partial trace over the output system is not I/2")
 
 

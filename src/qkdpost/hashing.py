@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import toeplitz_core
-
 
 @dataclass(frozen=True)
 class HashDescriptor:
@@ -94,6 +92,20 @@ def apply_hash(desc: HashDescriptor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.uint8)
     if x.shape != (desc.input_len,):
         raise ValueError(f"input length {x.shape} does not match descriptor n={desc.input_len}")
-    if desc.output_len == 0:
+    ell = desc.output_len
+    if ell == 0:
         return np.zeros(0, np.uint8)
-    return toeplitz_core(desc.generator, x, desc.output_len)
+    # key[i] = sum_j T[i, j] x[j] = sum_j g[n-1-j+i] x[j] is entry n-1+i of the
+    # convolution g * x.  FFT convolution gives exact counts: they are bounded
+    # by n, far inside float64 integer accuracy at these sizes.
+    n = desc.input_len
+    size = 1
+    while size < n + desc.generator.shape[0]:
+        size *= 2
+    fx = np.fft.rfft(x.astype(np.float64), size)
+    fg = np.fft.rfft(desc.generator.astype(np.float64), size)
+    conv = np.fft.irfft(fx * fg, size)[n - 1 : n - 1 + ell]
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max(initial=0.0) > 0.1:
+        raise FloatingPointError("FFT convolution lost integer accuracy")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)

@@ -31,6 +31,7 @@ from .channels import (
 from .entropy import (
     ZERO_CUTOFF,
     JointDistribution,
+    _plogp,
     binary_entropy,
     cond_entropy,
 )
@@ -78,11 +79,6 @@ class RateReport:
         return cls(direction, ambiguity, ce, raw, max(0.0, raw))
 
 
-def _entropy_of_spectrum(ev: np.ndarray) -> float:
-    ev = ev[ev > ZERO_CUTOFF]
-    return float(-(ev * np.log2(ev)).sum()) if ev.size else 0.0
-
-
 def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
     """H(X|E) in bits for a uniformly random key bit prepared in the z basis."""
     ev = choi.eigenvalues()
@@ -94,7 +90,7 @@ def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
         theta = ch.r[:, 0] * (1.0 - 2.0 * x) + ch.t
         rnorm = min(float(np.linalg.norm(theta)), 1.0)
         out_entropy += 0.5 * binary_entropy(0.5 * (1.0 + rnorm))
-    return 1.0 + out_entropy - _entropy_of_spectrum(np.clip(ev, 0.0, None))
+    return 1.0 + out_entropy - _plogp(np.clip(ev, 0.0, None))
 
 
 def ambiguity_reverse(choi: ChoiMatrix, tol: float = 1e-9) -> float:
@@ -120,8 +116,8 @@ def ambiguity_reverse(choi: ChoiMatrix, tol: float = 1e-9) -> float:
     h_ye = 0.0
     for b in (0, 1):
         block = rho_be[b * rank : (b + 1) * rank, b * rank : (b + 1) * rank]
-        h_ye += _entropy_of_spectrum(np.clip(np.linalg.eigvalsh(block), 0.0, None))
-    h_e = _entropy_of_spectrum(lam)
+        h_ye += _plogp(np.clip(np.linalg.eigvalsh(block), 0.0, None))
+    h_e = _plogp(lam)
     return h_ye - h_e
 
 
@@ -132,12 +128,15 @@ def error_rates(choi: ChoiMatrix) -> ErrorRates:
     return ErrorRates(*(float(0.5 * (1.0 - v)) for v in d))
 
 
-def _joints(choi: ChoiMatrix) -> dict[str, JointDistribution]:
-    ch = affine_from_choi(choi, tol=1e-6)
-    return {
-        "zz": JointDistribution(joint_distribution(ch, Basis.Z, Basis.Z)),
-        "zx": JointDistribution(joint_distribution(ch, Basis.Z, Basis.X)),
-    }
+def cond_entropy_direction(direction: str) -> str:
+    """The :func:`cond_entropy` direction a reconciliation direction pays for.
+
+    Reverse reconciliation distills the key from Bob's bits, so its syndrome
+    must cover H(Y|X); direct and mismatched distill from Alice's, H(X|Y).
+    """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return "y_given_x" if direction == "reverse" else "x_given_y"
 
 
 def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
@@ -147,16 +146,12 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     reverse:     H(Y|E) - H(Y|X)   (key from Bob's z-basis bits)
     mismatched:  H(X|E) - H(X|Y')  (Bob measured in the x basis)
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    joints = _joints(choi)
-    if direction == "direct":
-        return RateReport.build("direct", ambiguity_direct(choi), cond_entropy(joints["zz"]))
-    if direction == "reverse":
-        return RateReport.build(
-            "reverse", ambiguity_reverse(choi), cond_entropy(joints["zz"], "y_given_x")
-        )
-    return RateReport.build("mismatched", ambiguity_direct(choi), cond_entropy(joints["zx"]))
+    given = cond_entropy_direction(direction)
+    ch = affine_from_choi(choi, tol=1e-6)
+    bob_basis = Basis.X if direction == "mismatched" else Basis.Z
+    joint = JointDistribution(joint_distribution(ch, Basis.Z, bob_basis))
+    ambiguity = ambiguity_reverse(choi) if direction == "reverse" else ambiguity_direct(choi)
+    return RateReport.build(direction, ambiguity, cond_entropy(joint, given))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,7 @@ def unital_ambiguity_closed_form(ch: AffineChannel, direction: str = "direct") -
     spec = np.clip(choi.eigenvalues(), 0.0, None)
     vec = ch.r[:, 0] if direction == "direct" else ch.r[0, :]
     rnorm = min(float(np.linalg.norm(vec)), 1.0)
-    return 1.0 - _entropy_of_spectrum(spec) + binary_entropy(0.5 * (1.0 + rnorm))
+    return 1.0 - _plogp(spec) + binary_entropy(0.5 * (1.0 + rnorm))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import gf2_eliminate_core, pack_rows, sp_decode_core
 from .entropy import JointDistribution, cond_entropy
+from .keyrate import cond_entropy_direction
 
+# bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
 BRUTE_FORCE_MAX_N = 24
 
@@ -134,14 +135,13 @@ def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Pari
     row_weight = max(2, round(n * col_weight / m))
     for _ in range(50):
         chk_ptr, chk_vars = _adjacency_from_rows(rows)
-        packed = pack_rows(chk_vars, chk_ptr, n)
-        rank, pivot = gf2_eliminate_core(packed, n)
+        rank, pivot = _gf2_eliminate(_pack_rows(chk_vars, chk_ptr, n), n)
         if rank == m:
             return ParityCheckMatrix(n, m, col_weight, chk_ptr, chk_vars, seed, rows_fixed)
         # replace every dependent row with a fresh random support; this can
         # disturb column weights, which is unavoidable: exactly-regular even
         # column weights force the rows to sum to zero over GF(2)
-        for r in np.flatnonzero(pivot == 0):
+        for r in np.flatnonzero(~pivot):
             rows[int(r)] = set(int(v) for v in rng.choice(n, size=row_weight, replace=False))
             rows_fixed += 1
         covered = np.zeros(n, bool)
@@ -161,6 +161,42 @@ def _adjacency_from_rows(rows):
         parts.append(ordered)
         chk_ptr[k + 1] = chk_ptr[k] + ordered.shape[0]
     return chk_ptr, np.concatenate(parts)
+
+
+def _pack_rows(row_cols, row_ptr, n):
+    """Pack adjacency-list rows into uint64 words, one row per matrix row."""
+    m = row_ptr.shape[0] - 1
+    W = (n + 63) // 64
+    out = np.zeros((m, W), np.uint64)
+    rows = np.repeat(np.arange(m), np.diff(row_ptr))
+    np.bitwise_xor.at(out, (rows, row_cols >> 6), np.uint64(1) << (row_cols & 63).astype(np.uint64))
+    return out
+
+
+def _gf2_eliminate(rows, nbits):
+    """Rank of the packed rows over GF(2), and which rows hold a pivot.
+
+    Rows without a pivot are dependent on the pivot rows.  ``rows`` is
+    overwritten.
+    """
+    m = rows.shape[0]
+    pivot = np.zeros(m, bool)
+    rank = 0
+    for c in range(nbits):
+        wi = c >> 6
+        bit = np.uint64(c & 63)
+        has = ((rows[:, wi] >> bit) & np.uint64(1)).astype(bool) & ~pivot
+        idx = np.flatnonzero(has)
+        if idx.size == 0:
+            continue
+        p = idx[0]
+        pivot[p] = True
+        rank += 1
+        if idx.size > 1:
+            rows[idx[1:]] ^= rows[p]
+        if rank == m:
+            break
+    return rank, pivot
 
 
 def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
@@ -183,12 +219,10 @@ def priors_from_joint(
     side into the table (this is what makes MAP differ from ML).
     """
     observed = np.asarray(observed, dtype=np.int64)
-    if direction in ("direct", "mismatched"):
-        cond = joint.cond_x_given_y()
-    elif direction == "reverse":
+    if cond_entropy_direction(direction) == "y_given_x":
         cond = joint.cond_y_given_x()
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        cond = joint.cond_x_given_y()
     return cond[:, observed].T.copy()
 
 
@@ -219,14 +253,41 @@ def sp_decode(
     ``max_iter`` sweeps; a False flag means the caller must abort or retry,
     the returned bits are then only diagnostic.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     syn = np.asarray(syn, dtype=np.uint8)
     if syn.shape != (matrix.m,):
         raise ValueError(f"syndrome length {syn.shape} does not match m={matrix.m}")
     if priors.shape != (matrix.n, 2):
         raise ValueError(f"priors must have shape ({matrix.n}, 2)")
-    llr = _prior_llrs(priors)
-    bits, ok, iters = sp_decode_core(llr, matrix.chk_vars, matrix.chk_ptr, syn, max_iter)
-    return DecodeResult(bits, bool(ok), int(iters))
+    prior = _prior_llrs(priors)
+    # edges are grouped by check: chk_var[e] is the variable of edge e and
+    # chk_of_edge[e] its check; llr > 0 means bit 0 is more likely
+    n, m = matrix.n, matrix.m
+    chk_var = matrix.chk_vars
+    chk_of_edge = np.repeat(np.arange(m), matrix.row_weights())
+    sgn_syn = 1.0 - 2.0 * syn.astype(np.float64)
+    cv = np.zeros(matrix.num_edges)
+    for it in range(1, max_iter + 1):
+        tot = prior + np.bincount(chk_var, weights=cv, minlength=n)
+        vc = np.clip(tot[chk_var] - cv, -LLR_CLAMP, LLR_CLAMP)
+        th = np.tanh(0.5 * vc)
+        # product-with-exclusion in log/sign form; the 1e-300 floor keeps a
+        # single zero factor exact and collapses multiple zeros to 0 messages
+        lg = np.log(np.clip(np.abs(th), 1e-300, None))
+        neg = (th < 0.0).astype(np.int64)
+        sum_lg = np.bincount(chk_of_edge, weights=lg, minlength=m)
+        sum_neg = np.bincount(chk_of_edge, weights=neg, minlength=m).astype(np.int64)
+        excl = np.exp(sum_lg[chk_of_edge] - lg)
+        excl_sgn = 1.0 - 2.0 * ((sum_neg[chk_of_edge] - neg) & 1)
+        raw = np.clip(sgn_syn[chk_of_edge] * excl_sgn * excl, -1 + 1e-15, 1 - 1e-15)
+        cv = np.clip(2.0 * np.arctanh(raw), -LLR_CLAMP, LLR_CLAMP)
+        tot = prior + np.bincount(chk_var, weights=cv, minlength=n)
+        xhat = (tot < 0.0).astype(np.uint8)
+        par = np.bincount(chk_of_edge, weights=xhat[chk_var], minlength=m).astype(np.int64) & 1
+        if np.array_equal(par, syn.astype(np.int64)):
+            return DecodeResult(xhat, True, it)
+    return DecodeResult(xhat, False, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +369,7 @@ def required_syndrome_rate(
     decoded side given the helper side, plus a finite-length margin."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    if direction in ("direct", "mismatched"):
-        base = cond_entropy(joint, "x_given_y")
-    elif direction == "reverse":
-        base = cond_entropy(joint, "y_given_x")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return base + margin
+    return cond_entropy(joint, cond_entropy_direction(direction)) + margin
 
 
 # ---------------------------------------------------------------------------

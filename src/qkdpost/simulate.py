@@ -34,6 +34,7 @@ from .entropy import JointDistribution, cond_entropy
 from .hashing import apply_hash, key_length, sample_hash
 from .keyrate import (
     RateReport,
+    cond_entropy_direction,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
@@ -85,6 +86,14 @@ class ProtocolConfig:
             raise ValueError("estimation fraction must be inside (0, 1)")
         if self.n_signals < 1000:
             raise ValueError("need at least 1000 signals for a meaningful run")
+        if not self.margin > 0.0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not self.epsilon >= 0.0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.ldpc_col_weight < 2:
+            raise ValueError(f"ldpc_col_weight must be at least 2, got {self.ldpc_col_weight}")
 
     @property
     def bases(self) -> tuple[Basis, ...]:
@@ -258,10 +267,7 @@ def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
     comes from the empirical key-pair joint.
     """
     joint = _empirical_key_joint(config, tally)
-    if config.direction == "reverse":
-        ce = cond_entropy(joint, "y_given_x")
-    else:
-        ce = cond_entropy(joint, "x_given_y")
+    ce = cond_entropy(joint, cond_entropy_direction(config.direction))
     if config.protocol == "sixstate":
         est = estimate_rates_sixstate(tally)
         ambiguity = {

@@ -25,6 +25,7 @@ from .channels import (
     affine_from_choi,
     choi_from_affine,
     joint_distribution,
+    partial_trace_output,
 )
 from .entropy import JointDistribution, binary_entropy, cond_entropy
 from .keyrate import (
@@ -74,11 +75,6 @@ class TallyTable:
     @property
     def protocol(self) -> str:
         return "sixstate" if len(self.bases) == 3 else "bb84"
-
-    @classmethod
-    def empty(cls, bases: tuple[Basis, ...]) -> "TallyTable":
-        nb = len(bases)
-        return cls(np.zeros((nb, nb, 2, 2), np.int64), bases)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -220,10 +216,7 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
 def _project_affine_constraints(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto {Hermitian, partial trace over B = I/2}."""
     m = 0.5 * (m + m.conj().T)
-    tr_b = np.array(
-        [[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]], [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]]
-    )
-    defect = 0.5 * (tr_b - 0.5 * np.eye(2))
+    defect = 0.5 * (partial_trace_output(m) - 0.5 * np.eye(2))
     return m - np.kron(defect, np.eye(2))
 
 

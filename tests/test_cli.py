@@ -160,6 +160,14 @@ def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 1
 
 
+def test_negative_security_parameter_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("protocol=sixstate\nchannel=kind=rotation theta=0.3\nepsilon=-0.1\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon") and err.count("\n") == 1
+
+
 def test_numerical_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(

@@ -1,11 +1,8 @@
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from qkdpost._accel import USE_NUMBA
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy, pw_from_joint, shannon_entropy
 from qkdpost.reconciliation import (
@@ -58,7 +55,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             gen_parity_check(10, 2, 3)
 
-    @pytest.mark.skipif(not USE_NUMBA, reason="timing gate targets the accelerated backend")
     def test_large_build_under_a_second(self):
         import time
 
@@ -203,6 +199,13 @@ class TestSumProduct:
         assert res.converged and res.iterations == 1
         assert np.array_equal(res.bits, x)
 
+    def test_rejects_fewer_than_one_iteration(self, rng):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        x = rng.integers(0, 2, 60).astype(np.uint8)
+        priors = np.full((60, 2), 0.5)
+        with pytest.raises(ValueError, match="max_iter"):
+            sp_decode(code, syndrome(code, x), priors, max_iter=0)
+
     def test_converged_output_satisfies_syndrome(self, rng):
         joint = damping_joint(0.3)
         code = gen_parity_check(600, 370, 3, seed=6)
@@ -328,32 +331,3 @@ class TestReverseMapVsMl:
         got_ml = map_decode_bruteforce(code, syn, priors_ml)
         assert np.array_equal(got_map, y)
         assert not np.array_equal(got_map, got_ml)
-
-
-@pytest.mark.skipif(not USE_NUMBA, reason="needs both backends importable in one test")
-class TestBackendAgreement:
-    def test_numpy_fallback_decodes_identically(self, tmp_path):
-        """Run the same decode through the numpy backend in a subprocess."""
-        script = tmp_path / "decode_fallback.py"
-        script.write_text(
-            "import numpy as np\n"
-            "from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping\n"
-            "from qkdpost.entropy import JointDistribution\n"
-            "from qkdpost.reconciliation import gen_parity_check, priors_from_joint, sp_decode, syndrome\n"
-            "joint = JointDistribution(joint_distribution(make_amplitude_damping(0.3), Basis.Z, Basis.Z))\n"
-            "rng = np.random.default_rng(77)\n"
-            "code = gen_parity_check(2000, 1220, 3, seed=55)\n"
-            "flat = rng.choice(4, size=2000, p=joint.table.ravel())\n"
-            "x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)\n"
-            "res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, 'direct'))\n"
-            "print(res.converged, res.iterations, ''.join(map(str, res.bits[:64])))\n"
-        )
-        env = dict(os.environ, QKDPOST_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, env=env, check=True
-        ).stdout.strip()
-        env_numba = dict(os.environ, QKDPOST_BACKEND="numba")
-        out_numba = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, env=env_numba, check=True
-        ).stdout.strip()
-        assert out == out_numba

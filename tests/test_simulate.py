@@ -58,6 +58,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(n_signals=10)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("margin", 0.0), ("margin", -0.1), ("epsilon", -0.1), ("max_iter", 0), ("ldpc_col_weight", 1)],
+    )
+    def test_security_and_decoder_fields_checked_at_build(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            parse_config(f"{field} = {value}")
+
 
 class TestExchange:
     def test_identity_channel_never_flips_matched_pairs(self):
