@@ -77,7 +77,6 @@ from .tomography import (
     exact_tally,
     linear_inversion,
     nearest_choi,
-    project_choi_sixstate,
     project_omega_bb84,
     sample_tally,
 )

@@ -19,8 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-AXES = ("z", "x", "y")
-
 
 class Basis(Enum):
     """Measurement/preparation basis, one per Pauli axis."""
@@ -102,8 +100,9 @@ class AffineChannel:
     def apply(self, theta: np.ndarray) -> np.ndarray:
         return self.r @ np.asarray(theta, dtype=float) + self.t
 
-    def is_unital(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.t).max() <= tol)
+    def is_unital(self) -> bool:
+        """True when the translation vanishes, to within 1e-9."""
+        return bool(np.abs(self.t).max() <= 1e-9)
 
 
 def partial_trace_output(m: np.ndarray) -> np.ndarray:
@@ -198,10 +197,10 @@ def make_pauli(q: PauliProbs) -> AffineChannel:
     return AffineChannel(np.diag(q.diagonal()), np.zeros(3))
 
 
-def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float, tol: float = 1e-9) -> PauliProbs:
+def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float) -> PauliProbs:
     """Invert the diagonal contraction factors back to Pauli probabilities.
 
-    Raises ValueError when any probability comes out negative beyond ``tol``,
+    Raises ValueError when any probability comes out below -1e-9,
     which means the diagonal does not belong to a completely positive
     (unital, axis-aligned) channel.
     """
@@ -213,7 +212,7 @@ def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float, tol: float = 1
             1.0 - e_z - e_x + e_y,
         ]
     ) / 4.0
-    if (q < -tol).any():
+    if (q < -1e-9).any():
         raise ValueError(f"diagonal ({e_z}, {e_x}, {e_y}) gives negative probabilities {q}")
     q = np.clip(q, 0.0, None)
     return PauliProbs(*(q / q.sum()))
@@ -342,13 +341,18 @@ def parse_channel_spec(text: str) -> AffineChannel:
     if kind is None:
         raise ValueError("channel spec is missing kind=")
     kind = kind.lower()
+
+    def num(key: str) -> float:
+        if key not in kv:
+            raise ValueError(f"{kind} channel spec is missing {key}=")
+        return float(kv[key])
+
     if kind == "amplitude_damping":
-        return make_amplitude_damping(float(kv["p"]))
+        return make_amplitude_damping(num("p"))
     if kind == "rotation":
-        return make_rotation(float(kv["theta"]))
+        return make_rotation(num("theta"))
     if kind == "pauli":
-        q = PauliProbs(float(kv["qi"]), float(kv["qz"]), float(kv["qx"]), float(kv["qy"]))
-        return make_pauli(q)
+        return make_pauli(PauliProbs(num("qi"), num("qz"), num("qx"), num("qy")))
     if kind == "explicit":
         if len(numbers) != 12:
             raise ValueError(

@@ -34,15 +34,18 @@ def shannon_entropy(dist) -> float:
     return _plogp(dist)
 
 
-def von_neumann_entropy(density: np.ndarray, tol: float = 1e-9) -> float:
-    """Entropy of a Hermitian PSD unit-trace matrix from its spectrum."""
+def von_neumann_entropy(density: np.ndarray) -> float:
+    """Entropy of a Hermitian PSD unit-trace matrix from its spectrum.
+
+    Each of the three properties is checked to within 1e-9.
+    """
     density = np.asarray(density)
-    if np.abs(density - density.conj().T).max() > tol:
+    if np.abs(density - density.conj().T).max() > 1e-9:
         raise ValueError("density matrix is not Hermitian")
     ev = np.linalg.eigvalsh(density)
-    if ev[0] < -tol:
-        raise ValueError(f"negative eigenvalue {ev[0]:.3e} below -{tol}")
-    if abs(ev.sum() - 1.0) > max(tol, 1e-9):
+    if ev[0] < -1e-9:
+        raise ValueError(f"negative eigenvalue {ev[0]:.3e} below -1e-09")
+    if abs(ev.sum() - 1.0) > 1e-9:
         raise ValueError(f"trace {ev.sum():.6f} differs from 1")
     return _plogp(np.clip(ev, 0.0, None))
 
@@ -77,9 +80,6 @@ class JointDistribution:
 
     def cond_y_given_x(self) -> np.ndarray:
         return JointDistribution(self.table.T).cond_x_given_y()
-
-    def transposed(self) -> "JointDistribution":
-        return JointDistribution(self.table.T)
 
     def error_probability(self) -> float:
         """P(x != y)."""

@@ -58,6 +58,9 @@ class HashDescriptor:
     @classmethod
     def deserialize(cls, text: str) -> "HashDescriptor":
         fields = dict(tok.split("=", 1) for tok in text.split()[1:])
+        missing = [key + "=" for key in ("n", "l", "seed", "gen") if key not in fields]
+        if missing:
+            raise ValueError(f"hash descriptor is missing {' '.join(missing)}")
         n = int(fields["n"])
         ell = int(fields["l"])
         nbits = n + ell - 1 if ell else 0

@@ -191,7 +191,7 @@ def unital_ambiguity_closed_form(ch: AffineChannel, direction: str = "direct") -
     ``r`` for direct reconciliation and the z row for reverse.  Checked
     against :func:`ambiguity_direct` in the test-suite; requires t = 0.
     """
-    if not ch.is_unital(tol=1e-9):
+    if not ch.is_unital():
         raise ValueError("closed form requires a unital channel (t = 0)")
     choi = choi_from_affine(ch)
     spec = np.clip(choi.eigenvalues(), 0.0, None)

@@ -332,13 +332,13 @@ def _gf2_solve_with_nullspace(dense: np.ndarray, syn: np.ndarray):
 
 
 def map_decode_bruteforce(
-    matrix: ParityCheckMatrix, syn: np.ndarray, priors: np.ndarray, tie_tol: float = 1e-9
+    matrix: ParityCheckMatrix, syn: np.ndarray, priors: np.ndarray
 ) -> np.ndarray:
     """Exact MAP over the coset, ties broken toward the lexicographically
     smallest vector.  Enumerates all 2^(n-m) coset members; n is capped at
     24 to keep this an oracle, not a decoder.
 
-    Log-scores within ``tie_tol`` of the maximum count as tied, which absorbs
+    Log-scores within 1e-9 of the maximum count as tied, which absorbs
     the summation-order rounding of mathematically equal products.
     """
     if matrix.n > BRUTE_FORCE_MAX_N:
@@ -357,7 +357,7 @@ def map_decode_bruteforce(
         members[:, :, None].astype(np.int64),
         axis=2,
     )[:, :, 0].sum(axis=1)
-    contenders = members[scores >= scores.max() - tie_tol]
+    contenders = members[scores >= scores.max() - 1e-9]
     order = np.lexsort(contenders[:, ::-1].T)
     return contenders[order[0]].astype(np.uint8)
 
@@ -399,14 +399,26 @@ def write_alist(matrix: ParityCheckMatrix, path) -> None:
 
 
 def read_alist(path) -> ParityCheckMatrix:
+    """Parse an alist file; malformed input raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as f:
-        tokens = [line.split() for line in f if line.strip()]
-    n, m = int(tokens[0][0]), int(tokens[0][1])
-    col_lines = tokens[4 : 4 + n]
+        lines = [(k, line.split()) for k, line in enumerate(f, start=1) if line.strip()]
+    if not lines:
+        raise ValueError("empty alist file")
     cols = []
-    for j in range(n):
-        rows = sorted(int(v) - 1 for v in col_lines[j] if int(v) > 0)
-        cols.append(rows)
+    try:
+        lineno, tokens = lines[0]
+        n, m = (int(v) for v in tokens)
+        if n < 1 or m < 1:
+            raise ValueError(f"sizes n={n} m={m} must be positive")
+        for lineno, tokens in lines[4 : 4 + n]:
+            rows = sorted(int(v) - 1 for v in tokens if int(v) > 0)
+            if rows and rows[-1] >= m:
+                raise ValueError(f"check index {rows[-1] + 1} above m={m}")
+            cols.append(rows)
+    except ValueError as exc:
+        raise ValueError(f"alist line {lineno}: {exc}") from None
+    if len(cols) < n:
+        raise ValueError(f"alist ends at line {lines[-1][0]}, before column {len(cols) + 1} of {n}")
     weights = {len(c) for c in cols}
     width = max(weights)
     evar = np.concatenate([np.full(len(c), j, np.int64) for j, c in enumerate(cols)])

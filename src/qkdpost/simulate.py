@@ -15,7 +15,7 @@ corresponding processing aborts there.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,13 @@ from .keyrate import (
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
 )
-from .reconciliation import gen_parity_check, priors_from_joint, sp_decode, syndrome
+from .reconciliation import (
+    gen_parity_check,
+    priors_from_joint,
+    required_syndrome_rate,
+    sp_decode,
+    syndrome,
+)
 from .tomography import (
     BB84_BASES,
     SIXSTATE_BASES,
@@ -104,18 +110,11 @@ class ProtocolConfig:
         return (Basis.Z, Basis.X) if self.direction == "mismatched" else (Basis.Z, Basis.Z)
 
 
+# every ProtocolConfig field but the channel is a plain str, int or float
 _CONFIG_KEYS = {
-    "protocol": str,
-    "direction": str,
-    "n_signals": int,
-    "estimation_fraction": float,
-    "margin": float,
-    "epsilon": float,
-    "seed_channel": int,
-    "seed_code": int,
-    "seed_hash": int,
-    "ldpc_col_weight": int,
-    "max_iter": int,
+    f.name: {"str": str, "int": int, "float": float}[f.type]
+    for f in fields(ProtocolConfig)
+    if f.name != "channel"
 }
 
 
@@ -216,23 +215,7 @@ class RunReport:
 
     def canonical_text(self) -> str:
         lines = [f"# qkdpost run report v{SWEEP_FORMAT_VERSION}"]
-        for name in (
-            "protocol",
-            "direction",
-            "n_signals",
-            "n_key",
-            "channel_estimate",
-            "decided_ambiguity",
-            "decided_cond_entropy",
-            "decided_rate",
-            "syndrome_rate",
-            "decode_success",
-            "decode_iterations",
-            "key_length",
-            "keys_equal",
-            "empirical_key_rate",
-            "abort_reason",
-        ):
+        for name in (f.name for f in fields(self) if f.name != "timings"):
             value = getattr(self, name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -263,27 +246,19 @@ def _empirical_key_joint(config: ProtocolConfig, tally: TallyTable) -> JointDist
 def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
     """Decided rate report, prior-feeding joint, and estimate summary text.
 
-    Ambiguity comes from the tomographic pipeline; the conditional entropy
-    comes from the empirical key-pair joint.
+    Ambiguity comes from the tomographic pipeline: reverse reconciliation
+    reads Eve's ambiguity about Bob's bits, direct and mismatched about
+    Alice's.  The conditional entropy comes from the empirical key-pair joint.
     """
     joint = _empirical_key_joint(config, tally)
     ce = cond_entropy(joint, cond_entropy_direction(config.direction))
     if config.protocol == "sixstate":
         est = estimate_rates_sixstate(tally)
-        ambiguity = {
-            "direct": est.direct.ambiguity,
-            "reverse": est.reverse.ambiguity,
-            "mismatched": est.direct.ambiguity,
-        }[config.direction]
         estimate_text = format_channel_spec(est.channel)
     else:
         est = estimate_rates_bb84(tally)
-        ambiguity = {
-            "direct": est.direct.ambiguity,
-            "reverse": est.reverse.ambiguity,
-            "mismatched": est.mismatched.ambiguity,
-        }[config.direction]
         estimate_text = "omega " + " ".join(repr(float(v)) for v in est.omega.as_array())
+    ambiguity = (est.reverse if config.direction == "reverse" else est.direct).ambiguity
     return RateReport.build(config.direction, ambiguity, ce), joint, estimate_text
 
 
@@ -298,7 +273,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     rep, joint, estimate_text = _estimate_for_run(config, exchange.tally)
     timings["estimate_s"] = time.perf_counter() - t0
 
-    def aborted(reason: str, **over) -> RunReport:
+    def report(reason: str, **over) -> RunReport:
         base = dict(
             protocol=config.protocol,
             direction=config.direction,
@@ -321,11 +296,11 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
         return RunReport(**base)
 
     if rep.raw_rate <= 0.0:
-        return aborted("nonpositive_rate")
+        return report("nonpositive_rate")
 
-    m = int(np.ceil(n_key * (rep.cond_entropy + config.margin)))
+    m = int(np.ceil(n_key * required_syndrome_rate(joint, config.direction, config.margin)))
     if m >= n_key:
-        return aborted("syndrome_rate_full")
+        return report("syndrome_rate_full")
     syn_rate = m / n_key
 
     # source holds the sequence the key is distilled from; the helper decodes
@@ -345,11 +320,11 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     timings["decode_s"] = time.perf_counter() - t0
 
     if not result.converged:
-        return aborted("decode_failure", syndrome_rate=syn_rate)
+        return report("decode_failure", syndrome_rate=syn_rate)
 
     ell = key_length(n_key, m, rep.ambiguity, config.epsilon)
     if ell == 0:
-        return aborted(
+        return report(
             "zero_key_length",
             syndrome_rate=syn_rate,
             decode_success=True,
@@ -362,23 +337,14 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     key_helper = apply_hash(desc, result.bits)
     timings["hash_s"] = time.perf_counter() - t0
 
-    return RunReport(
-        protocol=config.protocol,
-        direction=config.direction,
-        n_signals=config.n_signals,
-        n_key=n_key,
-        channel_estimate=estimate_text,
-        decided_ambiguity=rep.ambiguity,
-        decided_cond_entropy=rep.cond_entropy,
-        decided_rate=rep.key_rate,
+    return report(
+        "none",
         syndrome_rate=syn_rate,
         decode_success=True,
         decode_iterations=result.iterations,
         key_length=ell,
         keys_equal=bool(np.array_equal(key_source, key_helper)),
         empirical_key_rate=ell / n_key,
-        abort_reason="none",
-        timings=timings,
     )
 
 

@@ -34,7 +34,9 @@ from .keyrate import (
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
 )
-from .worstcase import ObservableParams, feasible_interval, worst_case_ambiguity
+# feasible_interval is not called here (ObservableParams.interval calls it in
+# worstcase), but the traced benchmark run (blockbench/tracing.py) patches it here too
+from .worstcase import ObservableParams, feasible_interval, worst_case_ambiguity  # noqa: F401
 
 SIXSTATE_BASES = (Basis.Z, Basis.X, Basis.Y)
 BB84_BASES = (Basis.Z, Basis.X)
@@ -46,6 +48,10 @@ class EstimationError(ValueError):
 
 class ProjectionError(RuntimeError):
     """Raised when an iterative projection fails to converge."""
+
+
+# A Choi matrix counts as PSD when its lowest eigenvalue is above -PSD_TOL.
+PSD_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +101,14 @@ class TallyTable:
             header = f.readline().strip().lower().replace(" ", "")
             if header != "a,b,x,y,count":
                 raise ValueError(f"unexpected tally header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, start=2):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                a, b, x, y, cnt = line.split(",")
-                rows.append((Basis.from_letter(a), Basis.from_letter(b), int(x), int(y), int(cnt)))
+                try:
+                    rows.append(_tally_row(line))
+                except ValueError as exc:
+                    raise ValueError(f"tally line {lineno}: {exc}") from None
         seen = {r[0] for r in rows} | {r[1] for r in rows}
         bases = SIXSTATE_BASES if Basis.Y in seen else BB84_BASES
         index = {b: i for i, b in enumerate(bases)}
@@ -110,6 +118,22 @@ class TallyTable:
         return cls(counts, bases)
 
 
+def _tally_row(line: str) -> tuple[Basis, Basis, int, int, int]:
+    fields = line.split(",")
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields a,b,x,y,count, got {len(fields)}")
+    a, b, x, y, cnt = fields
+    x, y, cnt = int(x), int(y), int(cnt)
+    if x not in (0, 1) or y not in (0, 1):
+        raise ValueError(f"bits x={x} y={y} must be 0 or 1")
+    return Basis.from_letter(a), Basis.from_letter(b), x, y, cnt
+
+
+def _joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
+    """Exact P(x, y) of every basis pair, indexed like ``TallyTable.counts``."""
+    return np.array([[joint_distribution(ch, a, b) for b in bases] for a in bases])
+
+
 def sample_tally(
     ch: AffineChannel,
     bases: tuple[Basis, ...],
@@ -117,14 +141,9 @@ def sample_tally(
     rng: np.random.Generator,
 ) -> TallyTable:
     """Multinomial tally with a fixed number of samples per basis pair."""
-    nb = len(bases)
-    counts = np.zeros((nb, nb, 2, 2), np.int64)
-    for ia, a in enumerate(bases):
-        for ib, b in enumerate(bases):
-            p = joint_distribution(ch, a, b).ravel()
-            p = np.clip(p, 0.0, None)
-            counts[ia, ib] = rng.multinomial(samples_per_cell, p / p.sum()).reshape(2, 2)
-    return TallyTable(counts, bases)
+    cells = np.clip(_joint_tables(ch, bases), 0.0, None).reshape(-1, 4)
+    counts = [rng.multinomial(samples_per_cell, p / p.sum()) for p in cells]
+    return TallyTable(np.array(counts), bases)
 
 
 def exact_tally(ch: AffineChannel, bases: tuple[Basis, ...], scale: int = 10**12) -> TallyTable:
@@ -133,12 +152,7 @@ def exact_tally(ch: AffineChannel, bases: tuple[Basis, ...], scale: int = 10**12
     Rounding error is at most one count per cell, which is negligible at the
     default scale; meant for fixtures and pipeline identities.
     """
-    nb = len(bases)
-    counts = np.zeros((nb, nb, 2, 2), np.int64)
-    for ia, a in enumerate(bases):
-        for ib, b in enumerate(bases):
-            counts[ia, ib] = np.rint(joint_distribution(ch, a, b) * scale).astype(np.int64)
-    return TallyTable(counts, bases)
+    return TallyTable(np.rint(_joint_tables(ch, bases) * scale).astype(np.int64), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +240,18 @@ def _project_psd(m: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def nearest_choi(matrix: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> ChoiMatrix:
+def nearest_choi(matrix: np.ndarray) -> ChoiMatrix:
     """Frobenius-nearest valid Choi matrix, by Dykstra's alternating projections.
 
-    Valid inputs are returned unchanged.  Raises ProjectionError when the
-    iteration has not stabilized to 1e-10 after ``max_iter`` rounds.
+    Inputs valid to within ``PSD_TOL`` are returned unchanged.  Raises
+    ProjectionError when the iteration has not stabilized to 1e-10 after
+    10,000 rounds.
     """
     matrix = np.asarray(matrix, dtype=complex).reshape(4, 4)
     candidate = ChoiMatrix(matrix)
     try:
-        candidate.validate(tol)
-        already_psd = candidate.min_eigenvalue() >= -tol
+        candidate.validate(PSD_TOL)
+        already_psd = candidate.min_eigenvalue() >= -PSD_TOL
     except ValueError:
         already_psd = False
     if already_psd:
@@ -245,22 +260,18 @@ def nearest_choi(matrix: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) 
     x = matrix.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         y = _project_psd(x + p)
         p = x + p - y
         x_new = _project_affine_constraints(y + q)
         q = y + q - x_new
         if np.linalg.norm(x_new - x) < 1e-10:
             out = ChoiMatrix(x_new)
-            if out.min_eigenvalue() < -tol:
+            if out.min_eigenvalue() < -PSD_TOL:
                 raise ProjectionError("converged iterate violates positivity")
             return out
         x = x_new
-    raise ProjectionError(f"Dykstra projection did not converge in {max_iter} iterations")
-
-
-def project_choi_sixstate(raw: RawEstimate, tol: float = 1e-9) -> ChoiMatrix:
-    return nearest_choi(raw.to_choi().matrix, tol=tol)
+    raise ProjectionError("Dykstra projection did not converge in 10000 iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +310,16 @@ def _barrier_rho(v: np.ndarray) -> np.ndarray:
     return np.eye(4) / 4.0 + np.tensordot(v, _BARRIER_G, axes=1)
 
 
-def project_omega_bb84(
-    omega_raw: ObservableParams,
-    tol: float = 1e-9,
-    mu_end: float = 1e-8,
-) -> ObservableParams:
+def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
     """Euclidean-nearest omega with a nonempty feasible interval.
 
-    Feasible inputs are returned unchanged.  The barrier parameter runs from
-    1 down to ``mu_end`` by factors of 10; each stage Newton-iterates until
-    the barrier-objective gradient norm falls below ``tol``.
+    Feasible inputs are returned unchanged (the same object).  The barrier
+    parameter runs from 1 down by factors of 10 until it is at most 1e-8,
+    which the rounding of repeated division first reaches at about 1e-9; each
+    stage Newton-iterates until the barrier-objective gradient norm falls
+    below 1e-9, for at most 200 steps.
     """
-    if feasible_interval(omega_raw) is not None:
+    if omega_raw.interval is not None:
         return omega_raw
 
     target = omega_raw.as_array()
@@ -324,7 +333,7 @@ def project_omega_bb84(
             grad[:6] = 2.0 * (v[:6] - target)
             rg = np.einsum("ij,kjl->kil", rho_inv, _BARRIER_G)
             grad -= mu * np.trace(rg, axis1=1, axis2=2)
-            if np.linalg.norm(grad) <= tol:
+            if np.linalg.norm(grad) <= 1e-9:
                 break
             hess = mu * np.einsum("kij,lji->kl", rg, rg)
             hess[np.arange(6), np.arange(6)] += 2.0
@@ -344,20 +353,23 @@ def project_omega_bb84(
             f0 = barrier_value(v)
             slope = float(grad @ step_dir)
             step = 1.0
-            while step > 1e-14:
+            # Rounding can keep the gradient test from ever passing; the stage
+            # then only creeps by tiny steps, so it ends once backtracking
+            # falls below 1e-6 and the next, smaller mu starts from here.
+            while step > 1e-6:
                 f1 = barrier_value(v + step * step_dir)
                 if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
                     break
                 step *= 0.5
-            if step <= 1e-14:
+            if step <= 1e-6:
                 break
             v = v + step * step_dir
-        if mu <= mu_end:
+        if mu <= 1e-8:
             break
         mu /= 10.0
 
     out = ObservableParams(*v[:6])
-    if feasible_interval(out) is None:
+    if out.interval is None:
         raise ProjectionError("barrier projection ended at an infeasible point")
     return out
 
@@ -388,15 +400,15 @@ class BB84Estimate:
     projected: bool
 
 
-def estimate_rates_sixstate(tally: TallyTable, tol: float = 1e-9) -> SixStateEstimate:
+def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
     """Linear inversion, nearest-Choi projection, exact-channel key rates."""
     if tally.protocol != "sixstate":
         raise EstimationError("six-state estimation needs tallies in all three bases")
     raw = linear_inversion(tally)
     raw_choi = raw.to_choi()
-    projected = raw_choi.min_eigenvalue() < -tol
-    choi = nearest_choi(raw_choi.matrix, tol=tol) if projected else raw_choi
-    channel = affine_from_choi(choi, tol=max(tol, 1e-6))
+    projected = raw_choi.min_eigenvalue() < -PSD_TOL
+    choi = nearest_choi(raw_choi.matrix) if projected else raw_choi
+    channel = affine_from_choi(choi, tol=1e-6)
     return SixStateEstimate(
         channel=channel,
         choi=choi,
@@ -408,7 +420,7 @@ def estimate_rates_sixstate(tally: TallyTable, tol: float = 1e-9) -> SixStateEst
     )
 
 
-def estimate_rates_bb84(tally: TallyTable, tol: float = 1e-9) -> BB84Estimate:
+def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     """Worst-case BB84 rates from Z/X statistics only.
 
     Matched-pair conditional entropies come from the projected observable
@@ -418,8 +430,8 @@ def estimate_rates_bb84(tally: TallyTable, tol: float = 1e-9) -> BB84Estimate:
     """
     raw = linear_inversion(tally)
     omega_raw = raw.to_omega()
-    projected = feasible_interval(omega_raw) is None
-    omega = project_omega_bb84(omega_raw, tol=tol) if projected else omega_raw
+    omega = project_omega_bb84(omega_raw)
+    projected = omega is not omega_raw
     probe = omega.complete(0.0)
     joint_zz = JointDistribution(joint_distribution(probe, Basis.Z, Basis.Z))
     iz = tally.bases.index(Basis.Z)
@@ -455,22 +467,18 @@ def rate_error_curve(
     Drives the estimator-consistency checks: the medians must fall as the
     per-cell sample count grows.
     """
-    bases = SIXSTATE_BASES if protocol == "sixstate" else BB84_BASES
     if protocol == "sixstate":
+        bases, estimate = SIXSTATE_BASES, estimate_rates_sixstate
         truth = keyrate(choi_from_affine(ch), "direct").raw_rate
     else:
-        est = estimate_rates_bb84(exact_tally(ch, bases))
-        truth = est.direct.raw_rate
+        bases, estimate = BB84_BASES, estimate_rates_bb84
+        truth = estimate(exact_tally(ch, bases)).direct.raw_rate
     rng = np.random.default_rng(seed)
     medians = []
     for size in sample_sizes:
         errs = []
         for _ in range(trials):
-            tally = sample_tally(ch, bases, size, rng)
-            if protocol == "sixstate":
-                rate = estimate_rates_sixstate(tally).direct.raw_rate
-            else:
-                rate = estimate_rates_bb84(tally).direct.raw_rate
+            rate = estimate(sample_tally(ch, bases, size, rng)).direct.raw_rate
             errs.append(abs(rate - truth))
         medians.append(float(np.median(errs)))
     return medians

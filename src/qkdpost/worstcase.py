@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class ObservableParams:
         )
         return AffineChannel(r, np.array([self.t_z, self.t_x, 0.0]))
 
+    @cached_property
+    def interval(self) -> FeasibleInterval | None:
+        """The feasible r_yy interval, computed once per omega."""
+        return feasible_interval(self)
+
 
 @dataclass(frozen=True)
 class FeasibleInterval:
@@ -113,16 +119,18 @@ def _min_eig(omega: ObservableParams, r_yy: float) -> float:
     return choi_from_affine(omega.complete(r_yy)).min_eigenvalue()
 
 
-def feasible_interval(omega: ObservableParams, tol: float = 1e-9) -> FeasibleInterval | None:
+def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     """Endpoints of the valid r_yy range, or None when no completion exists.
 
     The most-feasible point is located by golden-section on the (concave)
-    minimum eigenvalue; each endpoint then comes from bisection, accurate to
-    well below ``tol`` (60 halvings of a bracket inside [-1, 1]).
+    minimum eigenvalue, to 1e-12; each endpoint then comes from bisection,
+    60 halvings of a bracket inside [-1, 1].  Callers read
+    :attr:`ObservableParams.interval`, which caches this per omega.
     """
     neg = lambda r: -_min_eig(omega, r)
-    r_star, neg_best = golden_section_min(neg, -1.0, 1.0, tol=min(tol, 1e-9) * 1e-3)
-    candidates = [(-1.0, _min_eig(omega, -1.0)), (1.0, _min_eig(omega, 1.0)), (r_star, -neg_best)]
+    r_star, neg_best = golden_section_min(neg, -1.0, 1.0, tol=1e-12)
+    lam_lo, lam_hi = _min_eig(omega, -1.0), _min_eig(omega, 1.0)
+    candidates = [(-1.0, lam_lo), (1.0, lam_hi), (r_star, -neg_best)]
     r_star, lam_best = max(candidates, key=lambda c: c[1])
     if lam_best < -PSD_SLACK:
         return None
@@ -136,32 +144,28 @@ def feasible_interval(omega: ObservableParams, tol: float = 1e-9) -> FeasibleInt
                 bad = mid
         return good
 
-    lo = -1.0 if _min_eig(omega, -1.0) >= -PSD_SLACK else bisect(-1.0, r_star)
-    hi = 1.0 if _min_eig(omega, 1.0) >= -PSD_SLACK else bisect(1.0, r_star)
-    lo, hi = min(lo, hi), max(lo, hi)
-    return FeasibleInterval(lo, hi, min(max(r_star, lo), hi))
+    # bisection only moves each endpoint away from r_star, so lo <= r_star <= hi
+    lo = -1.0 if lam_lo >= -PSD_SLACK else bisect(-1.0, r_star)
+    hi = 1.0 if lam_hi >= -PSD_SLACK else bisect(1.0, r_star)
+    return FeasibleInterval(lo, hi, r_star)
 
 
-def worst_case_ambiguity(
-    omega: ObservableParams, direction: str = "direct", tol: float = 1e-7
-) -> float:
+def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> float:
     """Minimum ambiguity over all channels consistent with ``omega``.
 
-    ``tol`` is the argument tolerance of the golden-section search; interval
+    The golden-section search runs to an argument tolerance of 1e-7; interval
     endpoints are evaluated explicitly so boundary minima are exact.
     """
-    interval = feasible_interval(omega)
+    interval = omega.interval
     if interval is None:
         raise ValueError("omega admits no completely positive completion")
-    if direction == "direct":
-        amb = lambda r: ambiguity_direct(choi_from_affine(omega.complete(r)), tol=1e-6)
-    elif direction == "reverse":
-        amb = lambda r: ambiguity_reverse(choi_from_affine(omega.complete(r)), tol=1e-6)
-    else:
+    ambiguity = {"direct": ambiguity_direct, "reverse": ambiguity_reverse}.get(direction)
+    if ambiguity is None:
         raise ValueError(f"direction must be direct or reverse, got {direction!r}")
+    amb = lambda r: ambiguity(choi_from_affine(omega.complete(r)), tol=1e-6)
     if interval.width <= DEGENERATE_WIDTH:
         return amb(interval.anchor)
-    _, best = golden_section_min(amb, interval.lo, interval.hi, tol=tol)
+    _, best = golden_section_min(amb, interval.lo, interval.hi, tol=1e-7)
     return min(best, amb(interval.lo), amb(interval.hi))
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
@@ -178,6 +179,34 @@ def test_numerical_failure_exit_code(tmp_path):
         "x,x,0,0,5\nx,x,0,1,5\nx,x,1,0,5\nx,x,1,1,5\n"
     )
     assert main(["estimate", "--tally", str(bad), "--protocol", "bb84"]) == 2
+
+
+def _truncated_alist(path):
+    write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:9]))
+
+
+@pytest.mark.parametrize(
+    "argv, body, message",
+    [
+        (["bound", "--channel"], "kind=amplitude_damping\n", "missing p="),
+        (["estimate", "--tally"], "a,b,x,y,count\nz,z,2,0,5\n", "tally line 2: bits"),
+        (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
+        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"], None,
+         "before column 6 of 12"),
+    ],
+    ids=["spec-without-p", "tally-bit-2", "tally-six-fields", "truncated-alist"],
+)
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
+    path = tmp_path / "input"
+    if body is None:
+        _truncated_alist(path)
+    else:
+        path.write_text(body)
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_missing_file_exit_code():

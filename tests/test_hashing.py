@@ -44,6 +44,11 @@ class TestDescriptor:
         assert back.seed == desc.seed
         assert np.array_equal(back.generator, desc.generator)
 
+    def test_deserialize_rejects_missing_fields(self):
+        text = sample_hash(4, 8, seed=1).serialize()
+        with pytest.raises(ValueError, match="missing gen="):
+            HashDescriptor.deserialize(text.rsplit(" ", 1)[0])
+
     def test_sampling_deterministic(self):
         a = sample_hash(64, 256, seed=9)
         b = sample_hash(64, 256, seed=9)

@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +234,18 @@ class TestRunProtocol:
                 assert rep.decode_success
             if not rep.decode_success:
                 assert rep.key_length == 0
+
+
+def test_benchmark_patch_points_resolve():
+    # the traced benchmark run wraps these module attributes in place, so each
+    # must stay bound to a callable under its module
+    path = Path(__file__).resolve().parents[1] / "blockbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("blockbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t[:2] for t in tracing.SPAN_TARGETS] + [t[:2] for t in tracing.COUNT_TARGETS]
+    for module, attr in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 class TestSweep:

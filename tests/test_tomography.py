@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import qkdpost.tomography as tomography
+import qkdpost.worstcase as worstcase
 from qkdpost.channels import (
+    PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
     make_identity,
+    make_pauli,
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import closed_form_example_rates
+from qkdpost.simulate import ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     BB84_BASES,
     SIXSTATE_BASES,
@@ -21,7 +26,6 @@ from qkdpost.tomography import (
     exact_tally,
     linear_inversion,
     nearest_choi,
-    project_choi_sixstate,
     project_omega_bb84,
     rate_error_curve,
     sample_tally,
@@ -118,7 +122,7 @@ class TestNearestChoi:
 
     def test_projection_from_tally(self, rng):
         tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, 2000, rng)
-        out = project_choi_sixstate(linear_inversion(tally))
+        out = nearest_choi(linear_inversion(tally).to_choi().matrix)
         out.validate(1e-8)
         assert out.min_eigenvalue() >= -1e-9
 
@@ -129,10 +133,16 @@ class TestNearestChoi:
             dists = []
             for _ in range(10):
                 tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, size, rng)
-                est = project_choi_sixstate(linear_inversion(tally))
+                est = nearest_choi(linear_inversion(tally).to_choi().matrix)
                 dists.append(np.linalg.norm(est.matrix - truth))
             errors.append(np.median(dists))
         assert errors[1] < errors[0]
+
+
+def _pool_tally(channel):
+    """BB84 estimation tally of a 20,000-signal block at channel seed 1001."""
+    config = ProtocolConfig(protocol="bb84", channel=channel, n_signals=20_000, seed_channel=1001)
+    return simulate_exchange(config).tally
 
 
 class TestOmegaProjection:
@@ -161,6 +171,23 @@ class TestOmegaProjection:
                 best = min(best, np.linalg.norm(trial - target))
         assert got <= best + 1e-3
 
+    def test_stalled_barrier_stage_ends(self, monkeypatch):
+        # on this tally rounding keeps a stage's gradient test from passing; a
+        # stage that crept on by ~2^-27 steps would take over 10,000 barrier
+        # evaluations, ending it takes about 350
+        omega = linear_inversion(_pool_tally(make_amplitude_damping(0.02))).to_omega()
+        calls = 0
+        original = tomography._barrier_rho
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return original(v)
+
+        monkeypatch.setattr(tomography, "_barrier_rho", counted)
+        assert project_omega_bb84(omega) is not omega
+        assert calls < 1000
+
     def test_noisy_rotation_tally_becomes_feasible(self, rng):
         sizes = (2000, 50_000)
         gaps = []
@@ -175,6 +202,29 @@ class TestOmegaProjection:
 
 
 class TestPipelines:
+    @pytest.mark.parametrize(
+        "channel, projected, intervals",
+        [
+            (make_pauli(PauliProbs(0.94, 0.02, 0.02, 0.02)), False, 1),
+            (make_amplitude_damping(0.02), True, 2),
+        ],
+        ids=["unprojected-pauli", "projected-damping"],
+    )
+    def test_one_feasible_interval_per_omega(self, monkeypatch, channel, projected, intervals):
+        tally = _pool_tally(channel)
+        calls = []
+        original = worstcase.feasible_interval
+
+        def counted(omega):
+            calls.append(omega)
+            return original(omega)
+
+        # both attributes the traced benchmark run patches
+        monkeypatch.setattr(worstcase, "feasible_interval", counted)
+        monkeypatch.setattr(tomography, "feasible_interval", counted)
+        assert estimate_rates_bb84(tally).projected == projected
+        assert len(calls) == intervals
+
     def test_identity_tally_gives_unit_rates(self):
         est = estimate_rates_sixstate(exact_tally(make_identity(), SIXSTATE_BASES))
         assert est.direct.key_rate == pytest.approx(1.0, abs=1e-9)
