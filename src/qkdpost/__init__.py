@@ -49,7 +49,6 @@ from .keyrate import (
     unital_ambiguity_closed_form,
 )
 from .reconciliation import (
-    CodeConstructionError,
     ParityCheckMatrix,
     gen_parity_check,
     map_decode_bruteforce,

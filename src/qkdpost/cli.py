@@ -23,12 +23,7 @@ import numpy as np
 from . import __version__
 from .channels import Basis, joint_distribution, load_channel_spec
 from .entropy import JointDistribution
-from .reconciliation import (
-    CodeConstructionError,
-    priors_from_joint,
-    read_alist,
-    sp_decode,
-)
+from .reconciliation import priors_from_joint, read_alist, sp_decode
 from .simulate import load_config, run_protocol, sweep_rates
 from .tomography import (
     EstimationError,
@@ -48,18 +43,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_bits(path) -> np.ndarray:
+    """First bit line of the file; malformed input raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("hex "):
-                _, nbits, digits = line.split()
-                raw = np.frombuffer(bytes.fromhex(digits), dtype=np.uint8)
-                return np.unpackbits(raw)[: int(nbits)].astype(np.uint8)
+                try:
+                    _, nbits, digits = line.split()
+                    raw = np.frombuffer(bytes.fromhex(digits), dtype=np.uint8)
+                    return np.unpackbits(raw)[: int(nbits)].astype(np.uint8)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path} line {lineno}: expected 'hex <nbits> <digits>' ({exc})"
+                    ) from None
             if set(line) <= {"0", "1"}:
                 return np.array([int(c) for c in line], np.uint8)
-            raise ValueError(f"unrecognized bit line in {path}: {line[:40]!r}")
+            raise ValueError(f"{path} line {lineno}: unrecognized bit line {line[:40]!r}")
     raise ValueError(f"no bit data in {path}")
 
 
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EstimationError, ProjectionError, CodeConstructionError, np.linalg.LinAlgError) as exc:
+    except (EstimationError, ProjectionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -28,18 +28,14 @@ LLR_CLAMP = 30.0
 BRUTE_FORCE_MAX_N = 24
 
 
-class CodeConstructionError(RuntimeError):
-    """Raised when no full-rank matrix is found within the retry budget."""
-
-
 @dataclass(frozen=True)
 class ParityCheckMatrix:
     """Sparse binary parity-check matrix in adjacency form, full rank m.
 
-    ``chk_vars[chk_ptr[k]:chk_ptr[k+1]]`` lists the variables of check k.
-    ``rows_fixed`` counts rows that were resampled to reach full rank; the
-    construction is column-regular, and resampled rows can disturb individual
-    column weights by one.
+    ``chk_vars[chk_ptr[k]:chk_ptr[k+1]]`` lists the variables of check k in
+    ascending order.  ``col_weight`` is the weight of the information part A
+    of ``H = [A | T]`` built by ``gen_parity_check``; the parity part T has
+    its own column weights.
     """
 
     n: int
@@ -48,13 +44,18 @@ class ParityCheckMatrix:
     chk_ptr: np.ndarray
     chk_vars: np.ndarray
     seed: int
-    rows_fixed: int = 0
 
     def __post_init__(self):
         for name in ("chk_ptr", "chk_vars"):
             arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def rows_fixed(self) -> int:
+        # rank m holds by construction, so no row is ever resampled; kept
+        # because the benchmark trace (blockbench/tracing.py) reads it
+        return 0
 
     @property
     def num_edges(self) -> int:
@@ -73,51 +74,21 @@ class ParityCheckMatrix:
         return dense
 
 
-def _balanced_columns(n: int, m: int, w: int, rng: np.random.Generator) -> np.ndarray:
-    """Column-regular assignment with near-uniform row weights.
-
-    Row slots are dealt from a shuffled pool; duplicate rows inside a column
-    are swapped out against later pool entries.
-    """
-    total = n * w
-    base, extra = divmod(total, m)
-    pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
-    rng.shuffle(pool)
-    pool = pool.tolist()
-    cols = np.empty((n, w), np.int64)
-    for j in range(n):
-        block = pool[j * w : (j + 1) * w]
-        fixes = 0
-        while len(set(block)) < w:
-            if fixes > 50 * w or (j + 1) * w >= total:
-                # local pool exhausted; draw an arbitrary fresh row
-                for i, v in enumerate(block):
-                    if v in block[:i]:
-                        block[i] = int(rng.integers(m))
-                        break
-                fixes += 1
-                continue
-            seen = set()
-            dup = 0
-            for i, v in enumerate(block):
-                if v in seen:
-                    dup = i
-                    break
-                seen.add(v)
-            k = int(rng.integers((j + 1) * w, total))
-            block[dup], pool[k] = pool[k], block[dup]
-            fixes += 1
-        pool[j * w : (j + 1) * w] = block
-        cols[j] = sorted(block)
-    return cols
-
-
 def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> ParityCheckMatrix:
-    """Random column-regular parity-check matrix, full rank enforced.
+    """Random parity-check matrix ``H = [A | T]`` of rank m by construction.
 
-    Deterministic for a given seed.  Dependent rows found by GF(2)
-    elimination are replaced with fresh random rows and the rank re-checked,
-    up to 50 rounds.
+    A holds the first n - m columns, each of weight ``col_weight``, dealt
+    from a shuffled pool with every row equally often; a row drawn twice in
+    one column is redrawn until the column has distinct rows.  T is the
+    m x m parity part: column j holds rows j and j + 1 (the dual-diagonal
+    accumulator of IRA codes), and row i holds ``col_weight - 2`` more
+    entries in columns drawn from the ``max(col_weight, m // 4)`` columns
+    before column i - 1, dropping draws before column 0 and repeats.  T is
+    unit lower-triangular, hence invertible over GF(2).  Drawing the band
+    per row rather than per column keeps the row weights of H even and
+    leaves T columns of weight 2 or more; it decodes with fewer frame errors
+    than a per-column band or a random column-regular code.  Deterministic
+    for a given seed.
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m} n={n}")
@@ -125,78 +96,35 @@ def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Pari
         raise ValueError("column weight below 2 cannot give a useful code")
     if col_weight > m:
         raise ValueError(f"column weight {col_weight} exceeds the row count {m}")
+    w, k = col_weight, n - m
     rng = np.random.default_rng(seed)
-    cols = _balanced_columns(n, m, col_weight, rng)
-    rows = [set() for _ in range(m)]
-    for j in range(n):
-        for r in cols[j]:
-            rows[int(r)].add(j)
-    rows_fixed = 0
-    row_weight = max(2, round(n * col_weight / m))
-    for _ in range(50):
-        chk_ptr, chk_vars = _adjacency_from_rows(rows)
-        rank, pivot = _gf2_eliminate(_pack_rows(chk_vars, chk_ptr, n), n)
-        if rank == m:
-            return ParityCheckMatrix(n, m, col_weight, chk_ptr, chk_vars, seed, rows_fixed)
-        # replace every dependent row with a fresh random support; this can
-        # disturb column weights, which is unavoidable: exactly-regular even
-        # column weights force the rows to sum to zero over GF(2)
-        for r in np.flatnonzero(~pivot):
-            rows[int(r)] = set(int(v) for v in rng.choice(n, size=row_weight, replace=False))
-            rows_fixed += 1
-        covered = np.zeros(n, bool)
-        for support in rows:
-            for j in support:
-                covered[j] = True
-        for j in np.flatnonzero(~covered):
-            rows[int(rng.integers(m))].add(int(j))
-    raise CodeConstructionError(f"no full-rank matrix after 50 repair rounds (n={n}, m={m})")
-
-
-def _adjacency_from_rows(rows):
-    chk_ptr = np.zeros(len(rows) + 1, np.int64)
-    parts = []
-    for k, support in enumerate(rows):
-        ordered = np.fromiter(sorted(support), np.int64, len(support))
-        parts.append(ordered)
-        chk_ptr[k + 1] = chk_ptr[k] + ordered.shape[0]
-    return chk_ptr, np.concatenate(parts)
-
-
-def _pack_rows(row_cols, row_ptr, n):
-    """Pack adjacency-list rows into uint64 words, one row per matrix row."""
-    m = row_ptr.shape[0] - 1
-    W = (n + 63) // 64
-    out = np.zeros((m, W), np.uint64)
-    rows = np.repeat(np.arange(m), np.diff(row_ptr))
-    np.bitwise_xor.at(out, (rows, row_cols >> 6), np.uint64(1) << (row_cols & 63).astype(np.uint64))
-    return out
-
-
-def _gf2_eliminate(rows, nbits):
-    """Rank of the packed rows over GF(2), and which rows hold a pivot.
-
-    Rows without a pivot are dependent on the pivot rows.  ``rows`` is
-    overwritten.
-    """
-    m = rows.shape[0]
-    pivot = np.zeros(m, bool)
-    rank = 0
-    for c in range(nbits):
-        wi = c >> 6
-        bit = np.uint64(c & 63)
-        has = ((rows[:, wi] >> bit) & np.uint64(1)).astype(bool) & ~pivot
-        idx = np.flatnonzero(has)
-        if idx.size == 0:
-            continue
-        p = idx[0]
-        pivot[p] = True
-        rank += 1
-        if idx.size > 1:
-            rows[idx[1:]] ^= rows[p]
-        if rank == m:
+    base, extra = divmod(k * w, m)
+    pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
+    rng.shuffle(pool)
+    a_rows = pool.reshape(k, w)
+    while True:
+        a_rows.sort(axis=1)
+        repeat = np.zeros(a_rows.shape, bool)
+        repeat[:, 1:] = a_rows[:, 1:] == a_rows[:, :-1]
+        if not repeat.any():
             break
-    return rank, pivot
+        a_rows[repeat] = rng.integers(m, size=int(repeat.sum()))
+    diag = np.arange(m)
+    band = diag[:, None] - rng.integers(2, max(w, m // 4) + 2, size=(m, w - 2))
+    t_rows = np.concatenate([diag, diag[1:], np.repeat(diag, w - 2)])
+    t_cols = np.concatenate([diag, diag[:-1], band.ravel()])
+    inside = t_cols >= 0
+    # one sort groups the edges by check with variables ascending; equal
+    # neighbours are band draws that repeat within a row of T
+    key = np.sort(
+        np.concatenate(
+            [a_rows.ravel() * n + np.repeat(np.arange(k), w), t_rows[inside] * n + k + t_cols[inside]]
+        )
+    )
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    chk, chk_vars = np.divmod(key, n)
+    chk_ptr = np.searchsorted(chk, np.arange(m + 1))
+    return ParityCheckMatrix(n, m, w, chk_ptr, chk_vars, seed)
 
 
 def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:

@@ -121,21 +121,22 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> ProtocolConfig:
     """Key = value lines; the channel value is a one-line channel spec."""
     kwargs = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line without '=': {line!r}")
+            raise ValueError(f"config line {lineno} without '=': {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower()
         value = value.strip()
-        if key == "channel":
-            kwargs["channel"] = parse_channel_spec(value)
-        elif key in _CONFIG_KEYS:
-            kwargs[key] = _CONFIG_KEYS[key](value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+        parse = parse_channel_spec if key == "channel" else _CONFIG_KEYS.get(key)
+        if parse is None:
+            raise ValueError(f"config line {lineno}: unknown config key {key!r}")
+        try:
+            kwargs[key] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}, key {key!r}: {exc}") from None
     return ProtocolConfig(**kwargs)
 
 

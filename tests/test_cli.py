@@ -156,6 +156,17 @@ def test_clean_protocol_abort_still_exits_zero(tmp_path):
     assert "key_length=0" in body
 
 
+def test_simulate_builds_a_code_with_m_equal_to_the_column_weight(tmp_path, capsys):
+    # a noiseless six-state run at margin 0.05 needs m = 3 checks at n = 52,
+    # equal to the column weight
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "protocol=sixstate\nchannel=kind=rotation theta=0\nn_signals=1000\nmargin=0.05\n"
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert "keys_equal=true" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     assert main(["rates", "--channel-family", "amplitude_damping"]) == 1
     assert main(["bogus-command"]) == 1
@@ -186,6 +197,9 @@ def _truncated_alist(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:9]))
 
 
+VALID_ALIST = "<valid alist>"
+
+
 @pytest.mark.parametrize(
     "argv, body, message",
     [
@@ -194,8 +208,13 @@ def _truncated_alist(path):
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
         (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"], None,
          "before column 6 of 12"),
+        (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
+         "# syndrome\nhex 8\n", "line 2: expected 'hex <nbits> <digits>'"),
+        (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
+         "config line 2, key 'n_signals'"),
     ],
-    ids=["spec-without-p", "tally-bit-2", "tally-six-fields", "truncated-alist"],
+    ids=["spec-without-p", "tally-bit-2", "tally-six-fields", "truncated-alist", "hex-two-fields",
+         "config-int"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"
@@ -203,6 +222,10 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body,
         _truncated_alist(path)
     else:
         path.write_text(body)
+    if VALID_ALIST in argv:
+        alist = tmp_path / "code.alist"
+        write_alist(gen_parity_check(12, 6, 3, seed=1), alist)
+        argv = [str(alist) if a == VALID_ALIST else a for a in argv]
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

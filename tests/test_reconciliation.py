@@ -6,7 +6,6 @@ import pytest
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy, pw_from_joint, shannon_entropy
 from qkdpost.reconciliation import (
-    CodeConstructionError,
     gen_parity_check,
     map_decode_bruteforce,
     priors_from_joint,
@@ -37,15 +36,22 @@ class TestConstruction:
         assert _gf2_rank(a.to_dense()) == 3
 
     def test_column_regular_when_unrepaired(self):
-        m = gen_parity_check(400, 200, 3, seed=13)
-        if m.rows_fixed == 0:
-            assert (m.col_weights() == 3).all()
-        assert _gf2_rank(m.to_dense()) == 200
+        n, m, w = 400, 200, 3
+        code = gen_parity_check(n, m, w, seed=13)
+        dense = code.to_dense()
+        assert _gf2_rank(dense) == m
+        assert (code.col_weights()[: n - m] == w).all()
+        t = dense[:, n - m :]
+        assert np.array_equal(np.triu(t), np.eye(m, dtype=np.uint8))
+        assert (np.diagonal(t, offset=-1) == 1).all()
 
     def test_full_rank_across_seeds(self):
-        for seed in range(20):
-            m = gen_parity_check(60, 30, 3, seed=seed)
-            assert _gf2_rank(m.to_dense()) == 30
+        sizes = [(60, 30, 3), (60, 30, 2), (60, 30, 4), (60, 30, 5), (30, 3, 3), (100, 4, 4), (50, 2, 2)]
+        for n, m, w in sizes:
+            for seed in range(20):
+                code = gen_parity_check(n, m, w, seed=seed)
+                assert _gf2_rank(code.to_dense()) == m
+                assert (code.col_weights()[: n - m] == w).all()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -62,6 +68,15 @@ class TestConstruction:
         m = gen_parity_check(10_000, 5_000, 3, seed=42)
         assert time.perf_counter() - t0 < 1.0
         assert m.n == 10_000 and m.m == 5_000
+
+    def test_million_bit_build_under_a_second(self):
+        import time
+
+        n, m = 1_000_000, 341_724
+        t0 = time.perf_counter()
+        code = gen_parity_check(n, m, 3, seed=42)
+        assert time.perf_counter() - t0 < 1.0
+        assert code.m == m and (code.col_weights()[: n - m] == 3).all()
 
 
 def _gf2_rank(dense):
@@ -143,10 +158,7 @@ class TestBruteForceMap:
     def test_matches_exhaustive_scan_n6(self, rng):
         joint = damping_joint(0.3)
         for seed in range(30):
-            try:
-                code = gen_parity_check(6, 3, 2, seed=seed)
-            except CodeConstructionError:
-                continue
+            code = gen_parity_check(6, 3, 2, seed=seed)
             x, y = sample_pair(joint, 6, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y, "direct")
@@ -227,6 +239,19 @@ class TestSumProduct:
             if not (res.converged and np.array_equal(res.bits, x)):
                 fails += 1
         assert fails <= 2
+
+    def test_frame_errors_rare_on_a_symmetric_channel(self, rng):
+        joint = JointDistribution([[0.47, 0.03], [0.03, 0.47]])
+        n = 12_000
+        m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.1)))
+        code = gen_parity_check(n, m, 3, seed=8)
+        fails = 0
+        for _ in range(20):
+            x, y = sample_pair(joint, n, rng)
+            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+            if not (res.converged and np.array_equal(res.bits, x)):
+                fails += 1
+        assert fails <= 3
 
     def test_agreement_with_map_oracle_among_decodes(self, rng):
         joint = damping_joint(0.3)

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -236,16 +237,40 @@ class TestRunProtocol:
                 assert rep.key_length == 0
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _benchmark_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "blockbench_tracing", ROOT / "blockbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_patch_points_resolve():
     # the traced benchmark run wraps these module attributes in place, so each
     # must stay bound to a callable under its module
-    path = Path(__file__).resolve().parents[1] / "blockbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("blockbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _benchmark_tracing()
     targets = [t[:2] for t in tracing.SPAN_TARGETS] + [t[:2] for t in tracing.COUNT_TARGETS]
     for module, attr in targets:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_trace_reads_every_per_layer_count():
+    # the trace reads counts such as rows_fixed, num_edges and iterations
+    # from return values; trace.overhead_s is computed by the stream instead
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    channel = make_amplitude_damping(0.1)
+    with tracer.installed():
+        for block, protocol in enumerate(("bb84", "sixstate")):
+            with tracer.block(block):
+                run_protocol(ProtocolConfig(protocol=protocol, channel=channel, n_signals=20_000))
+    metrics = tracer.layer_metrics(2)
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert {m["name"] for m in per_layer} - {"trace.overhead_s"} <= set(metrics)
 
 
 class TestSweep:
