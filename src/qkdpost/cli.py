@@ -52,21 +52,30 @@ def read_bits(path) -> np.ndarray:
             if line.startswith("hex "):
                 try:
                     _, nbits, digits = line.split()
+                    nbits = int(nbits)
+                    if not 0 <= nbits <= 4 * len(digits):
+                        raise ValueError(f"bit count {nbits} not in 0..{4 * len(digits)}")
                     raw = np.frombuffer(bytes.fromhex(digits), dtype=np.uint8)
-                    return np.unpackbits(raw)[: int(nbits)].astype(np.uint8)
+                    return np.unpackbits(raw)[:nbits]
                 except ValueError as exc:
                     raise ValueError(
                         f"{path} line {lineno}: expected 'hex <nbits> <digits>' ({exc})"
                     ) from None
-            if set(line) <= {"0", "1"}:
-                return np.array([int(c) for c in line], np.uint8)
+            bits = np.frombuffer(line.encode(), np.uint8) - ord("0")
+            if (bits <= 1).all():
+                return bits
             raise ValueError(f"{path} line {lineno}: unrecognized bit line {line[:40]!r}")
     raise ValueError(f"no bit data in {path}")
 
 
+def _bit_text(bits: np.ndarray) -> str:
+    """A 0/1 sequence as one line of ASCII digits, without the newline."""
+    return (np.asarray(bits, np.uint8) + ord("0")).tobytes().decode()
+
+
 def write_bits(path, bits: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(str(int(b)) for b in bits) + "\n")
+        f.write(_bit_text(bits) + "\n")
 
 
 def _cmd_rates(args) -> int:
@@ -157,7 +166,7 @@ def _cmd_decode(args) -> int:
     if args.out:
         write_bits(args.out, result.bits)
     else:
-        print("".join(str(int(b)) for b in result.bits))
+        print(_bit_text(result.bits))
     return 0
 
 

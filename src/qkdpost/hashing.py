@@ -12,6 +12,7 @@ choice of generator, which is what privacy amplification needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,11 @@ class HashDescriptor:
             raise ValueError("generator bits must be 0/1")
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
+
+    @functools.cached_property
+    def _generator_spectrum(self) -> np.ndarray:
+        """``rfft`` of the generator at the transform size of ``apply_hash``."""
+        return np.fft.rfft(self.generator.astype(np.float64), _fft_size(self.generator.shape[0]))
 
     def matrix(self) -> np.ndarray:
         """Dense Toeplitz matrix; intended for tests and tiny sizes."""
@@ -90,24 +96,32 @@ def sample_hash(output_len: int, input_len: int, seed: int) -> HashDescriptor:
     return HashDescriptor(input_len, output_len, gen, seed)
 
 
+def _fft_size(conv_len: int) -> int:
+    """Smallest power of two at least ``conv_len``."""
+    return 1 << (conv_len - 1).bit_length()
+
+
 def apply_hash(desc: HashDescriptor, x: np.ndarray) -> np.ndarray:
-    """Key bits T x over GF(2)."""
+    """Key bits T x over GF(2).
+
+    ``key[i]`` is entry n - 1 + i of the convolution g * x.  A circular
+    convolution of length n + ell - 1 or more leaves those entries free of
+    wrap-around, so the transforms take the next power of two at or above
+    that length.  The generator's transform is computed on the first call
+    for a descriptor and reused by every later one.
+    """
     x = np.asarray(x, dtype=np.uint8)
     if x.shape != (desc.input_len,):
         raise ValueError(f"input length {x.shape} does not match descriptor n={desc.input_len}")
     ell = desc.output_len
     if ell == 0:
         return np.zeros(0, np.uint8)
-    # key[i] = sum_j T[i, j] x[j] = sum_j g[n-1-j+i] x[j] is entry n-1+i of the
-    # convolution g * x.  FFT convolution gives exact counts: they are bounded
-    # by n, far inside float64 integer accuracy at these sizes.
+    # FFT convolution gives exact counts: they are bounded by n, far inside
+    # float64 integer accuracy at these sizes.
     n = desc.input_len
-    size = 1
-    while size < n + desc.generator.shape[0]:
-        size *= 2
+    size = _fft_size(desc.generator.shape[0])
     fx = np.fft.rfft(x.astype(np.float64), size)
-    fg = np.fft.rfft(desc.generator.astype(np.float64), size)
-    conv = np.fft.irfft(fx * fg, size)[n - 1 : n - 1 + ell]
+    conv = np.fft.irfft(fx * desc._generator_spectrum, size)[n - 1 : n - 1 + ell]
     counts = np.rint(conv)
     if np.abs(conv - counts).max(initial=0.0) > 0.1:
         raise FloatingPointError("FFT convolution lost integer accuracy")

@@ -127,14 +127,27 @@ def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Pari
     return ParityCheckMatrix(n, m, w, chk_ptr, chk_vars, seed)
 
 
+def _check_parity(chk_ptr: np.ndarray, edge_bits: np.ndarray) -> np.ndarray:
+    """Parity of each check's edge bits, uint8 of length m.
+
+    ``edge_bits`` is in check-grouped edge order with one sentinel entry
+    appended, so ``reduceat`` over all m + 1 pointers reduces exactly each
+    check's own edges, the last check's included; an empty check would read
+    its successor's first bit instead, so its parity is set to 0.
+    """
+    par = np.bitwise_xor.reduceat(edge_bits, chk_ptr)[:-1] & 1
+    par[chk_ptr[:-1] == chk_ptr[1:]] = 0
+    return par
+
+
 def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
     """GF(2) product M x as a uint8 vector of length m."""
     x = np.asarray(x)
     if x.shape != (matrix.n,):
         raise ValueError(f"sequence length {x.shape} does not match n={matrix.n}")
-    chk_of_edge = np.repeat(np.arange(matrix.m), matrix.row_weights())
-    par = np.bincount(chk_of_edge, weights=x[matrix.chk_vars].astype(float), minlength=matrix.m)
-    return (par.astype(np.int64) & 1).astype(np.uint8)
+    edge_bits = np.zeros(matrix.num_edges + 1, np.uint8)
+    edge_bits[:-1] = x[matrix.chk_vars]
+    return _check_parity(matrix.chk_ptr, edge_bits)
 
 
 def priors_from_joint(
@@ -176,10 +189,14 @@ def sp_decode(
     """Sum-product decoding of the coset selected by ``syn``.
 
     Flooding schedule, log-likelihood messages clamped to +/-30, tanh-rule
-    check updates with the sign of check k flipped when syn[k] = 1.  Success
-    means the running hard decision reproduced the syndrome before
-    ``max_iter`` sweeps; a False flag means the caller must abort or retry,
-    the returned bits are then only diagnostic.
+    check updates with the sign of check k flipped when syn[k] = 1.  Each
+    check multiplies its factors tanh(v/2) in one segmented product, and an
+    edge's message divides its own factor back out; an exact zero factor is
+    floored at 1e-300, which keeps that edge's message exact and sends about
+    0 to the check's other edges.  Success means the running hard decision
+    reproduced the syndrome before ``max_iter`` sweeps; a False flag means
+    the caller must abort or retry, the returned bits are then only
+    diagnostic.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -188,34 +205,41 @@ def sp_decode(
         raise ValueError(f"syndrome length {syn.shape} does not match m={matrix.m}")
     if priors.shape != (matrix.n, 2):
         raise ValueError(f"priors must have shape ({matrix.n}, 2)")
-    prior = _prior_llrs(priors)
-    # edges are grouped by check: chk_var[e] is the variable of edge e and
-    # chk_of_edge[e] its check; llr > 0 means bit 0 is more likely
-    n, m = matrix.n, matrix.m
-    chk_var = matrix.chk_vars
-    chk_of_edge = np.repeat(np.arange(m), matrix.row_weights())
-    sgn_syn = 1.0 - 2.0 * syn.astype(np.float64)
-    cv = np.zeros(matrix.num_edges)
+    # edges are grouped by check, plus one sentinel edge on a dummy variable n
+    # in a dummy check m that keeps every reduceat segment inside its check
+    # (see _check_parity); llr > 0 means bit 0 is more likely
+    n, chk_ptr = matrix.n, matrix.chk_ptr
+    var = np.append(matrix.chk_vars, n)
+    row_weights = np.append(matrix.row_weights(), 1)
+    sgn_syn = np.append(1.0 - 2.0 * syn, 1.0)
+    prior = np.append(_prior_llrs(priors), 0.0)
+    # ``th`` is updated in place across sweeps, which spares the page faults
+    # of fresh edge-sized arrays: it holds tot[var], then the clamped
+    # variable-to-check message, then its tanh.  take(mode="clip") writes
+    # ``out`` directly, where the default mode buffers it; every index is in
+    # range anyway.
+    th = prior[var]
+    cv = np.zeros(var.shape[0])
     for it in range(1, max_iter + 1):
-        tot = prior + np.bincount(chk_var, weights=cv, minlength=n)
-        vc = np.clip(tot[chk_var] - cv, -LLR_CLAMP, LLR_CLAMP)
-        th = np.tanh(0.5 * vc)
-        # product-with-exclusion in log/sign form; the 1e-300 floor keeps a
-        # single zero factor exact and collapses multiple zeros to 0 messages
-        lg = np.log(np.clip(np.abs(th), 1e-300, None))
-        neg = (th < 0.0).astype(np.int64)
-        sum_lg = np.bincount(chk_of_edge, weights=lg, minlength=m)
-        sum_neg = np.bincount(chk_of_edge, weights=neg, minlength=m).astype(np.int64)
-        excl = np.exp(sum_lg[chk_of_edge] - lg)
-        excl_sgn = 1.0 - 2.0 * ((sum_neg[chk_of_edge] - neg) & 1)
-        raw = np.clip(sgn_syn[chk_of_edge] * excl_sgn * excl, -1 + 1e-15, 1 - 1e-15)
-        cv = np.clip(2.0 * np.arctanh(raw), -LLR_CLAMP, LLR_CLAMP)
-        tot = prior + np.bincount(chk_var, weights=cv, minlength=n)
-        xhat = (tot < 0.0).astype(np.uint8)
-        par = np.bincount(chk_of_edge, weights=xhat[chk_var], minlength=m).astype(np.int64) & 1
-        if np.array_equal(par, syn.astype(np.int64)):
-            return DecodeResult(xhat, True, it)
-    return DecodeResult(xhat, False, max_iter)
+        th -= cv
+        np.clip(th, -LLR_CLAMP, LLR_CLAMP, out=th)
+        th *= 0.5
+        np.tanh(th, out=th)
+        th[th == 0.0] = 1e-300
+        prod = np.multiply.reduceat(th, chk_ptr) * sgn_syn
+        cv = np.repeat(prod, row_weights)
+        cv /= th
+        np.clip(cv, -1 + 1e-15, 1 - 1e-15, out=cv)
+        np.arctanh(cv, out=cv)
+        cv *= 2.0
+        np.clip(cv, -LLR_CLAMP, LLR_CLAMP, out=cv)
+        tot = prior + np.bincount(var, weights=cv, minlength=n + 1)
+        # the next sweep starts from this gather, and its signs are the
+        # running hard decision on every edge
+        np.take(tot, var, out=th, mode="clip")
+        if np.array_equal(_check_parity(chk_ptr, (th < 0.0).view(np.uint8)), syn):
+            return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
+    return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,9 @@ def test_decode_command(tmp_path, capsys):
     assert rc == 0
     assert "converged=true" in capsys.readouterr().out
     assert np.array_equal(read_bits(out), x)
+    argv = ["decode", "--matrix", str(mpath), "--syndrome", str(spath), "--observed", str(opath)]
+    assert main(argv + ["--channel", str(cpath)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "".join(str(int(b)) for b in x)
 
 
 def test_bit_file_formats(tmp_path):
@@ -139,6 +142,15 @@ def test_bit_file_formats(tmp_path):
     hexpath = tmp_path / "hex.txt"
     hexpath.write_text("hex 4 b0\n")
     assert read_bits(hexpath).tolist() == [1, 0, 1, 1]
+
+
+def test_bit_file_round_trip_keeps_the_ascii_form(tmp_path):
+    bits = np.random.default_rng(3).integers(0, 2, 100_000).astype(np.uint8)
+    path = tmp_path / "bits.txt"
+    write_bits(path, bits)
+    assert path.read_text() == "".join(str(int(b)) for b in bits) + "\n"
+    back = read_bits(path)
+    assert back.dtype == np.uint8 and np.array_equal(back, bits)
 
 
 def test_clean_protocol_abort_still_exits_zero(tmp_path):
@@ -210,11 +222,15 @@ VALID_ALIST = "<valid alist>"
          "before column 6 of 12"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
          "# syndrome\nhex 8\n", "line 2: expected 'hex <nbits> <digits>'"),
+        (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
+         "hex 16 ab\n", "line 1: expected 'hex <nbits> <digits>' (bit count 16 not in 0..8)"),
+        (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
+         "hex -2 ab\n", "line 1: expected 'hex <nbits> <digits>' (bit count -2 not in 0..8)"),
         (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
          "config line 2, key 'n_signals'"),
     ],
     ids=["spec-without-p", "tally-bit-2", "tally-six-fields", "truncated-alist", "hex-two-fields",
-         "config-int"],
+         "hex-more-bits-than-digits", "hex-negative-bits", "config-int"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

@@ -103,3 +103,30 @@ class TestApplyHash:
         sigma = (trials * 2.0**-ell) ** 0.5
         assert abs(collisions - want) <= 3 * sigma
         assert collisions <= want * 1.1 + 3 * sigma
+
+    @pytest.mark.parametrize("ell", [212, 213, 214])
+    def test_matches_dense_matrix_around_a_power_of_two(self, rng, ell):
+        # n + ell - 1 is 2^9 - 1, 2^9 and 2^9 + 1
+        desc = sample_hash(ell, 300, seed=ell)
+        for _ in range(5):
+            x = rng.integers(0, 2, 300).astype(np.uint8)
+            want = (desc.matrix().astype(np.int64) @ x.astype(np.int64)) & 1
+            assert np.array_equal(apply_hash(desc, x), want.astype(np.uint8))
+
+    def test_generator_transformed_once_per_descriptor(self, rng, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(args[0].shape)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        desc = sample_hash(100, 400, seed=4)
+        x = rng.integers(0, 2, 400).astype(np.uint8)
+        first = apply_hash(desc, x)
+        second = apply_hash(desc, x ^ 1)
+        assert len(calls) == 3
+        want = (desc.matrix().astype(np.int64) @ (x ^ 1).astype(np.int64)) & 1
+        assert np.array_equal(second, want.astype(np.uint8))
+        assert np.array_equal(first, apply_hash(desc, x))

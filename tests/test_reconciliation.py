@@ -297,6 +297,83 @@ class TestSumProduct:
         assert checked > 40
 
 
+class TestSumProductSegments:
+    """Check segments the decoder must reduce exactly: empty checks, a last
+    non-empty check ending at the final edge, one check over every variable,
+    and exact zero factors."""
+
+    # checks 1, 3 and 5 are empty; check 4 ends at the final edge and is
+    # the only check on variable 7
+    SUPPORTS = [[0, 1, 2], [], [2, 3, 4], [], [4, 5, 6, 7], []]
+
+    def _decode_with_weak_last_bit(self, syn_of_empty):
+        code = _explicit_code(self.SUPPORTS, n=8)
+        x = np.array([1, 0, 1, 1, 0, 0, 1, 1], np.uint8)
+        syn = syndrome(code, x)
+        syn[[1, 3, 5]] = syn_of_empty
+        # strong priors toward x, except a weak wrong one on variable 7
+        y = x.copy()
+        y[7] ^= 1
+        priors = np.where(y[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+        priors[7] = [0.4, 0.6] if y[7] else [0.6, 0.4]
+        return code, x, syn, sp_decode(code, syn, priors, max_iter=20)
+
+    def test_empty_checks_with_zero_syndrome_converge(self):
+        code, x, syn, res = self._decode_with_weak_last_bit([0, 0, 0])
+        assert res.converged
+        assert np.array_equal(res.bits, x)
+        assert np.array_equal(syndrome(code, res.bits), syn)
+        assert np.array_equal((code.to_dense().astype(int) @ res.bits) % 2, syn)
+
+    @pytest.mark.parametrize("syn_of_empty", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    def test_an_empty_check_with_syndrome_one_never_converges(self, syn_of_empty):
+        _, _, _, res = self._decode_with_weak_last_bit(syn_of_empty)
+        assert not res.converged and res.iterations == 20
+
+    def test_one_check_over_every_variable(self, rng):
+        n, p = 2000, 0.03
+        joint = JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+        m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.2)))
+        base = gen_parity_check(n, m, 3, seed=9)
+        supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
+        code = _explicit_code(supports + [range(n)], n)
+        x, y = sample_pair(joint, n, rng)
+        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+        assert res.converged and np.array_equal(res.bits, x)
+
+    def test_exact_half_priors_converge(self, rng):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        x = rng.integers(0, 2, 60).astype(np.uint8)
+        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+        priors[::7] = 0.5
+        res = sp_decode(code, syndrome(code, x), priors)
+        assert res.converged and np.array_equal(res.bits, x)
+
+    def test_exact_half_priors_agree_with_map_on_tiny_codes(self, rng):
+        joint = damping_joint(0.3)
+        agree = conv = 0
+        for _ in range(40):
+            n = int(rng.integers(10, 17))
+            code = gen_parity_check(n, int(np.ceil(n * 0.8)), 3, seed=int(rng.integers(1e9)))
+            x, y = sample_pair(joint, n, rng)
+            syn = syndrome(code, x)
+            priors = priors_from_joint(joint, y, "direct")
+            priors[::7] = 0.5
+            res = sp_decode(code, syn, priors)
+            if not res.converged:
+                continue
+            # agreement means a word of the MAP score: with exact 1/2 priors,
+            # words that differ only in those bits tie, and the oracle breaks
+            # ties its own way
+            conv += 1
+            lp = np.log(np.clip(priors, 1e-300, None))
+            score = lambda v: lp[np.arange(n), v].sum()
+            best = map_decode_bruteforce(code, syn, priors)
+            agree += score(res.bits) >= score(best) - 1e-9
+        assert conv >= 30
+        assert agree / conv >= 0.95
+
+
 class TestSyndromeRate:
     def test_noiseless_needs_only_margin(self):
         ident = JointDistribution(np.diag([0.5, 0.5]))
