@@ -325,6 +325,12 @@ def singular_values_zx(ch: AffineChannel) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _finite(token: str) -> float:
+    if not math.isfinite(value := float(token)):
+        raise ValueError(f"channel parameter {token!r} is not finite")
+    return value
+
+
 def parse_channel_spec(text: str) -> AffineChannel:
     tokens = text.split()
     if not tokens:
@@ -336,7 +342,7 @@ def parse_channel_spec(text: str) -> AffineChannel:
             k, v = tok.split("=", 1)
             kv[k.strip().lower()] = v.strip()
         else:
-            numbers.append(float(tok))
+            numbers.append(_finite(tok))
     kind = kv.get("kind")
     if kind is None:
         raise ValueError("channel spec is missing kind=")
@@ -345,7 +351,7 @@ def parse_channel_spec(text: str) -> AffineChannel:
     def num(key: str) -> float:
         if key not in kv:
             raise ValueError(f"{kind} channel spec is missing {key}=")
-        return float(kv[key])
+        return _finite(kv[key])
 
     if kind == "amplitude_damping":
         return make_amplitude_damping(num("p"))

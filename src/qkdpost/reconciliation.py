@@ -332,22 +332,20 @@ def required_syndrome_rate(
 def write_alist(matrix: ParityCheckMatrix, path) -> None:
     colw = matrix.col_weights()
     roww = matrix.row_weights()
-    col_lists = [[] for _ in range(matrix.n)]
-    row_lists = []
-    for k in range(matrix.m):
-        vs = matrix.chk_vars[matrix.chk_ptr[k] : matrix.chk_ptr[k + 1]]
-        row_lists.append([int(v) + 1 for v in vs])
-        for v in vs:
-            col_lists[int(v)].append(k + 1)
+    # edges are grouped by check, so a stable sort by variable leaves each
+    # column's checks ascending, as each check's variables already are
+    checks = np.repeat(np.arange(1, matrix.m + 1), roww)
+    col_checks = checks[np.argsort(matrix.chk_vars, kind="stable")]
+    col_ptr = np.concatenate([[0], np.cumsum(colw)])
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{matrix.n} {matrix.m}\n")
         f.write(f"{int(colw.max())} {int(roww.max())}\n")
-        f.write(" ".join(str(int(w)) for w in colw) + "\n")
-        f.write(" ".join(str(int(w)) for w in roww) + "\n")
-        for lst in col_lists:
-            f.write(" ".join(str(v) for v in sorted(lst)) + "\n")
-        for lst in row_lists:
-            f.write(" ".join(str(v) for v in sorted(lst)) + "\n")
+        f.write(" ".join(map(str, colw.tolist())) + "\n")
+        f.write(" ".join(map(str, roww.tolist())) + "\n")
+        for values, ptr in ((col_checks, col_ptr), (matrix.chk_vars + 1, matrix.chk_ptr)):
+            words = list(map(str, values.tolist()))
+            bounds = ptr.tolist()
+            f.writelines(" ".join(words[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def read_alist(path) -> ParityCheckMatrix:

@@ -314,18 +314,17 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
     """Euclidean-nearest omega with a nonempty feasible interval.
 
     Feasible inputs are returned unchanged (the same object).  The barrier
-    parameter runs from 1 down by factors of 10 until it is at most 1e-8,
-    which the rounding of repeated division first reaches at about 1e-9; each
-    stage Newton-iterates until the barrier-objective gradient norm falls
-    below 1e-9, for at most 200 steps.
+    parameter runs from 1 down to 1e-9 by factors of 10; each stage takes
+    damped Newton steps until the Newton decrement ``-grad . step_dir`` is
+    at most 1e-18 (Boyd & Vandenberghe, *Convex Optimization*, 9.5 and
+    11.3), for at most 200 steps.
     """
     if omega_raw.interval is not None:
         return omega_raw
 
     target = omega_raw.as_array()
     v = np.zeros(7)
-    mu = 1.0
-    while True:
+    for mu in 10.0 ** -np.arange(10):
         for _ in range(200):
             rho = _barrier_rho(v)
             rho_inv = np.linalg.inv(rho)
@@ -333,11 +332,12 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
             grad[:6] = 2.0 * (v[:6] - target)
             rg = np.einsum("ij,kjl->kil", rho_inv, _BARRIER_G)
             grad -= mu * np.trace(rg, axis1=1, axis2=2)
-            if np.linalg.norm(grad) <= 1e-9:
-                break
             hess = mu * np.einsum("kij,lji->kl", rg, rg)
             hess[np.arange(6), np.arange(6)] += 2.0
             step_dir = np.linalg.solve(hess, -grad)
+            slope = float(grad @ step_dir)
+            if -slope <= 1e-18:
+                break
 
             def barrier_value(vv):
                 # Cholesky doubles as the strict-feasibility test; a positive
@@ -351,11 +351,9 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
                 return float(np.sum((vv[:6] - target) ** 2) - mu * logdet)
 
             f0 = barrier_value(v)
-            slope = float(grad @ step_dir)
             step = 1.0
-            # Rounding can keep the gradient test from ever passing; the stage
-            # then only creeps by tiny steps, so it ends once backtracking
-            # falls below 1e-6 and the next, smaller mu starts from here.
+            # a line search that cannot descend ends the stage; the next,
+            # smaller mu starts from here
             while step > 1e-6:
                 f1 = barrier_value(v + step * step_dir)
                 if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
@@ -364,9 +362,6 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
             if step <= 1e-6:
                 break
             v = v + step * step_dir
-        if mu <= 1e-8:
-            break
-        mu /= 10.0
 
     out = ObservableParams(*v[:6])
     if out.interval is None:

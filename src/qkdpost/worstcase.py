@@ -3,11 +3,11 @@
 Z/X statistics determine only six of the twelve affine parameters,
 ``omega = (r_zz, r_zx, r_xz, r_xx, t_z, t_x)``.  The minimum of the ambiguity
 over all completions is attained with every other parameter zero except
-``r_yy``, so the search space collapses to one dimension.  The set of valid
-``r_yy`` is a closed interval (the Choi minimum eigenvalue is concave in
-``r_yy``), and the ambiguity is convex along it, so the minimum sits at an
-endpoint or an interior stationary point; golden-section search finds it
-without derivatives.
+``r_yy``, so the search space collapses to one dimension.  The valid
+``r_yy`` form a closed interval (the Choi minimum eigenvalue is concave in
+``r_yy``) whose ends are roots of a 4x4 matrix pencil.  The ambiguity is
+convex along it, so the minimum sits at an endpoint or an interior
+stationary point; golden-section search finds it without derivatives.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class ObservableParams:
 class FeasibleInterval:
     """Closed interval of r_yy values completing omega to a valid channel.
 
-    ``anchor`` is the most-feasible point found (argmax of the Choi minimum
-    eigenvalue); for degenerate intervals it is the best representative.
+    ``anchor`` is the argmax of the Choi minimum eigenvalue when the interval
+    is degenerate (width at most DEGENERATE_WIDTH), otherwise the midpoint.
     """
 
     lo: float
@@ -122,32 +122,28 @@ def _min_eig(omega: ObservableParams, r_yy: float) -> float:
 def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     """Endpoints of the valid r_yy range, or None when no completion exists.
 
-    The most-feasible point is located by golden-section on the (concave)
-    minimum eigenvalue, to 1e-12; each endpoint then comes from bisection,
-    60 halvings of a bracket inside [-1, 1].  Callers read
+    With ``C(r) = base + r * step``, ``min_eig(C(r)) >= -PSD_SLACK`` can only
+    change at a real root of ``det(base + PSD_SLACK * I + r * step)``, an
+    eigenvalue of ``solve(step, -(base + PSD_SLACK * I))`` (Boyd &
+    Vandenberghe, *Convex Optimization*, 4.6.2).  [-1, 1] is cut at every
+    root's real part (a spurious cut only splits a segment in two) and the
+    segments whose midpoint passes are kept; the minimum eigenvalue is
+    concave, so they are contiguous.  Callers read
     :attr:`ObservableParams.interval`, which caches this per omega.
     """
-    neg = lambda r: -_min_eig(omega, r)
-    r_star, neg_best = golden_section_min(neg, -1.0, 1.0, tol=1e-12)
-    lam_lo, lam_hi = _min_eig(omega, -1.0), _min_eig(omega, 1.0)
-    candidates = [(-1.0, lam_lo), (1.0, lam_hi), (r_star, -neg_best)]
-    r_star, lam_best = max(candidates, key=lambda c: c[1])
-    if lam_best < -PSD_SLACK:
+    base = choi_from_affine(omega.complete(0.0)).matrix.real
+    step = choi_from_affine(omega.complete(1.0)).matrix.real - base
+    roots = np.linalg.eigvals(np.linalg.solve(step, -(base + PSD_SLACK * np.eye(4))))
+    cuts = np.unique(np.clip(np.append(roots.real, [-1.0, 1.0]), -1.0, 1.0))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    kept = [i for i, r in enumerate(mids) if _min_eig(omega, r) >= -PSD_SLACK]
+    if not kept:
         return None
-
-    def bisect(bad: float, good: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (bad + good)
-            if _min_eig(omega, mid) >= -PSD_SLACK:
-                good = mid
-            else:
-                bad = mid
-        return good
-
-    # bisection only moves each endpoint away from r_star, so lo <= r_star <= hi
-    lo = -1.0 if lam_lo >= -PSD_SLACK else bisect(-1.0, r_star)
-    hi = 1.0 if lam_hi >= -PSD_SLACK else bisect(1.0, r_star)
-    return FeasibleInterval(lo, hi, r_star)
+    lo, hi = float(cuts[kept[0]]), float(cuts[kept[-1] + 1])
+    anchor = 0.5 * (lo + hi)
+    if hi - lo <= DEGENERATE_WIDTH:
+        anchor, _ = golden_section_min(lambda r: -_min_eig(omega, r), lo, hi, tol=1e-12)
+    return FeasibleInterval(lo, hi, anchor)
 
 
 def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qkdpost.channels import AffineChannel, make_amplitude_damping
+from qkdpost.simulate import ProtocolConfig, simulate_exchange
 
 
 def random_rotation_matrix(rng):
@@ -74,6 +75,12 @@ def completions_of_omega(ch, interval, rng, count):
         t = mu * (lam * ch.t + (1 - lam) * partner.t) + (1 - mu) * reduced.t
         out.append(AffineChannel(r, t))
     return out
+
+
+def pool_tally(channel, seed=1001):
+    """BB84 estimation tally of a 20,000-signal block at a channel seed."""
+    config = ProtocolConfig(protocol="bb84", channel=channel, n_signals=20_000, seed_channel=seed)
+    return simulate_exchange(config).tally
 
 
 @pytest.fixture

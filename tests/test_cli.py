@@ -216,6 +216,9 @@ VALID_ALIST = "<valid alist>"
     "argv, body, message",
     [
         (["bound", "--channel"], "kind=amplitude_damping\n", "missing p="),
+        (["bound", "--channel"], "kind=rotation theta=nan\n", "'nan' is not finite"),
+        (["bound", "--channel"], "kind=explicit 1 0 0 0 1 0 0 0 inf 0 0 0\n",
+         "'inf' is not finite"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,2,0,5\n", "tally line 2: bits"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
         (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"], None,
@@ -229,8 +232,9 @@ VALID_ALIST = "<valid alist>"
         (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
          "config line 2, key 'n_signals'"),
     ],
-    ids=["spec-without-p", "tally-bit-2", "tally-six-fields", "truncated-alist", "hex-two-fields",
-         "hex-more-bits-than-digits", "hex-negative-bits", "config-int"],
+    ids=["spec-without-p", "spec-nan", "spec-inf", "tally-bit-2", "tally-six-fields",
+         "truncated-alist", "hex-two-fields", "hex-more-bits-than-digits", "hex-negative-bits",
+         "config-int"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

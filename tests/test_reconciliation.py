@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -133,18 +131,45 @@ def _explicit_code(row_supports, n):
     return ParityCheckMatrix(n, len(row_supports), 0, chk_ptr, np.concatenate(parts), seed=-1)
 
 
-class TestAlist:
-    def test_round_trip(self, rng):
-        code = gen_parity_check(50, 25, 3, seed=3)
-        import tempfile
+# alist text of gen_parity_check(12, 6, 3, seed=1), pinned byte for byte:
+# each column's checks and each check's variables ascending, 1-based
+SMALL_ALIST = (
+    "12 6\n"
+    "4 6\n"
+    "3 3 3 3 3 3 2 4 3 2 2 1\n"
+    "5 5 5 6 6 5\n"
+    "1 3 4\n"
+    "3 5 6\n"
+    "2 5 6\n"
+    "1 2 4\n"
+    "1 2 3\n"
+    "1 4 5\n"
+    "1 2\n"
+    "2 3 4 5\n"
+    "3 4 6\n"
+    "4 5\n"
+    "5 6\n"
+    "6\n"
+    "1 4 5 6 7\n"
+    "3 4 5 7 8\n"
+    "1 2 5 8 9\n"
+    "1 4 6 8 9 10\n"
+    "2 3 6 8 10 11\n"
+    "2 3 9 11 12\n"
+)
 
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "code.alist")
-            write_alist(code, path)
-            back = read_alist(path)
+
+class TestAlist:
+    def test_round_trip(self, rng, tmp_path):
+        code = gen_parity_check(50, 25, 3, seed=3)
+        path = tmp_path / "code.alist"
+        write_alist(code, path)
+        back = read_alist(path)
         assert back.n == code.n and back.m == code.m
         assert np.array_equal(back.chk_ptr, code.chk_ptr)
         assert np.array_equal(back.chk_vars, code.chk_vars)
+        write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+        assert path.read_text() == SMALL_ALIST
 
 
 class TestBruteForceMap:

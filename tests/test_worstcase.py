@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 
 from qkdpost.channels import (
+    PauliProbs,
     choi_from_affine,
     is_completely_positive,
     make_amplitude_damping,
     make_identity,
+    make_pauli,
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import ambiguity_direct
+from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
+    PSD_SLACK,
     ObservableParams,
+    _min_eig,
     feasible_interval,
     golden_section_min,
     worst_case_ambiguity,
     worst_case_lower_bound,
 )
 
-from conftest import random_cp_channel
+from conftest import pool_tally, random_cp_channel
 
 
 def omega_of(ch):
@@ -88,6 +93,36 @@ class TestFeasibleInterval:
     def test_infeasible_omega(self):
         om = ObservableParams(1.0, 0.0, 0.0, 1.0, 0.4, 0.0)  # identity block with a shift
         assert feasible_interval(om) is None
+
+    def test_pool_endpoints_are_sharp_and_none_means_no_completion(self):
+        """On raw and projected pool omegas, each endpoint inside (-1, 1) is
+        feasible and 1e-9 beyond it is not; a None verdict leaves no
+        completely positive completion on the grid."""
+        channels = (
+            make_amplitude_damping(0.02),
+            make_amplitude_damping(0.1),
+            make_rotation(0.3),
+            make_pauli(PauliProbs(0.94, 0.02, 0.02, 0.02)),
+        )
+        grid = np.linspace(-1, 1, 2001)
+        nones = 0
+        for ch in channels:
+            for seed in (1000, 1001, 1002, 1003):
+                raw = linear_inversion(pool_tally(ch, seed)).to_omega()
+                for om in (raw, project_omega_bb84(raw)):
+                    iv = feasible_interval(om)
+                    if iv is None:
+                        nones += 1
+                        assert not any(
+                            is_completely_positive(om.complete(float(r)), tol=1e-12)
+                            for r in grid
+                        )
+                        continue
+                    for end, outward in ((iv.lo, -1e-9), (iv.hi, 1e-9)):
+                        if -1.0 < end < 1.0:
+                            assert _min_eig(om, end) >= -PSD_SLACK - 1e-14
+                            assert _min_eig(om, end + outward) < -PSD_SLACK
+        assert nones > 0
 
 
 class TestWorstCaseAmbiguity:
