@@ -85,12 +85,20 @@ def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
     if ev[0] < -tol:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
     ch = affine_from_choi(choi, tol=max(tol, 1e-6))
-    out_entropy = 0.0
+    return 1.0 + output_entropy(ch.r[:, 0], ch.t) - _plogp(np.clip(ev, 0.0, None))
+
+
+def output_entropy(column: np.ndarray, t: np.ndarray) -> float:
+    """(1/2) sum_x H(out_x) for inputs |x><x| of the z basis.
+
+    ``column`` is the z column of ``r``; output x has Bloch vector
+    ``(1 - 2x) * column + t``.
+    """
+    total = 0.0
     for x in (0, 1):
-        theta = ch.r[:, 0] * (1.0 - 2.0 * x) + ch.t
-        rnorm = min(float(np.linalg.norm(theta)), 1.0)
-        out_entropy += 0.5 * binary_entropy(0.5 * (1.0 + rnorm))
-    return 1.0 + out_entropy - _plogp(np.clip(ev, 0.0, None))
+        rnorm = min(float(np.linalg.norm(column * (1.0 - 2.0 * x) + t)), 1.0)
+        total += 0.5 * binary_entropy(0.5 * (1.0 + rnorm))
+    return total
 
 
 def ambiguity_reverse(choi: ChoiMatrix, tol: float = 1e-9) -> float:

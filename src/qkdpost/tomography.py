@@ -231,7 +231,10 @@ def _project_affine_constraints(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto {Hermitian, partial trace over B = I/2}."""
     m = 0.5 * (m + m.conj().T)
     defect = 0.5 * (partial_trace_output(m) - 0.5 * np.eye(2))
-    return m - np.kron(defect, np.eye(2))
+    # subtract defect (x) I: the defect from each block of fixed output index
+    m[0::2, 0::2] -= defect
+    m[1::2, 1::2] -= defect
+    return m
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
@@ -304,10 +307,12 @@ def _barrier_basis() -> np.ndarray:
 
 
 _BARRIER_G = _barrier_basis()
+_BARRIER_G16 = _BARRIER_G.reshape(7, 16)
+_BARRIER_RHO0 = np.eye(4) / 4.0
 
 
 def _barrier_rho(v: np.ndarray) -> np.ndarray:
-    return np.eye(4) / 4.0 + np.tensordot(v, _BARRIER_G, axes=1)
+    return _BARRIER_RHO0 + (v @ _BARRIER_G16).reshape(4, 4)
 
 
 def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
@@ -317,51 +322,52 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
     parameter runs from 1 down to 1e-9 by factors of 10; each stage takes
     damped Newton steps until the Newton decrement ``-grad . step_dir`` is
     at most 1e-18 (Boyd & Vandenberghe, *Convex Optimization*, 9.5 and
-    11.3), for at most 200 steps.
+    11.3), for at most 200 steps.  One batched product ``rho^-1 G_k`` gives
+    the gradient and Hessian of a step, and the value accepted by a line
+    search is the next step's starting value, so each step forms the
+    barrier matrix once plus once per line-search trial.
     """
     if omega_raw.interval is not None:
         return omega_raw
 
     target = omega_raw.as_array()
+
+    def barrier_value(vv, mu):
+        # Cholesky doubles as the strict-feasibility test; a positive
+        # determinant alone would admit points with two negative eigenvalues
+        try:
+            chol = np.linalg.cholesky(_barrier_rho(vv))
+        except np.linalg.LinAlgError:
+            return None
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        return float(np.sum((vv[:6] - target) ** 2) - mu * logdet)
+
     v = np.zeros(7)
+    diag = np.arange(6)
     for mu in 10.0 ** -np.arange(10):
+        f0 = barrier_value(v, mu)
         for _ in range(200):
-            rho = _barrier_rho(v)
-            rho_inv = np.linalg.inv(rho)
-            grad = np.zeros(7)
-            grad[:6] = 2.0 * (v[:6] - target)
-            rg = np.einsum("ij,kjl->kil", rho_inv, _BARRIER_G)
-            grad -= mu * np.trace(rg, axis1=1, axis2=2)
-            hess = mu * np.einsum("kij,lji->kl", rg, rg)
-            hess[np.arange(6), np.arange(6)] += 2.0
+            rg = np.linalg.inv(_barrier_rho(v)) @ _BARRIER_G
+            grad = -mu * np.trace(rg, axis1=1, axis2=2)
+            grad[:6] += 2.0 * (v[:6] - target)
+            # d2(-log det)/dv_k dv_l = tr(rho^-1 G_k rho^-1 G_l)
+            hess = mu * (rg.reshape(7, 16) @ rg.transpose(0, 2, 1).reshape(7, 16).T)
+            hess[diag, diag] += 2.0
             step_dir = np.linalg.solve(hess, -grad)
             slope = float(grad @ step_dir)
             if -slope <= 1e-18:
                 break
-
-            def barrier_value(vv):
-                # Cholesky doubles as the strict-feasibility test; a positive
-                # determinant alone would admit points with two negative
-                # eigenvalues
-                try:
-                    chol = np.linalg.cholesky(_barrier_rho(vv))
-                except np.linalg.LinAlgError:
-                    return None
-                logdet = 2.0 * np.log(np.diag(chol)).sum()
-                return float(np.sum((vv[:6] - target) ** 2) - mu * logdet)
-
-            f0 = barrier_value(v)
             step = 1.0
             # a line search that cannot descend ends the stage; the next,
             # smaller mu starts from here
             while step > 1e-6:
-                f1 = barrier_value(v + step * step_dir)
+                f1 = barrier_value(v + step * step_dir, mu)
                 if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
                     break
                 step *= 0.5
             if step <= 1e-6:
                 break
-            v = v + step * step_dir
+            v, f0 = v + step * step_dir, f1
 
     out = ObservableParams(*v[:6])
     if out.interval is None:

@@ -3,24 +3,28 @@
 Z/X statistics determine only six of the twelve affine parameters,
 ``omega = (r_zz, r_zx, r_xz, r_xx, t_z, t_x)``.  The minimum of the ambiguity
 over all completions is attained with every other parameter zero except
-``r_yy``, so the search space collapses to one dimension.  The valid
-``r_yy`` form a closed interval (the Choi minimum eigenvalue is concave in
-``r_yy``) whose ends are roots of a 4x4 matrix pencil.  The ambiguity is
-convex along it, so the minimum sits at an endpoint or an interior
-stationary point; golden-section search finds it without derivatives.
+``r_yy``, so the search space collapses to one dimension.  The completed
+Choi matrix is real and affine in ``r_yy``, a 4x4 pencil
+``C(r) = base + r * step`` built once per omega; every evaluation below
+reads its spectrum without building channel objects.  The valid ``r_yy``
+form a closed interval (the minimum eigenvalue is concave in ``r_yy``)
+whose ends are roots of the pencil.  The ambiguity is convex along it, so
+the minimum sits at an endpoint or an interior stationary point;
+golden-section search finds it without derivatives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .channels import AffineChannel, choi_from_affine
-from .entropy import binary_entropy
-from .keyrate import ambiguity_direct, ambiguity_reverse
+from .entropy import _plogp, binary_entropy
+from .keyrate import output_entropy
 
 # Numerically a channel counts as valid when the Choi minimum eigenvalue is
 # above -PSD_SLACK; the slack must absorb the parameter noise of near-exact
@@ -90,6 +94,13 @@ class ObservableParams:
         return AffineChannel(r, np.array([self.t_z, self.t_x, 0.0]))
 
     @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real ``(base, step)`` with ``Choi(complete(r)) = base + r * step``."""
+        base = choi_from_affine(self.complete(0.0)).matrix.real
+        step = choi_from_affine(self.complete(1.0)).matrix.real - base
+        return base, step
+
+    @cached_property
     def interval(self) -> FeasibleInterval | None:
         """The feasible r_yy interval, computed once per omega."""
         return feasible_interval(self)
@@ -116,7 +127,8 @@ class FeasibleInterval:
 
 
 def _min_eig(omega: ObservableParams, r_yy: float) -> float:
-    return choi_from_affine(omega.complete(r_yy)).min_eigenvalue()
+    base, step = omega.pencil
+    return float(np.linalg.eigvalsh(base + r_yy * step)[0])
 
 
 def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
@@ -131,8 +143,7 @@ def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     concave, so they are contiguous.  Callers read
     :attr:`ObservableParams.interval`, which caches this per omega.
     """
-    base = choi_from_affine(omega.complete(0.0)).matrix.real
-    step = choi_from_affine(omega.complete(1.0)).matrix.real - base
+    base, step = omega.pencil
     roots = np.linalg.eigvals(np.linalg.solve(step, -(base + PSD_SLACK * np.eye(4))))
     cuts = np.unique(np.clip(np.append(roots.real, [-1.0, 1.0]), -1.0, 1.0))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
@@ -146,6 +157,49 @@ def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     return FeasibleInterval(lo, hi, anchor)
 
 
+def pencil_ambiguity(
+    omega: ObservableParams, direction: str = "direct"
+) -> Callable[[float], float]:
+    """The ambiguity of ``omega.complete(r)`` as a function of ``r``.
+
+    Equal to :func:`~qkdpost.keyrate.ambiguity_direct` and
+    :func:`~qkdpost.keyrate.ambiguity_reverse` of the completion's Choi
+    matrix, read off the pencil ``C(r)``:
+
+    * direct: ``1 + out - S(C(r))``, where the output-entropy term ``out``
+      depends only on ``(r_zz, r_xz, t_z, t_x)``;
+    * reverse: ``sum_b S(C(r)[b::2, b::2]) - S(C(r))``: given Y = b, a
+      purification leaves A and E in a pure joint state, so E's spectrum is
+      that of A's 2x2 block.
+
+    Raises ValueError at an ``r`` whose Choi minimum eigenvalue is below
+    -1e-6.
+    """
+    if direction not in ("direct", "reverse"):
+        raise ValueError(f"direction must be direct or reverse, got {direction!r}")
+    base, step = omega.pencil
+
+    def spectrum(c):
+        ev = np.linalg.eigvalsh(c)
+        if ev[0] < -1e-6:
+            raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
+        return ev
+
+    if direction == "direct":
+        out = output_entropy(
+            np.array([omega.r_zz, omega.r_xz, 0.0]), np.array([omega.t_z, omega.t_x, 0.0])
+        )
+        return lambda r: 1.0 + out - _plogp(spectrum(base + r * step))
+
+    def reverse(r):
+        c = base + r * step
+        h_c = _plogp(spectrum(c))
+        blocks = np.linalg.eigvalsh(np.array([c[0::2, 0::2], c[1::2, 1::2]]))
+        return _plogp(blocks) - h_c
+
+    return reverse
+
+
 def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> float:
     """Minimum ambiguity over all channels consistent with ``omega``.
 
@@ -155,10 +209,7 @@ def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> 
     interval = omega.interval
     if interval is None:
         raise ValueError("omega admits no completely positive completion")
-    ambiguity = {"direct": ambiguity_direct, "reverse": ambiguity_reverse}.get(direction)
-    if ambiguity is None:
-        raise ValueError(f"direction must be direct or reverse, got {direction!r}")
-    amb = lambda r: ambiguity(choi_from_affine(omega.complete(r)), tol=1e-6)
+    amb = pencil_ambiguity(omega, direction)
     if interval.width <= DEGENERATE_WIDTH:
         return amb(interval.anchor)
     _, best = golden_section_min(amb, interval.lo, interval.hi, tol=1e-7)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qkdpost.channels import AffineChannel, make_amplitude_damping
+from qkdpost.channels import (
+    AffineChannel,
+    PauliProbs,
+    make_amplitude_damping,
+    make_pauli,
+    make_rotation,
+)
 from qkdpost.simulate import ProtocolConfig, simulate_exchange
 
 
@@ -81,6 +87,22 @@ def pool_tally(channel, seed=1001):
     """BB84 estimation tally of a 20,000-signal block at a channel seed."""
     config = ProtocolConfig(protocol="bb84", channel=channel, n_signals=20_000, seed_channel=seed)
     return simulate_exchange(config).tally
+
+
+# the channels of the short-blocks benchmark workload, whose channel seeds
+# run over 1000-1015
+POOL_CHANNELS = (
+    make_amplitude_damping(0.02),
+    make_amplitude_damping(0.1),
+    make_rotation(0.3),
+    make_pauli(PauliProbs(0.94, 0.02, 0.02, 0.02)),
+)
+
+
+@pytest.fixture(scope="session")
+def pool_tallies():
+    """The 64 BB84 pool tallies: every pool channel at seeds 1000-1015."""
+    return [pool_tally(ch, seed) for ch in POOL_CHANNELS for seed in range(1000, 1016)]
 
 
 @pytest.fixture

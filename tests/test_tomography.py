@@ -183,7 +183,24 @@ class TestOmegaProjection:
 
         monkeypatch.setattr(tomography, "_barrier_rho", counted)
         assert project_omega_bb84(omega) is not omega
+        assert calls > 0
         assert calls < 1000
+
+    def test_barrier_evaluation_budget_on_the_pool(self, monkeypatch, pool_tallies):
+        # 11,490 evaluations when every Newton step also re-evaluated its
+        # starting point; the counts repeat exactly
+        calls = 0
+        original = tomography._barrier_rho
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return original(v)
+
+        monkeypatch.setattr(tomography, "_barrier_rho", counted)
+        for tally in pool_tallies:
+            project_omega_bb84(linear_inversion(tally).to_omega())
+        assert 0 < calls <= 11_490
 
     def test_noisy_rotation_tally_becomes_feasible(self, rng):
         sizes = (2000, 50_000)

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from qkdpost.channels import (
-    PauliProbs,
     choi_from_affine,
     is_completely_positive,
     make_amplitude_damping,
     make_identity,
-    make_pauli,
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
-from qkdpost.keyrate import ambiguity_direct
+from qkdpost.keyrate import ambiguity_direct, ambiguity_reverse
 from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
     PSD_SLACK,
@@ -21,11 +19,12 @@ from qkdpost.worstcase import (
     _min_eig,
     feasible_interval,
     golden_section_min,
+    pencil_ambiguity,
     worst_case_ambiguity,
     worst_case_lower_bound,
 )
 
-from conftest import pool_tally, random_cp_channel
+from conftest import POOL_CHANNELS, pool_tally, random_cp_channel
 
 
 def omega_of(ch):
@@ -98,15 +97,9 @@ class TestFeasibleInterval:
         """On raw and projected pool omegas, each endpoint inside (-1, 1) is
         feasible and 1e-9 beyond it is not; a None verdict leaves no
         completely positive completion on the grid."""
-        channels = (
-            make_amplitude_damping(0.02),
-            make_amplitude_damping(0.1),
-            make_rotation(0.3),
-            make_pauli(PauliProbs(0.94, 0.02, 0.02, 0.02)),
-        )
         grid = np.linspace(-1, 1, 2001)
         nones = 0
-        for ch in channels:
+        for ch in POOL_CHANNELS:
             for seed in (1000, 1001, 1002, 1003):
                 raw = linear_inversion(pool_tally(ch, seed)).to_omega()
                 for om in (raw, project_omega_bb84(raw)):
@@ -123,6 +116,41 @@ class TestFeasibleInterval:
                             assert _min_eig(om, end) >= -PSD_SLACK - 1e-14
                             assert _min_eig(om, end + outward) < -PSD_SLACK
         assert nones > 0
+
+
+class TestPencil:
+    def test_pencil_is_the_completed_choi_matrix(self, rng):
+        for _ in range(20):
+            om = feasible_omega(rng)
+            base, step = om.pencil
+            for r in (-1.0, -0.3, 0.0, 0.7, 1.0):
+                want = choi_from_affine(om.complete(r)).matrix
+                assert np.abs(base + r * step - want).max() < 1e-15
+
+    def test_ambiguity_matches_the_channel_formulas_on_pool_omegas(self, pool_tallies):
+        checked = 0
+        for tally in pool_tallies:
+            raw = linear_inversion(tally).to_omega()
+            for om in {raw, project_omega_bb84(raw)}:
+                iv = om.interval
+                if iv is None:
+                    continue
+                direct = pencil_ambiguity(om, "direct")
+                reverse = pencil_ambiguity(om, "reverse")
+                for r in (iv.lo, iv.hi, iv.anchor, iv.lo + 0.3 * iv.width):
+                    choi = choi_from_affine(om.complete(r))
+                    assert abs(direct(r) - ambiguity_direct(choi, tol=1e-6)) <= 1e-9
+                    assert abs(reverse(r) - ambiguity_reverse(choi, tol=1e-6)) <= 1e-9
+                    checked += 1
+        assert checked >= 4 * len(pool_tallies)
+
+    def test_rejects_unknown_direction_and_non_psd_points(self):
+        om = omega_of(make_amplitude_damping(0.3))
+        with pytest.raises(ValueError, match="direction"):
+            pencil_ambiguity(om, "sideways")
+        for direction in ("direct", "reverse"):
+            with pytest.raises(ValueError, match="not PSD"):
+                pencil_ambiguity(om, direction)(-1.0)
 
 
 class TestWorstCaseAmbiguity:
