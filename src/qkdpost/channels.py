@@ -307,6 +307,11 @@ def joint_distribution(ch: AffineChannel, a: Basis, b: Basis) -> np.ndarray:
     return p
 
 
+def joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
+    """Exact P(x, y) of every basis pair, indexed [a, b, x, y] like a tally."""
+    return np.array([[joint_distribution(ch, a, b) for b in bases] for a in bases])
+
+
 def singular_values_zx(ch: AffineChannel) -> tuple[float, float]:
     """Singular values of the z-x block of ``r``, sorted descending."""
     block = ch.r[:2, :2]

@@ -1,14 +1,12 @@
 """Eavesdropper ambiguity and secret-key rates from an exactly known channel.
 
 Eve is modeled as holding the full environment of the channel.  Her ambiguity
-about Alice's bit (direct reconciliation) is the conditional von Neumann
-entropy H(X|E); about Bob's bit (reverse reconciliation) it is H(Y|E).  Both
-are computable from the Choi matrix alone:
-
-* direct:  H(X|E) = 1 + (1/2) sum_x H(out_x) - H(choi), where out_x is the
-  channel output for input |x><x|,
-* reverse: purify the Choi matrix, trace out Alice, dephase Bob's system in
-  the key basis, and take H(YE) - H(E).
+about the key bit K is the conditional von Neumann entropy H(K|E): K = X,
+Alice's bit, for direct reconciliation and K = Y, Bob's bit, for reverse.
+Both come from the Choi matrix C alone as H(K|E) = H(KE) - S(C).  Given
+K = k a purification of C leaves the other party and E in a pure state, so
+E's spectrum is that of the other party's 2x2 block of C at fixed k, and
+H(KE) is the entropy of those two blocks (:func:`key_entropy`).
 
 The asymptotic secret-key rate is the ambiguity minus the syndrome rate the
 reconciliation needs (a conditional Shannon entropy).
@@ -29,7 +27,6 @@ from .channels import (
     joint_distribution,
 )
 from .entropy import (
-    ZERO_CUTOFF,
     JointDistribution,
     _plogp,
     binary_entropy,
@@ -37,6 +34,7 @@ from .entropy import (
 )
 
 DIRECTIONS = ("direct", "reverse", "mismatched")
+_KEY_BLOCKS = {"direct": "kakb->kab", "reverse": "akbk->kab"}
 
 # Bell vectors ordered to match PauliProbs (I, Z, X, Y); columns are states
 _BELL = np.array(
@@ -79,54 +77,39 @@ class RateReport:
         return cls(direction, ambiguity, ce, raw, max(0.0, raw))
 
 
-def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
-    """H(X|E) in bits for a uniformly random key bit prepared in the z basis."""
-    ev = choi.eigenvalues()
+def key_entropy(c: np.ndarray, direction: str = "direct") -> float:
+    """H(KE) in bits: the entropy of the two 2x2 blocks of ``c`` at fixed key bit.
+
+    ``c`` is a real or complex 4x4 Choi matrix indexed (input, output).  The
+    key bit is the input for direct reconciliation (blocks ``m[k, :, k, :]``)
+    and the output for reverse (blocks ``m[:, k, :, k]``), with
+    ``m = c.reshape(2, 2, 2, 2)``; ``_KEY_BLOCKS`` stacks them over k.
+    """
+    if direction not in _KEY_BLOCKS:
+        raise ValueError(f"direction must be direct or reverse, got {direction!r}")
+    blocks = np.einsum(_KEY_BLOCKS[direction], np.asarray(c).reshape(2, 2, 2, 2))
+    return _plogp(np.linalg.eigvalsh(blocks))
+
+
+def choi_ambiguity(c: np.ndarray, direction: str = "direct", tol: float = 1e-9) -> float:
+    """H(K|E) = H(KE) - S(C) in bits for a real or complex 4x4 Choi matrix.
+
+    Raises ValueError when the lowest eigenvalue of ``c`` is below ``-tol``.
+    """
+    ev = np.linalg.eigvalsh(c)
     if ev[0] < -tol:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
-    ch = affine_from_choi(choi, tol=max(tol, 1e-6))
-    return 1.0 + output_entropy(ch.r[:, 0], ch.t) - _plogp(np.clip(ev, 0.0, None))
+    return key_entropy(c, direction) - _plogp(ev)
 
 
-def output_entropy(column: np.ndarray, t: np.ndarray) -> float:
-    """(1/2) sum_x H(out_x) for inputs |x><x| of the z basis.
-
-    ``column`` is the z column of ``r``; output x has Bloch vector
-    ``(1 - 2x) * column + t``.
-    """
-    total = 0.0
-    for x in (0, 1):
-        rnorm = min(float(np.linalg.norm(column * (1.0 - 2.0 * x) + t)), 1.0)
-        total += 0.5 * binary_entropy(0.5 * (1.0 + rnorm))
-    return total
+def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
+    """H(X|E) in bits for a uniformly random key bit prepared in the z basis."""
+    return choi_ambiguity(choi.matrix, "direct", tol)
 
 
 def ambiguity_reverse(choi: ChoiMatrix, tol: float = 1e-9) -> float:
-    """H(Y|E) in bits, from a purification of the Choi matrix.
-
-    The purification uses the eigendecomposition, so the environment has at
-    most four dimensions; the result does not depend on that choice.
-    """
-    ev, vec = np.linalg.eigh(choi.matrix)
-    if ev[0] < -tol:
-        raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
-    order = np.argsort(ev)[::-1]
-    ev, vec = ev[order], vec[:, order]
-    keep = ev > ZERO_CUTOFF
-    lam, vec = ev[keep], vec[:, keep]
-    rank = lam.size
-    if rank == 0:
-        raise ValueError("Choi matrix has no positive spectrum")
-    # psi[a, b, k] amplitudes of the purification with environment index k
-    psi = (vec * np.sqrt(lam)).reshape(2, 2, rank)
-    rho_be = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(2 * rank, 2 * rank)
-    # dephase Bob: keep the two diagonal blocks (b = b')
-    h_ye = 0.0
-    for b in (0, 1):
-        block = rho_be[b * rank : (b + 1) * rank, b * rank : (b + 1) * rank]
-        h_ye += _plogp(np.clip(np.linalg.eigvalsh(block), 0.0, None))
-    h_e = _plogp(lam)
-    return h_ye - h_e
+    """H(Y|E) in bits for Bob's z-basis bit."""
+    return choi_ambiguity(choi.matrix, "reverse", tol)
 
 
 def error_rates(choi: ChoiMatrix) -> ErrorRates:
@@ -193,7 +176,7 @@ def keyrate_conventional_sixstate(choi: ChoiMatrix) -> float:
 
 
 def unital_ambiguity_closed_form(ch: AffineChannel, direction: str = "direct") -> float:
-    """H(X|E) of a unital channel without the purification detour.
+    """H(X|E) of a unital channel in closed form.
 
     Equals 1 - H(choi spectrum) + h((1 + |column|)/2) with the z column of
     ``r`` for direct reconciliation and the z row for reverse.  Checked

@@ -360,6 +360,10 @@ def read_alist(path) -> ParityCheckMatrix:
         n, m = (int(v) for v in tokens)
         if n < 1 or m < 1:
             raise ValueError(f"sizes n={n} m={m} must be positive")
+        # line 4 lists the m row weights, so a file bounds its own m
+        lineno, tokens = lines[3] if len(lines) > 3 else (lines[-1][0], [])
+        if len(tokens) != m:
+            raise ValueError(f"expected m={m} row weights, got {len(tokens)}")
         for lineno, tokens in lines[4 : 4 + n]:
             rows = sorted(int(v) - 1 for v in tokens if int(v) > 0)
             if rows and rows[-1] >= m:

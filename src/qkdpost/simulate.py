@@ -14,6 +14,7 @@ corresponding processing aborts there.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -25,9 +26,9 @@ from .channels import (
     choi_from_affine,
     format_channel_spec,
     joint_distribution,
+    joint_tables,
     make_amplitude_damping,
     make_rotation,
-    outcome_probability,
     parse_channel_spec,
 )
 from .entropy import JointDistribution, cond_entropy
@@ -92,10 +93,10 @@ class ProtocolConfig:
             raise ValueError("estimation fraction must be inside (0, 1)")
         if self.n_signals < 1000:
             raise ValueError("need at least 1000 signals for a meaningful run")
-        if not self.margin > 0.0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.ldpc_col_weight < 2:
@@ -167,11 +168,8 @@ def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
     abit = rng.integers(0, 2, size=n)
     abas = rng.integers(0, nb, size=n)
     bbas = rng.integers(0, nb, size=n)
-    p1 = np.empty((nb, 2, nb))
-    for ia, a in enumerate(bases):
-        for x in (0, 1):
-            for ib, b in enumerate(bases):
-                p1[ia, x, ib] = outcome_probability(config.channel, a, x, b, 1)
+    # P(y = 1 | a, x, b), indexed [a, x, b]; the factor 2 undoes P(x) = 1/2 exactly
+    p1 = 2.0 * joint_tables(config.channel, bases)[..., 1].transpose(0, 2, 1)
     ybit = (rng.random(n) < p1[abas, abit, bbas]).astype(np.int64)
 
     n_est = int(round(n * config.estimation_fraction))
@@ -387,6 +385,8 @@ def sweep_rates(family: str, start: float, stop: float, steps: int, out_path=Non
     """CSV of analytic rates over an inclusive parameter grid."""
     if steps < 2:
         raise ValueError("need at least 2 grid points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep range {start}..{stop} is not finite")
     grid = np.linspace(start, stop, steps)
     lines = [
         f"# qkdpost rates sweep v{SWEEP_FORMAT_VERSION} family={family}",

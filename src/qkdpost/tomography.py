@@ -25,6 +25,7 @@ from .channels import (
     affine_from_choi,
     choi_from_affine,
     joint_distribution,
+    joint_tables,
     partial_trace_output,
 )
 from .entropy import JointDistribution, binary_entropy, cond_entropy
@@ -96,7 +97,9 @@ class TallyTable:
 
     @classmethod
     def from_csv(cls, path) -> "TallyTable":
+        """Parse ``a,b,x,y,count`` rows; the counts must total below 2^63."""
         rows = []
+        total = 0
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip().lower().replace(" ", "")
             if header != "a,b,x,y,count":
@@ -107,6 +110,9 @@ class TallyTable:
                     continue
                 try:
                     rows.append(_tally_row(line))
+                    total += rows[-1][4]
+                    if total >= 2**63:
+                        raise ValueError("counts total 2^63 or more")
                 except ValueError as exc:
                     raise ValueError(f"tally line {lineno}: {exc}") from None
         seen = {r[0] for r in rows} | {r[1] for r in rows}
@@ -126,12 +132,9 @@ def _tally_row(line: str) -> tuple[Basis, Basis, int, int, int]:
     x, y, cnt = int(x), int(y), int(cnt)
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"bits x={x} y={y} must be 0 or 1")
+    if cnt < 0:
+        raise ValueError(f"count {cnt} is negative")
     return Basis.from_letter(a), Basis.from_letter(b), x, y, cnt
-
-
-def _joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
-    """Exact P(x, y) of every basis pair, indexed like ``TallyTable.counts``."""
-    return np.array([[joint_distribution(ch, a, b) for b in bases] for a in bases])
 
 
 def sample_tally(
@@ -141,7 +144,7 @@ def sample_tally(
     rng: np.random.Generator,
 ) -> TallyTable:
     """Multinomial tally with a fixed number of samples per basis pair."""
-    cells = np.clip(_joint_tables(ch, bases), 0.0, None).reshape(-1, 4)
+    cells = np.clip(joint_tables(ch, bases), 0.0, None).reshape(-1, 4)
     counts = [rng.multinomial(samples_per_cell, p / p.sum()) for p in cells]
     return TallyTable(np.array(counts), bases)
 
@@ -152,7 +155,7 @@ def exact_tally(ch: AffineChannel, bases: tuple[Basis, ...], scale: int = 10**12
     Rounding error is at most one count per cell, which is negligible at the
     default scale; meant for fixtures and pipeline identities.
     """
-    return TallyTable(np.rint(_joint_tables(ch, bases) * scale).astype(np.int64), bases)
+    return TallyTable(np.rint(joint_tables(ch, bases) * scale).astype(np.int64), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +168,10 @@ class RawEstimate:
     """Affine parameters straight from the bias relations, before projection.
 
     Entries not determined by the tally (the y row/column for BB84) are NaN.
-    ``cell_counts[ia, ib, x]`` stores the sample sizes behind each bias.
     """
 
     r: np.ndarray
     t: np.ndarray
-    cell_counts: np.ndarray
     bases: tuple[Basis, ...]
 
     def to_omega(self) -> ObservableParams:
@@ -199,14 +200,11 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
     r = np.full((3, 3), np.nan)
     t_sums = np.zeros(3)
     t_hits = np.zeros(3)
-    nb = len(bases)
-    cell_counts = np.zeros((nb, nb, 2), np.int64)
     for ia, a in enumerate(bases):
         for ib, b in enumerate(bases):
             q = np.empty(2)
             for x in (0, 1):
                 n_x = int(tally.counts[ia, ib, x].sum())
-                cell_counts[ia, ib, x] = n_x
                 if n_x == 0:
                     raise EstimationError(
                         f"empty tally cell a={a.name.lower()} b={b.name.lower()} x={x}"
@@ -219,7 +217,7 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
             t_sums[b.axis] += 0.5 * (q[0] - q[1])
             t_hits[b.axis] += 1.0
     t = np.where(t_hits > 0, t_sums / np.where(t_hits > 0, t_hits, 1.0), np.nan)
-    return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0), cell_counts, bases)
+    return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +285,15 @@ def nearest_choi(matrix: np.ndarray) -> ChoiMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _barrier_basis() -> np.ndarray:
-    g = np.zeros((7, 4, 4))
-
-    def sym(i, j, v):
-        mat = np.zeros((4, 4))
-        mat[i, j] = v
-        mat[j, i] = v
-        return mat
-
-    g[0] = np.diag([1.0, -1.0, -1.0, 1.0]) / 4.0  # r_zz
-    g[1] = (sym(0, 2, 1.0) - sym(1, 3, 1.0)) / 4.0  # r_zx
-    g[2] = (sym(0, 1, 1.0) - sym(2, 3, 1.0)) / 4.0  # r_xz
-    g[3] = (sym(0, 3, 1.0) + sym(1, 2, 1.0)) / 4.0  # r_xx
-    g[4] = np.diag([1.0, -1.0, 1.0, -1.0]) / 4.0  # t_z
-    g[5] = (sym(0, 1, 1.0) + sym(2, 3, 1.0)) / 4.0  # t_x
-    g[6] = (sym(0, 3, 1.0) - sym(1, 2, 1.0)) / 4.0  # r_yy
-    return g
-
-
-_BARRIER_G = _barrier_basis()
-_BARRIER_G16 = _BARRIER_G.reshape(7, 16)
 _BARRIER_RHO0 = np.eye(4) / 4.0
+# G_k = Choi(e_k) - I/4 for the unit vectors e_k of (omega, r_yy)
+_BARRIER_G = np.array(
+    [
+        choi_from_affine(ObservableParams(*e[:6]).complete(e[6])).matrix.real - _BARRIER_RHO0
+        for e in np.eye(7)
+    ]
+)
+_BARRIER_G16 = _BARRIER_G.reshape(7, 16)
 
 
 def _barrier_rho(v: np.ndarray) -> np.ndarray:

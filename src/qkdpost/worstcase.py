@@ -8,15 +8,17 @@ Choi matrix is real and affine in ``r_yy``, a 4x4 pencil
 ``C(r) = base + r * step`` built once per omega; every evaluation below
 reads its spectrum without building channel objects.  The valid ``r_yy``
 form a closed interval (the minimum eigenvalue is concave in ``r_yy``)
-whose ends are roots of the pencil.  The ambiguity is convex along it, so
-the minimum sits at an endpoint or an interior stationary point;
-golden-section search finds it without derivatives.
+whose ends are roots of the pencil.  The ambiguity is ``H(KE) - S(C(r))``
+(:func:`~qkdpost.keyrate.choi_ambiguity`), and ``step`` is zero on the 2x2
+blocks at fixed key bit of either direction, so ``H(KE)`` does not depend on
+``r``: the worst case of both directions is the completion of largest Choi
+entropy.  That entropy is concave in ``r``; one golden-section search per
+omega finds its maximum without derivatives.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .channels import AffineChannel, choi_from_affine
 from .entropy import _plogp, binary_entropy
-from .keyrate import output_entropy
+from .keyrate import key_entropy
 
 # Numerically a channel counts as valid when the Choi minimum eigenvalue is
 # above -PSD_SLACK; the slack must absorb the parameter noise of near-exact
@@ -105,6 +107,26 @@ class ObservableParams:
         """The feasible r_yy interval, computed once per omega."""
         return feasible_interval(self)
 
+    @cached_property
+    def max_entropy(self) -> float:
+        """Largest ``S(base + r * step)`` in bits over the feasible interval.
+
+        Golden section to 1e-7 plus both ends, or the anchor of a degenerate
+        interval; raises ValueError when no completion exists.
+        """
+        interval = self.interval
+        if interval is None:
+            raise ValueError("omega admits no completely positive completion")
+        base, step = self.pencil
+
+        def neg_entropy(r):
+            return -_plogp(np.linalg.eigvalsh(base + r * step))
+
+        if interval.width <= DEGENERATE_WIDTH:
+            return -neg_entropy(interval.anchor)
+        _, best = golden_section_min(neg_entropy, interval.lo, interval.hi, tol=1e-7)
+        return -min(best, neg_entropy(interval.lo), neg_entropy(interval.hi))
+
 
 @dataclass(frozen=True)
 class FeasibleInterval:
@@ -157,63 +179,13 @@ def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     return FeasibleInterval(lo, hi, anchor)
 
 
-def pencil_ambiguity(
-    omega: ObservableParams, direction: str = "direct"
-) -> Callable[[float], float]:
-    """The ambiguity of ``omega.complete(r)`` as a function of ``r``.
-
-    Equal to :func:`~qkdpost.keyrate.ambiguity_direct` and
-    :func:`~qkdpost.keyrate.ambiguity_reverse` of the completion's Choi
-    matrix, read off the pencil ``C(r)``:
-
-    * direct: ``1 + out - S(C(r))``, where the output-entropy term ``out``
-      depends only on ``(r_zz, r_xz, t_z, t_x)``;
-    * reverse: ``sum_b S(C(r)[b::2, b::2]) - S(C(r))``: given Y = b, a
-      purification leaves A and E in a pure joint state, so E's spectrum is
-      that of A's 2x2 block.
-
-    Raises ValueError at an ``r`` whose Choi minimum eigenvalue is below
-    -1e-6.
-    """
-    if direction not in ("direct", "reverse"):
-        raise ValueError(f"direction must be direct or reverse, got {direction!r}")
-    base, step = omega.pencil
-
-    def spectrum(c):
-        ev = np.linalg.eigvalsh(c)
-        if ev[0] < -1e-6:
-            raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
-        return ev
-
-    if direction == "direct":
-        out = output_entropy(
-            np.array([omega.r_zz, omega.r_xz, 0.0]), np.array([omega.t_z, omega.t_x, 0.0])
-        )
-        return lambda r: 1.0 + out - _plogp(spectrum(base + r * step))
-
-    def reverse(r):
-        c = base + r * step
-        h_c = _plogp(spectrum(c))
-        blocks = np.linalg.eigvalsh(np.array([c[0::2, 0::2], c[1::2, 1::2]]))
-        return _plogp(blocks) - h_c
-
-    return reverse
-
-
 def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> float:
     """Minimum ambiguity over all channels consistent with ``omega``.
 
-    The golden-section search runs to an argument tolerance of 1e-7; interval
-    endpoints are evaluated explicitly so boundary minima are exact.
+    ``H(KE)`` is the same for every completion, so the minimum is ``H(KE)``
+    less :attr:`ObservableParams.max_entropy`, shared by both directions.
     """
-    interval = omega.interval
-    if interval is None:
-        raise ValueError("omega admits no completely positive completion")
-    amb = pencil_ambiguity(omega, direction)
-    if interval.width <= DEGENERATE_WIDTH:
-        return amb(interval.anchor)
-    _, best = golden_section_min(amb, interval.lo, interval.hi, tol=1e-7)
-    return min(best, amb(interval.lo), amb(interval.hi))
+    return key_entropy(omega.pencil[0], direction) - omega.max_entropy
 
 
 def worst_case_lower_bound(omega: ObservableParams, direction: str = "direct") -> float:

@@ -49,6 +49,30 @@ def random_cp_channel(rng):
     return AffineChannel(o3 @ damp.r @ unital.r, o3 @ damp.t)
 
 
+def _entropy_bits(ev):
+    ev = ev[ev > 1e-12]
+    return float(-(ev * np.log2(ev)).sum())
+
+
+def purification_ambiguity(c, direction):
+    """H(K|E) in bits from an explicit purification of the Choi matrix ``c``.
+
+    ``psi[a, b, k]`` holds the amplitudes of a purification with environment
+    index k.  The key bit is A's z value (direct) or B's (reverse); E's state
+    given K = k is read off ``psi`` directly, and H(E) is the Choi entropy.
+    """
+    ev, vec = np.linalg.eigh(np.asarray(c, dtype=complex))
+    keep = ev > 1e-12
+    lam, vec = ev[keep], vec[:, keep]
+    psi = (vec * np.sqrt(lam)).reshape(2, 2, lam.size)
+    if direction == "reverse":
+        psi = psi.transpose(1, 0, 2)
+    h_ke = sum(
+        _entropy_bits(np.linalg.eigvalsh(psi[k].T @ psi[k].conj())) for k in (0, 1)
+    )
+    return h_ke - _entropy_bits(lam)
+
+
 def conjugate_partner(ch):
     """Channel with the complex-conjugate state: same observable block and
     r_yy, all other hidden parameters negated."""

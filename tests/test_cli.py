@@ -209,6 +209,12 @@ def _truncated_alist(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:9]))
 
 
+def _alist_declaring_a_million_rows(path):
+    # line 4 still lists the 6 row weights of the written code
+    write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+    path.write_text(path.read_text().replace("12 6\n", "12 1000000\n", 1))
+
+
 VALID_ALIST = "<valid alist>"
 
 
@@ -221,8 +227,15 @@ VALID_ALIST = "<valid alist>"
          "'inf' is not finite"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,2,0,5\n", "tally line 2: bits"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
-        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"], None,
-         "before column 6 of 12"),
+        (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,-5\n", "tally line 2: count -5"),
+        (["estimate", "--tally"], f"a,b,x,y,count\nz,z,0,0,{2**63}\n",
+         "tally line 2: counts total 2^63"),
+        (["estimate", "--tally"], f"a,b,x,y,count\nz,z,0,0,{2**63 - 1}\nz,z,1,1,{2**63 - 1}\n",
+         "tally line 3: counts total 2^63"),
+        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
+         _truncated_alist, "before column 6 of 12"),
+        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
+         _alist_declaring_a_million_rows, "alist line 4: expected m=1000000 row weights, got 6"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
          "# syndrome\nhex 8\n", "line 2: expected 'hex <nbits> <digits>'"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
@@ -231,15 +244,23 @@ VALID_ALIST = "<valid alist>"
          "hex -2 ab\n", "line 1: expected 'hex <nbits> <digits>' (bit count -2 not in 0..8)"),
         (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
          "config line 2, key 'n_signals'"),
+        (["simulate", "--config"], "protocol=bb84\nmargin=inf\n",
+         "margin must be positive and finite, got inf"),
+        (["simulate", "--config"], "protocol=bb84\nepsilon=inf\n",
+         "epsilon must be nonnegative and finite, got inf"),
+        (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
+          "--out"], "", "sweep range 0.0..nan is not finite"),
     ],
     ids=["spec-without-p", "spec-nan", "spec-inf", "tally-bit-2", "tally-six-fields",
-         "truncated-alist", "hex-two-fields", "hex-more-bits-than-digits", "hex-negative-bits",
-         "config-int"],
+         "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
+         "truncated-alist", "alist-row-weights", "hex-two-fields", "hex-more-bits-than-digits",
+         "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",
+         "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"
-    if body is None:
-        _truncated_alist(path)
+    if callable(body):
+        body(path)
     else:
         path.write_text(body)
     if VALID_ALIST in argv:

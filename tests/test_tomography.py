@@ -202,6 +202,28 @@ class TestOmegaProjection:
             project_omega_bb84(linear_inversion(tally).to_omega())
         assert 0 < calls <= 11_490
 
+    def test_every_barrier_matrix_comes_from_barrier_rho(self, monkeypatch, pool_tallies):
+        """Each barrier matrix feeds one Cholesky (a value) or one inverse (a
+        Newton step), so forming it anywhere but ``_barrier_rho`` breaks the
+        balance even where the other site still calls it."""
+        raws = [linear_inversion(tally).to_omega() for tally in pool_tallies]
+        calls = {"rho": 0, "cholesky": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tomography, "_barrier_rho", counted("rho", tomography._barrier_rho))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        for raw in raws:
+            project_omega_bb84(raw)
+        assert calls["cholesky"] > 0 and calls["inv"] > 0
+        assert calls["rho"] == calls["cholesky"] + calls["inv"]
+
     def test_noisy_rotation_tally_becomes_feasible(self, rng):
         sizes = (2000, 50_000)
         gaps = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdpost import worstcase
 from qkdpost.channels import (
     choi_from_affine,
     is_completely_positive,
@@ -11,20 +12,20 @@ from qkdpost.channels import (
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
-from qkdpost.keyrate import ambiguity_direct, ambiguity_reverse
+from qkdpost.keyrate import ambiguity_direct, choi_ambiguity
 from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
+    DEGENERATE_WIDTH,
     PSD_SLACK,
     ObservableParams,
     _min_eig,
     feasible_interval,
     golden_section_min,
-    pencil_ambiguity,
     worst_case_ambiguity,
     worst_case_lower_bound,
 )
 
-from conftest import POOL_CHANNELS, pool_tally, random_cp_channel
+from conftest import POOL_CHANNELS, pool_tally, purification_ambiguity, random_cp_channel
 
 
 def omega_of(ch):
@@ -127,7 +128,27 @@ class TestPencil:
                 want = choi_from_affine(om.complete(r)).matrix
                 assert np.abs(base + r * step - want).max() < 1e-15
 
+    def test_step_is_zero_on_the_key_blocks(self, rng):
+        """H(KE) reads only the blocks at fixed key bit, on which r_yy has no
+        weight, so H(KE) is the same for every completion."""
+        for _ in range(20):
+            _, step = feasible_omega(rng).pencil
+            m = step.reshape(2, 2, 2, 2)
+            for k in (0, 1):
+                assert (m[k, :, k, :] == 0.0).all()
+                assert (m[:, k, :, k] == 0.0).all()
+
+    def test_kernel_matches_the_purification_on_random_channels(self, rng):
+        for _ in range(100):
+            c = choi_from_affine(random_cp_channel(rng)).matrix
+            for direction in ("direct", "reverse"):
+                want = purification_ambiguity(c, direction)
+                assert abs(choi_ambiguity(c, direction) - want) <= 1e-12
+
     def test_ambiguity_matches_the_channel_formulas_on_pool_omegas(self, pool_tallies):
+        """On raw and projected pool omegas the kernel on the real pencil
+        matches the purification at lo, hi, anchor and lo + 0.3 width, and
+        the worst case is never above it where the search reads the interval."""
         checked = 0
         for tally in pool_tallies:
             raw = linear_inversion(tally).to_omega()
@@ -135,22 +156,42 @@ class TestPencil:
                 iv = om.interval
                 if iv is None:
                     continue
-                direct = pencil_ambiguity(om, "direct")
-                reverse = pencil_ambiguity(om, "reverse")
+                base, step = om.pencil
+                worst = {d: worst_case_ambiguity(om, d) for d in ("direct", "reverse")}
                 for r in (iv.lo, iv.hi, iv.anchor, iv.lo + 0.3 * iv.width):
-                    choi = choi_from_affine(om.complete(r))
-                    assert abs(direct(r) - ambiguity_direct(choi, tol=1e-6)) <= 1e-9
-                    assert abs(reverse(r) - ambiguity_reverse(choi, tol=1e-6)) <= 1e-9
+                    for direction in ("direct", "reverse"):
+                        got = choi_ambiguity(base + r * step, direction, tol=1e-6)
+                        want = purification_ambiguity(base + r * step, direction)
+                        assert abs(got - want) <= 1e-9
+                        if iv.width > DEGENERATE_WIDTH:
+                            assert worst[direction] <= got + 1e-12
                     checked += 1
         assert checked >= 4 * len(pool_tallies)
 
     def test_rejects_unknown_direction_and_non_psd_points(self):
         om = omega_of(make_amplitude_damping(0.3))
+        base, step = om.pencil
         with pytest.raises(ValueError, match="direction"):
-            pencil_ambiguity(om, "sideways")
+            worst_case_ambiguity(om, "sideways")
+        with pytest.raises(ValueError, match="direction"):
+            choi_ambiguity(base + om.interval.anchor * step, "sideways")
         for direction in ("direct", "reverse"):
             with pytest.raises(ValueError, match="not PSD"):
-                pencil_ambiguity(om, direction)(-1.0)
+                choi_ambiguity(base - step, direction)
+
+    def test_one_search_per_omega_for_both_directions(self, rng, monkeypatch):
+        om = feasible_omega(rng)
+        assert om.interval.width > DEGENERATE_WIDTH
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return golden_section_min(*args, **kwargs)
+
+        monkeypatch.setattr(worstcase, "golden_section_min", counted)
+        for direction in ("direct", "reverse"):
+            worst_case_ambiguity(om, direction)
+        assert len(calls) == 1
 
 
 class TestWorstCaseAmbiguity:
