@@ -8,7 +8,13 @@ through the channel; it is positive semidefinite exactly when the channel is
 completely positive.
 
 Axis order (z, x, y) is used everywhere, matching the index order of
-:class:`Basis`.
+:class:`Basis`.  With Pauli matrices ``s`` in that order and
+``theta = (r row-major, t)``, the Choi matrix indexed (input, output) is
+
+    C = (I (x) I + sum_ba r[b, a] s_a (x) s_b^T + sum_b t[b] I (x) s_b^T) / 4.
+
+Its twelve operators ``_CHOI_BASIS`` are the one place that knows this
+layout; ``tr(B_k B_l) = 4 delta_kl``, so ``theta_k = Re tr(B_k C)``.
 """
 
 from __future__ import annotations
@@ -51,12 +57,41 @@ KETS = {
 }
 # columns of KETS[b] are |0_b>, |1_b>
 
+# Pauli matrices in (z, x, y) order, the Choi basis indexed like theta, and
+# its (12, 16) reshapes for C from theta and (transposed) for theta from C
+_PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+_CHOI_BASIS = np.array(
+    [np.kron(p, s.T) for s in _PAULI for p in _PAULI] + [np.kron(np.eye(2), s.T) for s in _PAULI]
+)
+_CHOI_BASIS16 = _CHOI_BASIS.reshape(12, 16)
+_CHOI_BASIS16_T = _CHOI_BASIS.transpose(0, 2, 1).reshape(12, 16)
+_EYE16 = np.eye(4).reshape(16)
+# the Bloch component sign of bit 0 and bit 1
+_BIT_SIGNS = np.array([1.0, -1.0])
+# (I, Z, X, Y) rows against (1, e_z, e_x, e_y) columns; symmetric, square 4 I
+_PAULI_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], float)
 
-def bloch_of_state(basis: Basis, bit: int) -> np.ndarray:
-    """Bloch vector of |bit_basis>: +/-1 on the basis axis."""
-    v = np.zeros(3)
-    v[basis.axis] = 1.0 - 2.0 * bit
-    return v
+
+def choi_coefficients(m: np.ndarray) -> np.ndarray:
+    """The twelve ``Re tr(B_k m)`` of a 4x4 matrix, unchecked: ``(r row-major, t)``
+    of a Choi matrix, and of any matrix the coefficients of its orthogonal
+    projection onto the Hermitian matrices with output partial trace I/2."""
+    return (_CHOI_BASIS16_T @ np.asarray(m).reshape(16)).real
+
+
+def choi_from_coefficients(theta: np.ndarray) -> np.ndarray:
+    """The complex 4x4 ``(I + sum_k theta_k B_k) / 4``, unchecked."""
+    return ((_EYE16 + theta @ _CHOI_BASIS16) / 4.0).reshape(4, 4)
+
+
+def pauli_diagonal(q: np.ndarray) -> np.ndarray:
+    """The (e_z, e_x, e_y) contraction factors of (I, Z, X, Y) weights ``q``."""
+    return (_PAULI_SIGNS[1:] * q).sum(axis=1)
+
+
+def pauli_weights(e: np.ndarray) -> np.ndarray:
+    """The (I, Z, X, Y) weights ``(1 +/- e_z +/- e_x +/- e_y) / 4``, unchecked."""
+    return (_PAULI_SIGNS * np.concatenate(([1.0], e))).sum(axis=1) / 4.0
 
 
 @dataclass(frozen=True)
@@ -110,9 +145,7 @@ def partial_trace_output(m: np.ndarray) -> np.ndarray:
 
     I/2 for any valid Choi matrix.
     """
-    return np.array(
-        [[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]], [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]]
-    )
+    return np.einsum("iojo->ij", np.asarray(m).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -161,13 +194,7 @@ class PauliProbs:
 
     def diagonal(self) -> np.ndarray:
         """The (e_z, e_x, e_y) contraction factors of the matching channel."""
-        return np.array(
-            [
-                self.q_i + self.q_z - self.q_x - self.q_y,
-                self.q_i - self.q_z + self.q_x - self.q_y,
-                self.q_i - self.q_z - self.q_x + self.q_y,
-            ]
-        )
+        return pauli_diagonal(self.as_array())
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +231,7 @@ def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float) -> PauliProbs:
     which means the diagonal does not belong to a completely positive
     (unital, axis-aligned) channel.
     """
-    q = np.array(
-        [
-            1.0 + e_z + e_x + e_y,
-            1.0 + e_z - e_x - e_y,
-            1.0 - e_z + e_x - e_y,
-            1.0 - e_z - e_x + e_y,
-        ]
-    ) / 4.0
+    q = pauli_weights(np.array([e_z, e_x, e_y]))
     if (q < -1e-9).any():
         raise ValueError(f"diagonal ({e_z}, {e_x}, {e_y}) gives negative probabilities {q}")
     q = np.clip(q, 0.0, None)
@@ -224,61 +244,15 @@ def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float) -> PauliProbs:
 
 
 def choi_from_affine(ch: AffineChannel) -> ChoiMatrix:
-    """Choi matrix from the twelve affine parameters (prefactor 1/4)."""
-    (rzz, rzx, rzy), (rxz, rxx, rxy), (ryz, ryx, ryy) = ch.r
-    tz, tx, ty = ch.t
-    i = 1j
-    m = np.array(
-        [
-            [
-                1 + rzz + tz,
-                rxz + tx + i * (ryz + ty),
-                rzx - i * rzy,
-                rxx + ryy + i * (ryx - rxy),
-            ],
-            [
-                rxz + tx - i * (ryz + ty),
-                1 - rzz - tz,
-                rxx - ryy - i * (ryx + rxy),
-                -rzx + i * rzy,
-            ],
-            [
-                rzx + i * rzy,
-                rxx - ryy + i * (ryx + rxy),
-                1 - rzz + tz,
-                -rxz + tx - i * (ryz - ty),
-            ],
-            [
-                rxx + ryy - i * (ryx - rxy),
-                -rzx - i * rzy,
-                -rxz + tx + i * (ryz - ty),
-                1 + rzz - tz,
-            ],
-        ],
-        dtype=complex,
-    ) / 4.0
-    return ChoiMatrix(m)
+    """Choi matrix of the twelve affine parameters (layout in the module docstring)."""
+    return ChoiMatrix(choi_from_coefficients(np.concatenate([ch.r.reshape(9), ch.t])))
 
 
 def affine_from_choi(choi: ChoiMatrix, tol: float = 1e-9) -> AffineChannel:
-    """Invert :func:`choi_from_affine`; linear in the matrix entries."""
+    """Invert :func:`choi_from_affine` after :meth:`ChoiMatrix.validate`."""
     choi.validate(tol)
-    m = choi.matrix
-    d = np.real(np.diag(m))
-    rzz = d[0] - d[1] - d[2] + d[3]
-    tz = d[0] - d[1] + d[2] - d[3]
-    tx = 2.0 * (m[0, 1].real + m[2, 3].real)
-    rxz = 2.0 * (m[0, 1].real - m[2, 3].real)
-    ty = 2.0 * (m[0, 1].imag + m[2, 3].imag)
-    ryz = 2.0 * (m[0, 1].imag - m[2, 3].imag)
-    rzx = 2.0 * (m[0, 2].real - m[1, 3].real)
-    rzy = -2.0 * (m[0, 2].imag - m[1, 3].imag)
-    rxx = 2.0 * (m[0, 3].real + m[1, 2].real)
-    ryy = 2.0 * (m[0, 3].real - m[1, 2].real)
-    ryx = 2.0 * (m[0, 3].imag - m[1, 2].imag)
-    rxy = -2.0 * (m[0, 3].imag + m[1, 2].imag)
-    r = np.array([[rzz, rzx, rzy], [rxz, rxx, rxy], [ryz, ryx, ryy]])
-    return AffineChannel(r, np.array([tz, tx, ty]))
+    theta = choi_coefficients(choi.matrix)
+    return AffineChannel(theta[:9], theta[9:])
 
 
 def is_completely_positive(ch: AffineChannel, tol: float = 1e-9) -> bool:
@@ -291,25 +265,28 @@ def is_completely_positive(ch: AffineChannel, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _joint(ch: AffineChannel, a, b) -> np.ndarray:
+    """P(x, y) in the last two axes for a uniform x sent on axis ``a`` and read
+    on axis ``b`` (integer arrays that broadcast): the output component is
+    ``r[b, a] s_x + t[b]`` with s = (1, -1), and P(y | x) = (1 + s_y component) / 2."""
+    comp = ch.r[b, a][..., None] * _BIT_SIGNS + ch.t[b][..., None]
+    return 0.5 * np.clip(0.5 * (1.0 + _BIT_SIGNS * comp[..., None]), 0.0, 1.0)
+
+
 def outcome_probability(ch: AffineChannel, a: Basis, x: int, b: Basis, y: int) -> float:
     """Probability of Bob reading ``y`` in basis ``b`` when Alice sent ``x`` in ``a``."""
-    theta_out = ch.apply(bloch_of_state(a, x))
-    p = 0.5 * (1.0 + (1.0 - 2.0 * y) * theta_out[b.axis])
-    return float(min(max(p, 0.0), 1.0))
+    return float(2.0 * _joint(ch, a.axis, b.axis)[x, y])
 
 
 def joint_distribution(ch: AffineChannel, a: Basis, b: Basis) -> np.ndarray:
     """2x2 table P(x, y) for a uniform input bit; rows x, columns y."""
-    p = np.empty((2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            p[x, y] = 0.5 * outcome_probability(ch, a, x, b, y)
-    return p
+    return _joint(ch, a.axis, b.axis)
 
 
 def joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
     """Exact P(x, y) of every basis pair, indexed [a, b, x, y] like a tally."""
-    return np.array([[joint_distribution(ch, a, b) for b in bases] for a in bases])
+    axes = np.array([b.axis for b in bases])
+    return _joint(ch, axes[:, None], axes)
 
 
 def singular_values_zx(ch: AffineChannel) -> tuple[float, float]:

@@ -23,8 +23,12 @@ from .channels import (
     Basis,
     ChoiMatrix,
     affine_from_choi,
+    choi_coefficients,
     choi_from_affine,
+    choi_from_coefficients,
     joint_distribution,
+    pauli_diagonal,
+    pauli_weights,
 )
 from .entropy import (
     JointDistribution,
@@ -35,18 +39,6 @@ from .entropy import (
 
 DIRECTIONS = ("direct", "reverse", "mismatched")
 _KEY_BLOCKS = {"direct": "kakb->kab", "reverse": "akbk->kab"}
-
-# Bell vectors ordered to match PauliProbs (I, Z, X, Y); columns are states
-_BELL = np.array(
-    [
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-        [0, 0, 1, -1],
-        [1, -1, 0, 0],
-    ],
-    dtype=float,
-) / np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class ErrorRates:
@@ -151,15 +143,17 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
 
 
 def bell_diagonal_probs(choi: ChoiMatrix) -> np.ndarray:
-    """Diagonal of the Choi matrix in the Bell basis, ordered (I, Z, X, Y)."""
-    return np.real(np.einsum("ia,ij,jb->ab", _BELL.conj(), choi.matrix, _BELL)).diagonal().copy()
+    """Diagonal of the Choi matrix in the Bell basis, ordered (I, Z, X, Y): the
+    Pauli weights of (r_zz, r_xx, r_yy), the Choi coefficients 0, 4 and 8."""
+    return pauli_weights(choi_coefficients(choi.matrix)[0:9:4])
 
 
 def twirl(choi: ChoiMatrix) -> ChoiMatrix:
     """Project onto the Bell-diagonal (Pauli channel) subspace."""
     q = np.clip(bell_diagonal_probs(choi), 0.0, None)
-    q = q / q.sum()
-    return ChoiMatrix((_BELL * q) @ _BELL.T)
+    theta = np.zeros(12)
+    theta[0:9:4] = pauli_diagonal(q / q.sum())
+    return ChoiMatrix(choi_from_coefficients(theta))
 
 
 def keyrate_conventional_bb84(choi: ChoiMatrix) -> float:

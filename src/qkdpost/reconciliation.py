@@ -33,17 +33,13 @@ class ParityCheckMatrix:
     """Sparse binary parity-check matrix in adjacency form, full rank m.
 
     ``chk_vars[chk_ptr[k]:chk_ptr[k+1]]`` lists the variables of check k in
-    ascending order.  ``col_weight`` is the weight of the information part A
-    of ``H = [A | T]`` built by ``gen_parity_check``; the parity part T has
-    its own column weights.
+    ascending order.
     """
 
     n: int
     m: int
-    col_weight: int
     chk_ptr: np.ndarray
     chk_vars: np.ndarray
-    seed: int
 
     def __post_init__(self):
         for name in ("chk_ptr", "chk_vars"):
@@ -124,7 +120,7 @@ def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Pari
     key = key[np.concatenate([[True], key[1:] != key[:-1]])]
     chk, chk_vars = np.divmod(key, n)
     chk_ptr = np.searchsorted(chk, np.arange(m + 1))
-    return ParityCheckMatrix(n, m, w, chk_ptr, chk_vars, seed)
+    return ParityCheckMatrix(n, m, chk_ptr, chk_vars)
 
 
 def _check_parity(chk_ptr: np.ndarray, edge_bits: np.ndarray) -> np.ndarray:
@@ -342,10 +338,13 @@ def write_alist(matrix: ParityCheckMatrix, path) -> None:
         f.write(f"{int(colw.max())} {int(roww.max())}\n")
         f.write(" ".join(map(str, colw.tolist())) + "\n")
         f.write(" ".join(map(str, roww.tolist())) + "\n")
+        # an empty column or row is a lone 0, since the reader skips blank lines
         for values, ptr in ((col_checks, col_ptr), (matrix.chk_vars + 1, matrix.chk_ptr)):
             words = list(map(str, values.tolist()))
             bounds = ptr.tolist()
-            f.writelines(" ".join(words[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:]))
+            f.writelines(
+                (" ".join(words[a:b]) or "0") + "\n" for a, b in zip(bounds[:-1], bounds[1:])
+            )
 
 
 def read_alist(path) -> ParityCheckMatrix:
@@ -368,16 +367,16 @@ def read_alist(path) -> ParityCheckMatrix:
             rows = sorted(int(v) - 1 for v in tokens if int(v) > 0)
             if rows and rows[-1] >= m:
                 raise ValueError(f"check index {rows[-1] + 1} above m={m}")
+            if repeated := [a + 1 for a, b in zip(rows, rows[1:]) if a == b]:
+                raise ValueError(f"check index {repeated[0]} repeated in one column")
             cols.append(rows)
     except ValueError as exc:
         raise ValueError(f"alist line {lineno}: {exc}") from None
     if len(cols) < n:
         raise ValueError(f"alist ends at line {lines[-1][0]}, before column {len(cols) + 1} of {n}")
-    weights = {len(c) for c in cols}
-    width = max(weights)
     evar = np.concatenate([np.full(len(c), j, np.int64) for j, c in enumerate(cols)])
     echk = np.concatenate([np.asarray(c, np.int64) for c in cols])
     order = np.argsort(echk, kind="stable")
     echk_sorted = echk[order]
     chk_ptr = np.searchsorted(echk_sorted, np.arange(m + 1)).astype(np.int64)
-    return ParityCheckMatrix(n, m, width, chk_ptr, evar[order], seed=-1)
+    return ParityCheckMatrix(n, m, chk_ptr, evar[order])

@@ -101,6 +101,9 @@ class ProtocolConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.ldpc_col_weight < 2:
             raise ValueError(f"ldpc_col_weight must be at least 2, got {self.ldpc_col_weight}")
+        for name in ("seed_channel", "seed_code", "seed_hash"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def bases(self) -> tuple[Basis, ...]:

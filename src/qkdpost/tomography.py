@@ -23,10 +23,11 @@ from .channels import (
     Basis,
     ChoiMatrix,
     affine_from_choi,
+    choi_coefficients,
     choi_from_affine,
+    choi_from_coefficients,
     joint_distribution,
     joint_tables,
-    partial_trace_output,
 )
 from .entropy import JointDistribution, binary_entropy, cond_entropy
 from .keyrate import (
@@ -227,12 +228,7 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
 
 def _project_affine_constraints(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto {Hermitian, partial trace over B = I/2}."""
-    m = 0.5 * (m + m.conj().T)
-    defect = 0.5 * (partial_trace_output(m) - 0.5 * np.eye(2))
-    # subtract defect (x) I: the defect from each block of fixed output index
-    m[0::2, 0::2] -= defect
-    m[1::2, 1::2] -= defect
-    return m
+    return choi_from_coefficients(choi_coefficients(m))
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:

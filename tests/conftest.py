@@ -49,6 +49,101 @@ def random_cp_channel(rng):
     return AffineChannel(o3 @ damp.r @ unital.r, o3 @ damp.t)
 
 
+def random_affine_channel(rng, k):
+    """A CP channel for even ``k``, a uniform box draw (almost never CP) for odd."""
+    if k % 2 == 0:
+        return random_cp_channel(rng)
+    return AffineChannel(rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, 3))
+
+
+# ---------------------------------------------------------------------------
+# the Choi layout written out entry by entry: oracles for the basis-table
+# conversions in qkdpost.channels
+# ---------------------------------------------------------------------------
+
+
+def choi_entries_oracle(ch):
+    """The 4x4 Choi matrix of ``ch``, each entry a hand-written formula."""
+    (rzz, rzx, rzy), (rxz, rxx, rxy), (ryz, ryx, ryy) = ch.r
+    tz, tx, ty = ch.t
+    i = 1j
+    m = np.array(
+        [
+            [1 + rzz + tz, rxz + tx + i * (ryz + ty), rzx - i * rzy, rxx + ryy + i * (ryx - rxy)],
+            [rxz + tx - i * (ryz + ty), 1 - rzz - tz, rxx - ryy - i * (ryx + rxy), -rzx + i * rzy],
+            [rzx + i * rzy, rxx - ryy + i * (ryx + rxy), 1 - rzz + tz, -rxz + tx - i * (ryz - ty)],
+            [rxx + ryy - i * (ryx - rxy), -rzx - i * rzy, -rxz + tx + i * (ryz - ty), 1 + rzz - tz],
+        ],
+        dtype=complex,
+    )
+    return m / 4.0
+
+
+def affine_entries_oracle(m):
+    """``(r, t)`` of a Choi matrix ``m``, one formula per parameter."""
+    d = np.real(np.diag(m))
+    r = np.array(
+        [
+            [
+                d[0] - d[1] - d[2] + d[3],
+                2.0 * (m[0, 2].real - m[1, 3].real),
+                -2.0 * (m[0, 2].imag - m[1, 3].imag),
+            ],
+            [
+                2.0 * (m[0, 1].real - m[2, 3].real),
+                2.0 * (m[0, 3].real + m[1, 2].real),
+                -2.0 * (m[0, 3].imag + m[1, 2].imag),
+            ],
+            [
+                2.0 * (m[0, 1].imag - m[2, 3].imag),
+                2.0 * (m[0, 3].imag - m[1, 2].imag),
+                2.0 * (m[0, 3].real - m[1, 2].real),
+            ],
+        ]
+    )
+    t = np.array(
+        [
+            d[0] - d[1] + d[2] - d[3],
+            2.0 * (m[0, 1].real + m[2, 3].real),
+            2.0 * (m[0, 1].imag + m[2, 3].imag),
+        ]
+    )
+    return r, t
+
+
+def partial_trace_oracle(m):
+    """Trace over the output of a 4x4 (input, output) matrix, entry by entry."""
+    return np.array(
+        [[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]], [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]]
+    )
+
+
+def affine_projection_oracle(m):
+    """Hermitian part of ``m`` minus (half its output-trace defect) (x) I."""
+    m = 0.5 * (m + m.conj().T)
+    defect = 0.5 * (partial_trace_oracle(m) - 0.5 * np.eye(2))
+    m[0::2, 0::2] -= defect
+    m[1::2, 1::2] -= defect
+    return m
+
+
+# Bell vectors in (I, Z, X, Y) order as columns: phi+, phi-, psi+, psi-
+BELL_ORACLE = np.array(
+    [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=float
+) / np.sqrt(2.0)
+
+
+def bell_diagonal_oracle(m):
+    """Diagonal of ``m`` in the Bell basis, ordered (I, Z, X, Y)."""
+    return np.real(np.einsum("ia,ij,ja->a", BELL_ORACLE, m, BELL_ORACLE))
+
+
+def twirl_oracle(m):
+    """Bell-diagonal part of ``m``, its weights clipped at 0 and renormalised."""
+    q = np.clip(bell_diagonal_oracle(m), 0.0, None)
+    return (BELL_ORACLE * (q / q.sum())) @ BELL_ORACLE.T
+
+
 def _entropy_bits(ev):
     ev = ev[ev > 1e-12]
     return float(-(ev * np.log2(ev)).sum())

@@ -8,22 +8,33 @@ from qkdpost.channels import (
     Basis,
     BlochVector,
     PauliProbs,
+    ChoiMatrix,
     affine_from_choi,
+    choi_coefficients,
     choi_from_affine,
+    choi_from_coefficients,
     format_channel_spec,
     is_completely_positive,
     joint_distribution,
+    joint_tables,
     make_amplitude_damping,
     make_identity,
     make_pauli,
     make_rotation,
     outcome_probability,
     parse_channel_spec,
+    partial_trace_output,
     pauli_probs_from_diagonal,
     singular_values_zx,
 )
 
-from conftest import random_cp_channel
+from conftest import (
+    affine_entries_oracle,
+    choi_entries_oracle,
+    partial_trace_oracle,
+    random_affine_channel,
+    random_cp_channel,
+)
 
 
 class TestConstructors:
@@ -176,6 +187,32 @@ class TestChoiConversions:
             affine_from_choi(type(choi_from_affine(make_identity()))(bad))
 
 
+class TestChoiLayout:
+    """The basis-table conversions against the layout written out entry by entry."""
+
+    def test_conversions_match_the_entry_formulas(self, rng):
+        for k in range(600):
+            ch = random_affine_channel(rng, k)
+            want = choi_entries_oracle(ch)
+            assert np.abs(choi_from_affine(ch).matrix - want).max() < 1e-14
+            r, t = affine_entries_oracle(want)
+            back = affine_from_choi(ChoiMatrix(want))
+            assert np.abs(back.r - r).max() < 1e-14
+            assert np.abs(back.t - t).max() < 1e-14
+
+    def test_coefficients_are_r_row_major_then_t(self, rng):
+        for k in range(50):
+            ch = random_affine_channel(rng, k)
+            theta = np.concatenate([ch.r.ravel(), ch.t])
+            m = choi_from_coefficients(theta)
+            assert np.abs(choi_coefficients(m) - theta).max() < 1e-14
+
+    def test_partial_trace_is_bitwise_the_entry_sums(self, rng):
+        for _ in range(200):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            assert np.array_equal(partial_trace_output(m), partial_trace_oracle(m))
+
+
 class TestCompletePositivity:
     def test_identity_positive(self):
         assert is_completely_positive(make_identity())
@@ -276,6 +313,20 @@ class TestOutcomeStatistics:
                             want = 2.0 * np.real(np.trace(choi @ proj))
                             got = outcome_probability(ch, a, x, b, y)
                             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_joint_tables_match_choi_trace_in_all_bases(self, rng):
+        # P(x, y) = Tr[choi (proj_x (x) conj(proj_y))] for the conjugate-
+        # convention oracle Choi matrix, with proj = (I +/- sigma) / 2
+        sigma = [np.array(p, dtype=complex) for p in ([[1, 0], [0, -1]], [[0, 1], [1, 0]])]
+        sigma.append(np.array([[0, -1j], [1j, 0]]))
+        proj = [[(np.eye(2) + s * p) / 2 for s in (1, -1)] for p in sigma]
+        for _ in range(20):
+            ch = random_cp_channel(rng)
+            choi = _oracle_choi(ch)
+            got = joint_tables(ch, tuple(Basis))
+            for a, b, x, y in np.ndindex(3, 3, 2, 2):
+                want = np.real(np.trace(choi @ np.kron(proj[a][x], proj[b][y].conj())))
+                assert got[a, b, x, y] == pytest.approx(want, abs=1e-12)
 
     def test_joint_identity(self):
         j = joint_distribution(make_identity(), Basis.Z, Basis.Z)

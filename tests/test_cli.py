@@ -236,6 +236,8 @@ VALID_ALIST = "<valid alist>"
          _truncated_alist, "before column 6 of 12"),
         (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
          _alist_declaring_a_million_rows, "alist line 4: expected m=1000000 row weights, got 6"),
+        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
+         "3 2\n2 2\n2 1 1\n2 2\n1 1\n2\n2\n", "alist line 5: check index 1 repeated"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
          "# syndrome\nhex 8\n", "line 2: expected 'hex <nbits> <digits>'"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
@@ -248,14 +250,16 @@ VALID_ALIST = "<valid alist>"
          "margin must be positive and finite, got inf"),
         (["simulate", "--config"], "protocol=bb84\nepsilon=inf\n",
          "epsilon must be nonnegative and finite, got inf"),
+        (["simulate", "--config"], "protocol=bb84\nseed_code=-1\n",
+         "seed_code must be nonnegative, got -1"),
         (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
           "--out"], "", "sweep range 0.0..nan is not finite"),
     ],
     ids=["spec-without-p", "spec-nan", "spec-inf", "tally-bit-2", "tally-six-fields",
          "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
-         "truncated-alist", "alist-row-weights", "hex-two-fields", "hex-more-bits-than-digits",
+         "truncated-alist", "alist-row-weights", "alist-repeated-check", "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",
-         "rates-nan"],
+         "config-seed-negative", "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

@@ -26,7 +26,12 @@ from qkdpost.keyrate import (
     unital_ambiguity_closed_form,
 )
 
-from conftest import random_cp_channel, random_unital_channel
+from conftest import (
+    bell_diagonal_oracle,
+    random_cp_channel,
+    random_unital_channel,
+    twirl_oracle,
+)
 
 
 def choi_of(ch):
@@ -204,6 +209,13 @@ class TestConventionalBaselines:
             q = q[q > 1e-15]
             want = 1 + (q * np.log2(q)).sum()
             assert keyrate_conventional_sixstate(choi) == pytest.approx(want, abs=1e-9)
+
+    def test_bell_diagonal_and_twirl_match_the_bell_vectors(self, rng):
+        for _ in range(300):
+            choi = choi_of(random_cp_channel(rng))
+            want = bell_diagonal_oracle(choi.matrix)
+            assert np.abs(bell_diagonal_probs(choi) - want).max() < 1e-14
+            assert np.abs(twirl(choi).matrix - twirl_oracle(choi.matrix)).max() < 1e-14
 
     def test_twirl_preserves_error_rates(self, rng):
         for _ in range(20):

@@ -128,7 +128,7 @@ def _explicit_code(row_supports, n):
     for k, sup in enumerate(row_supports):
         parts.append(np.asarray(sorted(sup), np.int64))
         chk_ptr[k + 1] = chk_ptr[k] + len(sup)
-    return ParityCheckMatrix(n, len(row_supports), 0, chk_ptr, np.concatenate(parts), seed=-1)
+    return ParityCheckMatrix(n, len(row_supports), chk_ptr, np.concatenate(parts))
 
 
 # alist text of gen_parity_check(12, 6, 3, seed=1), pinned byte for byte:
@@ -170,6 +170,13 @@ class TestAlist:
         assert np.array_equal(back.chk_vars, code.chk_vars)
         write_alist(gen_parity_check(12, 6, 3, seed=1), path)
         assert path.read_text() == SMALL_ALIST
+
+    def test_round_trip_keeps_an_empty_column(self, tmp_path):
+        code = _explicit_code([{0}, {2}], 3)
+        path = tmp_path / "code.alist"
+        write_alist(code, path)
+        back = read_alist(path)
+        assert np.array_equal(back.to_dense(), code.to_dense())
 
 
 class TestBruteForceMap:

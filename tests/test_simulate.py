@@ -64,7 +64,16 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("margin", 0.0), ("margin", -0.1), ("epsilon", -0.1), ("max_iter", 0), ("ldpc_col_weight", 1)],
+        [
+            ("margin", 0.0),
+            ("margin", -0.1),
+            ("epsilon", -0.1),
+            ("max_iter", 0),
+            ("ldpc_col_weight", 1),
+            ("seed_channel", -1),
+            ("seed_code", -1),
+            ("seed_hash", -2),
+        ],
     )
     def test_security_and_decoder_fields_checked_at_build(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -31,7 +31,7 @@ from qkdpost.tomography import (
 )
 from qkdpost.worstcase import ObservableParams, feasible_interval, worst_case_ambiguity
 
-from conftest import pool_tally, random_cp_channel
+from conftest import affine_projection_oracle, pool_tally, random_cp_channel
 
 
 class TestTallyTable:
@@ -97,6 +97,13 @@ class TestLinearInversion:
 
 
 class TestNearestChoi:
+    def test_affine_step_matches_the_defect_projection(self, rng):
+        for _ in range(500):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            once = tomography._project_affine_constraints(m)
+            assert np.abs(once - affine_projection_oracle(m.copy())).max() < 1e-14
+            assert np.abs(tomography._project_affine_constraints(once) - once).max() < 1e-14
+
     def test_valid_input_unchanged(self):
         choi = choi_from_affine(make_amplitude_damping(0.4))
         out = nearest_choi(choi.matrix)
