@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .channels import (
     AffineChannel,
     Basis,
-    BlochVector,
     ChoiMatrix,
     PauliProbs,
     affine_from_choi,
@@ -43,6 +42,8 @@ from .keyrate import (
     ambiguity_reverse,
     closed_form_example_rates,
     error_rates,
+    key_bases,
+    key_joint,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,

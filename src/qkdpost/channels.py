@@ -53,7 +53,7 @@ _S = 1.0 / math.sqrt(2.0)
 KETS = {
     Basis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
     Basis.X: np.array([[_S, _S], [_S, -_S]], dtype=complex),
-    Basis.Y: np.array([[_S, _S * 1j], [_S, -_S * 1j]], dtype=complex),
+    Basis.Y: np.array([[_S, _S], [_S * 1j, -_S * 1j]], dtype=complex),
 }
 # columns of KETS[b] are |0_b>, |1_b>
 
@@ -92,25 +92,6 @@ def pauli_diagonal(q: np.ndarray) -> np.ndarray:
 def pauli_weights(e: np.ndarray) -> np.ndarray:
     """The (I, Z, X, Y) weights ``(1 +/- e_z +/- e_x +/- e_y) / 4``, unchecked."""
     return (_PAULI_SIGNS * np.concatenate(([1.0], e))).sum(axis=1) / 4.0
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Point in (or on) the Bloch ball, components ordered (z, x, y)."""
-
-    theta_z: float
-    theta_x: float
-    theta_y: float
-
-    def __post_init__(self):
-        if self.norm() > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector norm {self.norm():.6f} exceeds 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta_z, self.theta_x, self.theta_y])
-
-    def norm(self) -> float:
-        return math.sqrt(self.theta_z**2 + self.theta_x**2 + self.theta_y**2)
 
 
 @dataclass(frozen=True)

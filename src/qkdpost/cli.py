@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import Basis, joint_distribution, load_channel_spec
-from .entropy import JointDistribution
+from .channels import joint_distribution, load_channel_spec
+from .keyrate import DIRECTIONS, key_bases, key_joint
 from .reconciliation import priors_from_joint, read_alist, sp_decode
 from .simulate import load_config, run_protocol, sweep_rates
 from .tomography import (
@@ -157,9 +157,8 @@ def _cmd_decode(args) -> int:
     syn = read_bits(args.syndrome)
     observed = read_bits(args.observed)
     ch = load_channel_spec(args.channel)
-    b_basis = Basis.X if args.direction == "mismatched" else Basis.Z
-    joint = JointDistribution(joint_distribution(ch, Basis.Z, b_basis))
-    priors = priors_from_joint(joint, observed, args.direction)
+    d = args.direction
+    priors = priors_from_joint(key_joint(joint_distribution(ch, *key_bases(d)), d), observed)
     result = sp_decode(matrix, syn, priors, args.max_iter)
     print(f"converged={'true' if result.converged else 'false'}")
     print(f"iterations={result.iterations}")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--syndrome", required=True, help="syndrome bit file")
     p.add_argument("--observed", required=True, help="helper-side sequence bit file")
     p.add_argument("--channel", required=True, help="channel spec file for the priors")
-    p.add_argument("--direction", default="direct", choices=("direct", "reverse", "mismatched"))
+    p.add_argument("--direction", default="direct", choices=DIRECTIONS)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decode)

@@ -70,30 +70,22 @@ class JointDistribution:
     def marginal_y(self) -> np.ndarray:
         return self.table.sum(axis=0)
 
-    def cond_x_given_y(self) -> np.ndarray:
-        """Columns are P(. | y); a zero-probability y gives a uniform column."""
+    def conditional(self) -> np.ndarray:
+        """Columns are P(x | y); a zero-probability y gives a uniform column."""
         py = self.marginal_y()
         safe = np.where(py > ZERO_CUTOFF, py, 1.0)
         cols = self.table / safe
         cols[:, py <= ZERO_CUTOFF] = 0.5
         return cols
 
-    def cond_y_given_x(self) -> np.ndarray:
-        return JointDistribution(self.table.T).cond_x_given_y()
-
     def error_probability(self) -> float:
         """P(x != y)."""
         return float(self.table[0, 1] + self.table[1, 0])
 
 
-def cond_entropy(dist: JointDistribution, direction: str = "x_given_y") -> float:
-    """H(X|Y) or H(Y|X) of a joint table."""
-    if direction == "x_given_y":
-        t = dist.table
-    elif direction == "y_given_x":
-        t = dist.table.T
-    else:
-        raise ValueError(f"direction must be x_given_y or y_given_x, got {direction!r}")
+def cond_entropy(dist: JointDistribution) -> float:
+    """H(row | column) of a joint table; transpose the table for the other."""
+    t = dist.table
     return _plogp(t) - _plogp(t.sum(axis=0))
 
 

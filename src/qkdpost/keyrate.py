@@ -9,7 +9,10 @@ E's spectrum is that of the other party's 2x2 block of C at fixed k, and
 H(KE) is the entropy of those two blocks (:func:`key_entropy`).
 
 The asymptotic secret-key rate is the ambiguity minus the syndrome rate the
-reconciliation needs (a conditional Shannon entropy).
+reconciliation needs, H(K|helper) for the other party's bit as helper.
+:func:`key_bases` and :func:`key_joint` are the one place a direction is
+decided: which bases the key pair is measured in, and which party's bit is
+the key.  Every other layer takes the key pair's joint as P(key, helper).
 """
 
 from __future__ import annotations
@@ -111,15 +114,23 @@ def error_rates(choi: ChoiMatrix) -> ErrorRates:
     return ErrorRates(*(float(0.5 * (1.0 - v)) for v in d))
 
 
-def cond_entropy_direction(direction: str) -> str:
-    """The :func:`cond_entropy` direction a reconciliation direction pays for.
-
-    Reverse reconciliation distills the key from Bob's bits, so its syndrome
-    must cover H(Y|X); direct and mismatched distill from Alice's, H(X|Y).
-    """
+def key_bases(direction: str) -> tuple[Basis, Basis]:
+    """(Alice's basis, Bob's basis) of the key pair: Bob measures x for the
+    mismatched variant, z otherwise; Alice always prepares z."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return "y_given_x" if direction == "reverse" else "x_given_y"
+    return (Basis.Z, Basis.X) if direction == "mismatched" else (Basis.Z, Basis.Z)
+
+
+def key_joint(table: np.ndarray, direction: str) -> JointDistribution:
+    """The key pair's joint P(x, y) oriented as P(key, helper).
+
+    Reverse reconciliation distills the key from Bob's bits, so the table is
+    transposed; direct and mismatched distill from Alice's.
+    """
+    key_bases(direction)  # checks the direction
+    table = np.asarray(table)
+    return JointDistribution(table.T if direction == "reverse" else table)
 
 
 def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
@@ -129,12 +140,10 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     reverse:     H(Y|E) - H(Y|X)   (key from Bob's z-basis bits)
     mismatched:  H(X|E) - H(X|Y')  (Bob measured in the x basis)
     """
-    given = cond_entropy_direction(direction)
     ch = affine_from_choi(choi, tol=1e-6)
-    bob_basis = Basis.X if direction == "mismatched" else Basis.Z
-    joint = JointDistribution(joint_distribution(ch, Basis.Z, bob_basis))
+    joint = key_joint(joint_distribution(ch, *key_bases(direction)), direction)
     ambiguity = ambiguity_reverse(choi) if direction == "reverse" else ambiguity_direct(choi)
-    return RateReport.build(direction, ambiguity, cond_entropy(joint, given))
+    return RateReport.build(direction, ambiguity, cond_entropy(joint))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ source priors and with each check's sign set by its syndrome bit; an
 exhaustive MAP decoder over the coset serves as the oracle at small block
 lengths.
 
-Priors enter as an (n, 2) table: row j holds the probability of bit 0 and
-bit 1 at position j given that side's observation.  For direct
-reconciliation this is P(x|y_j), for reverse P(y|x_j), and for the
-mismatched-basis variant the conditional of the cross-basis joint.
+Priors enter as an (n, 2) table: row j holds the probability of key bit 0
+and 1 at position j given the helper's observation, P(key | helper_j), read
+from the key pair's joint with rows indexing the key bit and columns the
+helper bit (see :func:`qkdpost.keyrate.key_joint`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import JointDistribution, cond_entropy
-from .keyrate import cond_entropy_direction
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
@@ -146,21 +145,14 @@ def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
     return _check_parity(matrix.chk_ptr, edge_bits)
 
 
-def priors_from_joint(
-    joint: JointDistribution, observed: np.ndarray, direction: str = "direct"
-) -> np.ndarray:
-    """Per-position conditional probability pairs for the decoder.
+def priors_from_joint(joint: JointDistribution, observed: np.ndarray) -> np.ndarray:
+    """Per-position pairs P(key | helper_j) of the (key, helper) joint.
 
-    direct / mismatched: columns P(x | y_j) of the (cross-basis) joint;
-    reverse: P(y | x_j), which bakes the non-uniform prior of the decoded
-    side into the table (this is what makes MAP differ from ML).
+    They carry the key bit's own prior, which is non-uniform when the key
+    side is biased (this is what makes MAP differ from ML).
     """
     observed = np.asarray(observed, dtype=np.int64)
-    if cond_entropy_direction(direction) == "y_given_x":
-        cond = joint.cond_y_given_x()
-    else:
-        cond = joint.cond_x_given_y()
-    return cond[:, observed].T.copy()
+    return joint.conditional()[:, observed].T.copy()
 
 
 def _prior_llrs(priors: np.ndarray) -> np.ndarray:
@@ -310,14 +302,12 @@ def map_decode_bruteforce(
     return contenders[order[0]].astype(np.uint8)
 
 
-def required_syndrome_rate(
-    joint: JointDistribution, direction: str = "direct", margin: float = 0.05
-) -> float:
-    """Syndrome rate m/n the reconciliation needs: conditional entropy of the
-    decoded side given the helper side, plus a finite-length margin."""
+def required_syndrome_rate(joint: JointDistribution, margin: float = 0.05) -> float:
+    """Syndrome rate m/n the reconciliation needs: H(key | helper) of the
+    (key, helper) joint, plus a finite-length margin."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    return cond_entropy(joint, cond_entropy_direction(direction)) + margin
+    return cond_entropy(joint) + margin
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,11 @@ def read_alist(path) -> ParityCheckMatrix:
         if len(tokens) != m:
             raise ValueError(f"expected m={m} row weights, got {len(tokens)}")
         for lineno, tokens in lines[4 : 4 + n]:
-            rows = sorted(int(v) - 1 for v in tokens if int(v) > 0)
+            # 0 pads a column to the maximum weight
+            ids = [int(v) for v in tokens]
+            if min(ids, default=0) < 0:
+                raise ValueError(f"negative check index {min(ids)}")
+            rows = sorted(v - 1 for v in ids if v)
             if rows and rows[-1] >= m:
                 raise ValueError(f"check index {rows[-1] + 1} above m={m}")
             if repeated := [a + 1 for a, b in zip(rows, rows[1:]) if a == b]:

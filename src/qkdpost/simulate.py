@@ -34,8 +34,10 @@ from .channels import (
 from .entropy import JointDistribution, cond_entropy
 from .hashing import apply_hash, key_length, sample_hash
 from .keyrate import (
+    DIRECTIONS,
     RateReport,
-    cond_entropy_direction,
+    key_bases,
+    key_joint,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
@@ -87,7 +89,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in ("bb84", "sixstate"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.direction not in ("direct", "reverse", "mismatched"):
+        if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if not 0.0 < self.estimation_fraction < 1.0:
             raise ValueError("estimation fraction must be inside (0, 1)")
@@ -108,10 +110,6 @@ class ProtocolConfig:
     @property
     def bases(self) -> tuple[Basis, ...]:
         return SIXSTATE_BASES if self.protocol == "sixstate" else BB84_BASES
-
-    @property
-    def key_pair(self) -> tuple[Basis, Basis]:
-        return (Basis.Z, Basis.X) if self.direction == "mismatched" else (Basis.Z, Basis.Z)
 
 
 # every ProtocolConfig field but the channel is a plain str, int or float
@@ -181,9 +179,7 @@ def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
     counts = np.bincount(flat[est], minlength=nb * nb * 4).reshape(nb, nb, 2, 2)
     tally = TallyTable(counts, bases)
 
-    ka, kb = config.key_pair
-    ia_key = bases.index(ka)
-    ib_key = bases.index(kb)
+    ia_key, ib_key = (bases.index(b) for b in key_bases(config.direction))
     mask = (~est) & (abas == ia_key) & (bbas == ib_key)
     return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
 
@@ -228,21 +224,19 @@ class RunReport:
 
 
 def _empirical_key_joint(config: ProtocolConfig, tally: TallyTable) -> JointDistribution:
-    """Relative frequencies of the key basis pair's tally cell.
+    """Relative frequencies of the key basis pair's tally cell, as P(key, helper).
 
     The reconciliation statistics are directly observable, so the syndrome
     rate and the decoder priors use the raw cell rather than the smoothed
     joint of the projected channel estimate; near-deterministic channels
     would otherwise pick up a large upward entropy bias from the noise floor.
     """
-    ka, kb = config.key_pair
-    ia = config.bases.index(ka)
-    ib = config.bases.index(kb)
+    ia, ib = (config.bases.index(b) for b in key_bases(config.direction))
     cell = tally.counts[ia, ib].astype(float)
     total = cell.sum()
     if total <= 0:
         raise ValueError("estimation subset has no samples in the key basis pair")
-    return JointDistribution(cell / total)
+    return key_joint(cell / total, config.direction)
 
 
 def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
@@ -253,7 +247,7 @@ def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
     Alice's.  The conditional entropy comes from the empirical key-pair joint.
     """
     joint = _empirical_key_joint(config, tally)
-    ce = cond_entropy(joint, cond_entropy_direction(config.direction))
+    ce = cond_entropy(joint)
     if config.protocol == "sixstate":
         est = estimate_rates_sixstate(tally)
         estimate_text = format_channel_spec(est.channel)
@@ -300,7 +294,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     if rep.raw_rate <= 0.0:
         return report("nonpositive_rate")
 
-    m = int(np.ceil(n_key * required_syndrome_rate(joint, config.direction, config.margin)))
+    m = int(np.ceil(n_key * required_syndrome_rate(joint, config.margin)))
     if m >= n_key:
         return report("syndrome_rate_full")
     syn_rate = m / n_key
@@ -317,7 +311,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
 
     t0 = time.perf_counter()
     syn = syndrome(code, source)
-    priors = priors_from_joint(joint, helper, config.direction)
+    priors = priors_from_joint(joint, helper)
     result = sp_decode(code, syn, priors, config.max_iter)
     timings["decode_s"] = time.perf_counter() - t0
 
@@ -370,14 +364,16 @@ def sweep_row(ch: AffineChannel) -> dict[str, float]:
     reverse = keyrate(choi, "reverse")
     mismatched = keyrate(choi, "mismatched")
     omega = ObservableParams.from_channel(ch)
-    joint_zz = JointDistribution(joint_distribution(ch, Basis.Z, Basis.Z))
-    f_direct = worst_case_ambiguity(omega, "direct")
-    f_reverse = worst_case_ambiguity(omega, "reverse")
+    zz = joint_distribution(ch, Basis.Z, Basis.Z)
+    bb84 = {
+        d: worst_case_ambiguity(omega, d) - cond_entropy(key_joint(zz, d))
+        for d in ("direct", "reverse")
+    }
     return {
         "sixstate_direct": direct.raw_rate,
         "sixstate_reverse": reverse.raw_rate,
-        "bb84_direct": f_direct - cond_entropy(joint_zz, "x_given_y"),
-        "bb84_reverse": f_reverse - cond_entropy(joint_zz, "y_given_x"),
+        "bb84_direct": bb84["direct"],
+        "bb84_reverse": bb84["reverse"],
         "mismatched": mismatched.raw_rate,
         "conventional_bb84": keyrate_conventional_bb84(choi),
         "conventional_sixstate": keyrate_conventional_sixstate(choi),

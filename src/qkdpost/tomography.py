@@ -29,9 +29,11 @@ from .channels import (
     joint_distribution,
     joint_tables,
 )
-from .entropy import JointDistribution, binary_entropy, cond_entropy
+from .entropy import binary_entropy, cond_entropy
 from .keyrate import (
     RateReport,
+    key_bases,
+    key_joint,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
@@ -197,27 +199,21 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
     component; the translation estimates from different input bases are
     averaged with equal weight.
     """
-    bases = tally.bases
+    bases, counts = tally.bases, tally.counts
+    n_x = counts.sum(-1)
+    if (n_x == 0).any():
+        ia, ib, x = np.argwhere(n_x == 0)[0]
+        a, b = bases[ia].name.lower(), bases[ib].name.lower()
+        raise EstimationError(f"empty tally cell a={a} b={b} x={x}")
+    # q[a, b, x] is the output bias (same - flip) / n_x given input bit x
+    same = counts[..., [0, 1], [0, 1]]
+    flip = counts[..., [0, 1], [1, 0]]
+    q = np.clip((same - flip) / n_x, -1.0, 1.0)
+    axes = [b.axis for b in bases]
     r = np.full((3, 3), np.nan)
-    t_sums = np.zeros(3)
-    t_hits = np.zeros(3)
-    for ia, a in enumerate(bases):
-        for ib, b in enumerate(bases):
-            q = np.empty(2)
-            for x in (0, 1):
-                n_x = int(tally.counts[ia, ib, x].sum())
-                if n_x == 0:
-                    raise EstimationError(
-                        f"empty tally cell a={a.name.lower()} b={b.name.lower()} x={x}"
-                    )
-                same = tally.counts[ia, ib, x, x]
-                flip = tally.counts[ia, ib, x, 1 - x]
-                q[x] = (same - flip) / n_x
-            q = np.clip(q, -1.0, 1.0)
-            r[b.axis, a.axis] = 0.5 * (q[0] + q[1])
-            t_sums[b.axis] += 0.5 * (q[0] - q[1])
-            t_hits[b.axis] += 1.0
-    t = np.where(t_hits > 0, t_sums / np.where(t_hits > 0, t_hits, 1.0), np.nan)
+    r[np.ix_(axes, axes)] = 0.5 * (q[..., 0] + q[..., 1]).T
+    t = np.full(3, np.nan)
+    t[axes] = (0.5 * (q[..., 0] - q[..., 1])).mean(axis=0)
     return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0), bases)
 
 
@@ -414,24 +410,22 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     omega_raw = raw.to_omega()
     omega = project_omega_bb84(omega_raw)
     projected = omega is not omega_raw
-    probe = omega.complete(0.0)
-    joint_zz = JointDistribution(joint_distribution(probe, Basis.Z, Basis.Z))
-    iz = tally.bases.index(Basis.Z)
-    ix = tally.bases.index(Basis.X)
-    cell_zx = tally.counts[iz, ix].astype(float)
-    joint_zx = JointDistribution(cell_zx / cell_zx.sum())
+    zz = joint_distribution(omega.complete(0.0), Basis.Z, Basis.Z)
+    ia, ib = (tally.bases.index(b) for b in key_bases("mismatched"))
+    cell_zx = tally.counts[ia, ib].astype(float)
     amb_direct = worst_case_ambiguity(omega, "direct")
     amb_reverse = worst_case_ambiguity(omega, "reverse")
-    h_x_given_y = cond_entropy(joint_zz, "x_given_y")
-    h_y_given_x = cond_entropy(joint_zz, "y_given_x")
-    h_x_given_y2 = cond_entropy(joint_zx, "x_given_y")
-    p_z = joint_zz.error_probability()
+
+    def report(direction: str, ambiguity: float, table: np.ndarray) -> RateReport:
+        return RateReport.build(direction, ambiguity, cond_entropy(key_joint(table, direction)))
+
+    p_z = key_joint(zz, "direct").error_probability()
     p_x = 0.5 * (1.0 - omega.r_xx)
     return BB84Estimate(
         omega=omega,
-        direct=RateReport.build("direct", amb_direct, h_x_given_y),
-        reverse=RateReport.build("reverse", amb_reverse, h_y_given_x),
-        mismatched=RateReport.build("mismatched", amb_direct, h_x_given_y2),
+        direct=report("direct", amb_direct, zz),
+        reverse=report("reverse", amb_reverse, zz),
+        mismatched=report("mismatched", amb_direct, cell_zx / cell_zx.sum()),
         conventional_bb84=1.0 - binary_entropy(min(max(p_x, 0.0), 1.0)) - binary_entropy(p_z),
         projected=projected,
     )

@@ -203,14 +203,14 @@ def test_criterion_7_reconciliation():
     )
     hxy = cond_entropy(joint)
     n = 10_000
-    m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.1)))
+    m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
     code = gen_parity_check(n, m, 3, seed=2024)
     rng = np.random.default_rng(4321)
     fails = 0
     for _ in range(50):
         flat = rng.choice(4, size=n, p=joint.table.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
-        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
         if not (res.converged and np.array_equal(res.bits, x)):
             fails += 1
     assert fails <= 5, f"frame error rate {fails}/50 above 10%"
@@ -226,7 +226,7 @@ def test_criterion_7_reconciliation():
         flat = rng.choice(4, size=nn, p=joint.table.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
         syn = syndrome(small, x)
-        priors = priors_from_joint(joint, y, "direct")
+        priors = priors_from_joint(joint, y)
         res = sp_decode(small, syn, priors)
         if not res.converged:
             continue
@@ -243,7 +243,7 @@ def test_criterion_7_reconciliation():
         hx = cond_entropy(j)
         hw = shannon_entropy(pw_from_joint(j))
         assert hx <= hw + 1e-12
-        cond = j.cond_x_given_y()
+        cond = j.conditional()
         if abs(cond[0, 0] - cond[1, 1]) > 1e-6:
             assert hw > hx - 1e-12
             strict += hw > hx + 1e-9

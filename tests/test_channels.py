@@ -6,7 +6,6 @@ import pytest
 from qkdpost.channels import (
     AffineChannel,
     Basis,
-    BlochVector,
     PauliProbs,
     ChoiMatrix,
     affine_from_choi,
@@ -89,11 +88,6 @@ class TestConstructors:
     def test_pauli_half_identity_half_y(self):
         ch = make_pauli(PauliProbs(0.5, 0, 0, 0.5))
         assert np.allclose(np.diag(ch.r), [0.0, 0.0, 1.0])
-
-    def test_bloch_vector_norm_guard(self):
-        BlochVector(0.6, 0.0, 0.8)
-        with pytest.raises(ValueError):
-            BlochVector(1.0, 0.5, 0.0)
 
 
 class TestPauliProbsFromDiagonal:
@@ -296,20 +290,21 @@ class TestOutcomeStatistics:
                         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_matches_choi_trace_in_real_bases(self, rng):
-        # 2 * Tr[choi (proj_x (x) proj_y)] for z/x basis projectors (they are
-        # real, so the stored conjugation convention drops out)
+        # 2 * Re Tr[choi (proj_x (x) conj(proj_y))] for the basis kets of all
+        # nine basis pairs; the output projector is conjugated as the Choi
+        # matrix stores the output transposed
         from qkdpost.channels import KETS
 
         for _ in range(20):
             ch = random_cp_channel(rng)
             choi = choi_from_affine(ch).matrix
-            for a in (Basis.Z, Basis.X):
-                for b in (Basis.Z, Basis.X):
+            for a in Basis:
+                for b in Basis:
                     for x in (0, 1):
                         for y in (0, 1):
                             ka = KETS[a][:, x]
                             kb = KETS[b][:, y]
-                            proj = np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()))
+                            proj = np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()).conj())
                             want = 2.0 * np.real(np.trace(choi @ proj))
                             got = outcome_probability(ch, a, x, b, y)
                             assert got == pytest.approx(want, abs=1e-12)

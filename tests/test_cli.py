@@ -238,6 +238,8 @@ VALID_ALIST = "<valid alist>"
          _alist_declaring_a_million_rows, "alist line 4: expected m=1000000 row weights, got 6"),
         (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
          "3 2\n2 2\n2 1 1\n2 2\n1 1\n2\n2\n", "alist line 5: check index 1 repeated"),
+        (["decode", "--syndrome", "s", "--observed", "o", "--channel", "c", "--matrix"],
+         "2 1\n2 2\n2 1\n2\n-3 1\n1\n1 2\n", "alist line 5: negative check index -3"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
          "# syndrome\nhex 8\n", "line 2: expected 'hex <nbits> <digits>'"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
@@ -257,7 +259,8 @@ VALID_ALIST = "<valid alist>"
     ],
     ids=["spec-without-p", "spec-nan", "spec-inf", "tally-bit-2", "tally-six-fields",
          "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
-         "truncated-alist", "alist-row-weights", "alist-repeated-check", "hex-two-fields", "hex-more-bits-than-digits",
+         "truncated-alist", "alist-row-weights", "alist-repeated-check", "alist-negative-check",
+         "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",
          "config-seed-negative", "rates-nan"],
 )

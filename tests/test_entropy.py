@@ -61,14 +61,14 @@ def damping_joint(p):
 def test_cond_entropy_damping_closed_form():
     p = 0.5
     want = (1 + p) / 2 * binary_entropy(1 / (1 + p))
-    got = cond_entropy(damping_joint(p), "x_given_y")
+    got = cond_entropy(damping_joint(p))
     assert got == pytest.approx(want, abs=1e-14)
     assert got == pytest.approx(0.6887218755408671, abs=1e-12)
 
 
 def test_cond_entropy_other_direction():
     p = 0.3
-    assert cond_entropy(damping_joint(p), "y_given_x") == pytest.approx(
+    assert cond_entropy(JointDistribution(damping_joint(p).table.T)) == pytest.approx(
         0.5 * binary_entropy(p), abs=1e-14
     )
 
@@ -101,7 +101,7 @@ def test_error_syndrome_floor_dominates_cond_entropy(rng):
         hxy = cond_entropy(joint)
         hw = shannon_entropy(pw_from_joint(joint))
         assert hxy <= hw + 1e-12
-        cond = joint.cond_x_given_y()
+        cond = joint.conditional()
         symmetric = abs(cond[0, 0] - cond[1, 1]) < 1e-9
         if not symmetric:
             assert hw > hxy - 1e-12
@@ -114,6 +114,6 @@ def test_marginals_and_conditionals():
     j = damping_joint(0.4)
     assert np.allclose(j.marginal_x(), [0.5, 0.5])
     assert np.allclose(j.marginal_y(), [0.7, 0.3])
-    cond = j.cond_x_given_y()
+    cond = j.conditional()
     assert np.allclose(cond.sum(axis=0), 1.0)
     assert cond[1, 1] == pytest.approx(1.0)  # y=1 pins x=1 for damping

@@ -3,6 +3,7 @@ import pytest
 
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy, pw_from_joint, shannon_entropy
+from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
     gen_parity_check,
     map_decode_bruteforce,
@@ -193,7 +194,7 @@ class TestBruteForceMap:
             code = gen_parity_check(6, 3, 2, seed=seed)
             x, y = sample_pair(joint, 6, rng)
             syn = syndrome(code, x)
-            priors = priors_from_joint(joint, y, "direct")
+            priors = priors_from_joint(joint, y)
             got = map_decode_bruteforce(code, syn, priors)
             want = _scan_all(code, syn, priors)
             assert np.array_equal(got, want)
@@ -255,19 +256,19 @@ class TestSumProduct:
         code = gen_parity_check(600, 370, 3, seed=6)
         for _ in range(10):
             x, y = sample_pair(joint, 600, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
             if res.converged:
                 assert np.array_equal(syndrome(code, res.bits), syndrome(code, x))
 
     def test_frame_errors_rare_at_working_margin(self, rng):
         joint = damping_joint(0.3)
         n = 4000
-        m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.1)))
+        m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
         code = gen_parity_check(n, m, 3, seed=7)
         fails = 0
         for _ in range(10):
             x, y = sample_pair(joint, n, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
             if not (res.converged and np.array_equal(res.bits, x)):
                 fails += 1
         assert fails <= 2
@@ -275,12 +276,12 @@ class TestSumProduct:
     def test_frame_errors_rare_on_a_symmetric_channel(self, rng):
         joint = JointDistribution([[0.47, 0.03], [0.03, 0.47]])
         n = 12_000
-        m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.1)))
+        m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
         code = gen_parity_check(n, m, 3, seed=8)
         fails = 0
         for _ in range(20):
             x, y = sample_pair(joint, n, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
             if not (res.converged and np.array_equal(res.bits, x)):
                 fails += 1
         assert fails <= 3
@@ -296,7 +297,7 @@ class TestSumProduct:
             code = gen_parity_check(n, m, 3, seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
-            priors = priors_from_joint(joint, y, "direct")
+            priors = priors_from_joint(joint, y)
             res = sp_decode(code, syn, priors)
             if not res.converged:
                 continue
@@ -315,7 +316,7 @@ class TestSumProduct:
             code = gen_parity_check(n, m, 3, seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
-            priors = priors_from_joint(joint, y, "direct")
+            priors = priors_from_joint(joint, y)
             res = sp_decode(code, syn, priors)
             if not res.converged:
                 continue
@@ -365,12 +366,12 @@ class TestSumProductSegments:
     def test_one_check_over_every_variable(self, rng):
         n, p = 2000, 0.03
         joint = JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
-        m = int(np.ceil(n * required_syndrome_rate(joint, "direct", 0.2)))
+        m = int(np.ceil(n * required_syndrome_rate(joint, 0.2)))
         base = gen_parity_check(n, m, 3, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         code = _explicit_code(supports + [range(n)], n)
         x, y = sample_pair(joint, n, rng)
-        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y, "direct"))
+        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
         assert res.converged and np.array_equal(res.bits, x)
 
     def test_exact_half_priors_converge(self, rng):
@@ -389,7 +390,7 @@ class TestSumProductSegments:
             code = gen_parity_check(n, int(np.ceil(n * 0.8)), 3, seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
-            priors = priors_from_joint(joint, y, "direct")
+            priors = priors_from_joint(joint, y)
             priors[::7] = 0.5
             res = sp_decode(code, syn, priors)
             if not res.converged:
@@ -409,20 +410,20 @@ class TestSumProductSegments:
 class TestSyndromeRate:
     def test_noiseless_needs_only_margin(self):
         ident = JointDistribution(np.diag([0.5, 0.5]))
-        assert required_syndrome_rate(ident, "direct", 0.05) == pytest.approx(0.05)
+        assert required_syndrome_rate(ident, 0.05) == pytest.approx(0.05)
 
     def test_damping_value(self):
-        got = required_syndrome_rate(damping_joint(0.5), "direct", 0.1)
+        got = required_syndrome_rate(damping_joint(0.5), 0.1)
         assert got == pytest.approx(0.6887218755408671 + 0.1, abs=1e-12)
 
     def test_symmetric_crossover(self):
         joint = JointDistribution([[0.375, 0.125], [0.125, 0.375]])  # crossover 0.25
-        got = required_syndrome_rate(joint, "direct", 0.02)
+        got = required_syndrome_rate(joint, 0.02)
         assert got == pytest.approx(binary_entropy(0.25) + 0.02, abs=1e-12)
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ValueError):
-            required_syndrome_rate(damping_joint(0.3), "direct", 0.0)
+            required_syndrome_rate(damping_joint(0.3), 0.0)
 
 
 class TestConventionalFloorSeparation:
@@ -442,7 +443,7 @@ class TestConventionalFloorSeparation:
         for _ in range(6):
             x, y = sample_pair(joint, n, rng)
             res = sp_decode(
-                code, syndrome(code, x), priors_from_joint(joint, y, "direct"), max_iter=200
+                code, syndrome(code, x), priors_from_joint(joint, y), max_iter=200
             )
             wins += res.converged and np.array_equal(res.bits, x)
         assert wins >= 5
@@ -457,10 +458,10 @@ class TestReverseMapVsMl:
         x = np.array([0, 0, 1, 1, 0, 1, 0, 1], np.uint8)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 0], np.uint8)
         syn = syndrome(code, y)
-        priors_map = priors_from_joint(joint, x, "reverse")
+        priors_map = priors_from_joint(key_joint(joint.table, "reverse"), x)
         got_map = map_decode_bruteforce(code, syn, priors_map)
         # likelihood-only decoding scores candidates by P(x_j | yhat_j)
-        cxy = joint.cond_x_given_y()
+        cxy = joint.conditional()
         priors_ml = cxy[x, :]
         got_ml = map_decode_bruteforce(code, syn, priors_ml)
         assert np.array_equal(got_map, y)

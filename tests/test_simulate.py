@@ -247,6 +247,22 @@ class TestRunProtocol:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED_REPORTS = json.loads((ROOT / "tests" / "data" / "canonical_reports.json").read_text())
+PINNED_CHANNELS = {"damping-0.1": make_amplitude_damping(0.1), "rotation-1.4": make_rotation(1.4)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_canonical_report_matches_pinned_text(name):
+    """Default-seed reports at 20,000 signals, pinned as text: any change to
+    one of them is a change of result, not of form."""
+    protocol, direction, channel = name.split("-", 2)
+    cfg = ProtocolConfig(
+        protocol=protocol,
+        direction=direction,
+        channel=PINNED_CHANNELS[channel],
+        n_signals=20_000,
+    )
+    assert run_protocol(cfg).canonical_text() == PINNED_REPORTS[name]
 
 
 def _benchmark_tracing():
