@@ -337,40 +337,67 @@ def write_alist(matrix: ParityCheckMatrix, path) -> None:
             )
 
 
+def _column_checks(tokens: list[str], m: int) -> list[int]:
+    """The 0-based checks of one alist column line, ascending; raises on a bad line."""
+    # 0 pads a column to the maximum weight
+    ids = [int(v) for v in tokens]
+    if min(ids, default=0) < 0:
+        raise ValueError(f"negative check index {min(ids)}")
+    rows = sorted(v - 1 for v in ids if v)
+    if rows and rows[-1] >= m:
+        raise ValueError(f"check index {rows[-1] + 1} above m={m}")
+    if repeated := [a + 1 for a, b in zip(rows, rows[1:]) if a == b]:
+        raise ValueError(f"check index {repeated[0]} repeated in one column")
+    return rows
+
+
 def read_alist(path) -> ParityCheckMatrix:
-    """Parse an alist file; malformed input raises ValueError naming the line."""
+    """Parse an alist file; malformed input raises ValueError naming the line.
+
+    The column lines are parsed and checked as one array; a bad file is then
+    read line by line with :func:`_column_checks` to name its first bad line.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        lines = [(k, line.split()) for k, line in enumerate(f, start=1) if line.strip()]
-    if not lines:
+        lines = f.read().split("\n")
+    # alist fields count nonblank lines only
+    nonblank = [k for k, line in enumerate(lines, start=1) if line.strip()]
+    if not nonblank:
         raise ValueError("empty alist file")
-    cols = []
     try:
-        lineno, tokens = lines[0]
-        n, m = (int(v) for v in tokens)
+        lineno = nonblank[0]
+        n, m = (int(v) for v in lines[lineno - 1].split())
         if n < 1 or m < 1:
             raise ValueError(f"sizes n={n} m={m} must be positive")
         # line 4 lists the m row weights, so a file bounds its own m
-        lineno, tokens = lines[3] if len(lines) > 3 else (lines[-1][0], [])
-        if len(tokens) != m:
-            raise ValueError(f"expected m={m} row weights, got {len(tokens)}")
-        for lineno, tokens in lines[4 : 4 + n]:
+        lineno = nonblank[min(3, len(nonblank) - 1)]
+        weights = lines[lineno - 1].split() if len(nonblank) > 3 else []
+        if len(weights) != m:
+            raise ValueError(f"expected m={m} row weights, got {len(weights)}")
+        col_linenos = nonblank[4 : 4 + n]
+        columns = [lines[k - 1] for k in col_linenos]
+        try:
+            ids = np.array(" ".join(columns).split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            first = 0  # a token int() rejects, or one beyond int64
+        else:
+            per_line = [len(line.split()) for line in columns]
             # 0 pads a column to the maximum weight
-            ids = [int(v) for v in tokens]
-            if min(ids, default=0) < 0:
-                raise ValueError(f"negative check index {min(ids)}")
-            rows = sorted(v - 1 for v in ids if v)
-            if rows and rows[-1] >= m:
-                raise ValueError(f"check index {rows[-1] + 1} above m={m}")
-            if repeated := [a + 1 for a, b in zip(rows, rows[1:]) if a == b]:
-                raise ValueError(f"check index {repeated[0]} repeated in one column")
-            cols.append(rows)
+            col = np.repeat(np.arange(len(columns)), per_line)[ids != 0]
+            row = ids[ids != 0] - 1
+            # a stable sort by check keeps each check's columns ascending, so a
+            # check repeated in one column lands on adjacent edges
+            order = np.argsort(row, kind="stable")
+            col, row = col[order], row[order]
+            wrong = (row < 0) | (row >= m)
+            wrong[1:] |= (row[1:] == row[:-1]) & (col[1:] == col[:-1])
+            # every line before the first wrong edge's passes the line check
+            first = int(col[wrong].min()) if wrong.any() else len(columns)
+        for lineno, line in zip(col_linenos[first:], columns[first:]):
+            _column_checks(line.split(), m)
     except ValueError as exc:
         raise ValueError(f"alist line {lineno}: {exc}") from None
-    if len(cols) < n:
-        raise ValueError(f"alist ends at line {lines[-1][0]}, before column {len(cols) + 1} of {n}")
-    evar = np.concatenate([np.full(len(c), j, np.int64) for j, c in enumerate(cols)])
-    echk = np.concatenate([np.asarray(c, np.int64) for c in cols])
-    order = np.argsort(echk, kind="stable")
-    echk_sorted = echk[order]
-    chk_ptr = np.searchsorted(echk_sorted, np.arange(m + 1)).astype(np.int64)
-    return ParityCheckMatrix(n, m, chk_ptr, evar[order])
+    if len(columns) < n:
+        raise ValueError(
+            f"alist ends at line {nonblank[-1]}, before column {len(columns) + 1} of {n}"
+        )
+    return ParityCheckMatrix(n, m, np.searchsorted(row, np.arange(m + 1)), col)

@@ -147,11 +147,21 @@ def load_config(path) -> ProtocolConfig:
         return parse_config(f.read())
 
 
+# Signals per draw call: each chunk allocates a few int64 / float64 arrays
+# of this length, and consecutive draws continue one stream unchanged.
+EXCHANGE_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class ExchangeResult:
     tally: TallyTable
     x_key: np.ndarray
     y_key: np.ndarray
+
+
+def _chunks(n: int):
+    for start in range(0, n, EXCHANGE_CHUNK):
+        yield start, min(start + EXCHANGE_CHUNK, n)
 
 
 def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
@@ -161,27 +171,49 @@ def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
     ``estimation_fraction`` of the signals feeds the tally (all basis pairs);
     of the remainder only the configured key basis pair is kept, as aligned
     (x, y) sequences.
+
+    Stream contract: a ``default_rng(seed_channel)`` draws n int64 values of
+    Alice's bits, then n of Alice's bases, then n of Bob's bases, then n
+    uniforms that decide Bob's bits.  Each is drawn in chunks of
+    ``EXCHANGE_CHUNK``; consecutive draws continue the same stream, so the
+    values do not depend on the chunk size.  The three integer draws are
+    kept as one uint8 cell per signal, (Alice basis, Bob basis, x), so the
+    exchange holds O(n) bytes.
     """
     rng = np.random.default_rng(config.seed_channel)
     bases = config.bases
     nb = len(bases)
     n = config.n_signals
-    abit = rng.integers(0, 2, size=n)
-    abas = rng.integers(0, nb, size=n)
-    bbas = rng.integers(0, nb, size=n)
-    # P(y = 1 | a, x, b), indexed [a, x, b]; the factor 2 undoes P(x) = 1/2 exactly
-    p1 = 2.0 * joint_tables(config.channel, bases)[..., 1].transpose(0, 2, 1)
-    ybit = (rng.random(n) < p1[abas, abit, bbas]).astype(np.int64)
+    # cell = (a * nb + b) * 2 + x, the tally's index without Bob's bit
+    cell = np.zeros(n, np.uint8)
+    for high, weight in ((2, 1), (nb, 2 * nb), (nb, 2)):  # x, then a, then b
+        for start, stop in _chunks(n):
+            # the int64 draw keeps the stream; a uint8 draw would pack the words
+            draw = rng.integers(0, high, size=stop - start).astype(np.uint8)
+            cell[start:stop] += draw * weight
+    # P(y = 1 | cell); the factor 2 undoes P(x) = 1/2 exactly
+    p1 = 2.0 * joint_tables(config.channel, bases)[..., 1].reshape(-1)
 
     n_est = int(round(n * config.estimation_fraction))
-    est = np.arange(n) < n_est
-    flat = ((abas * nb + bbas) * 2 + abit) * 2 + ybit
-    counts = np.bincount(flat[est], minlength=nb * nb * 4).reshape(nb, nb, 2, 2)
-    tally = TallyTable(counts, bases)
-
     ia_key, ib_key = (bases.index(b) for b in key_bases(config.direction))
-    mask = (~est) & (abas == ia_key) & (bbas == ib_key)
-    return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
+    key_pair = ia_key * nb + ib_key
+    counts = np.zeros(nb * nb * 4, np.int64)
+    x_parts, y_parts = [np.zeros(0, np.uint8)], [np.zeros(0, np.uint8)]
+    for start, stop in _chunks(n):
+        u = rng.random(stop - start)
+        split = min(max(n_est - start, 0), stop - start)
+        if split:
+            est = cell[start : start + split]
+            flat = 2 * est + (u[:split] < p1[est])
+            counts += np.bincount(flat, minlength=counts.size)
+        if split < stop - start:
+            tail = cell[start + split : stop]
+            pos = np.flatnonzero(tail >> 1 == key_pair)
+            key = tail[pos]
+            x_parts.append(key & 1)
+            y_parts.append((u[split:][pos] < p1[key]).astype(np.uint8))
+    tally = TallyTable(counts.reshape(nb, nb, 2, 2), bases)
+    return ExchangeResult(tally, np.concatenate(x_parts), np.concatenate(y_parts))
 
 
 @dataclass(frozen=True)
@@ -295,6 +327,8 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
         return report("nonpositive_rate")
 
     m = int(np.ceil(n_key * required_syndrome_rate(joint, config.margin)))
+    # a code needs ldpc_col_weight checks at least; the extra ones are disclosed too
+    m = max(m, config.ldpc_col_weight)
     if m >= n_key:
         return report("syndrome_rate_full")
     syn_rate = m / n_key

@@ -4,11 +4,14 @@ import pytest
 from qkdpost.channels import (
     AffineChannel,
     PauliProbs,
+    joint_tables,
     make_amplitude_damping,
     make_pauli,
     make_rotation,
 )
-from qkdpost.simulate import ProtocolConfig, simulate_exchange
+from qkdpost.keyrate import key_bases
+from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
+from qkdpost.tomography import TallyTable
 
 
 def random_rotation_matrix(rng):
@@ -200,6 +203,76 @@ def completions_of_omega(ch, interval, rng, count):
         t = mu * (lam * ch.t + (1 - lam) * partner.t) + (1 - mu) * reduced.t
         out.append(AffineChannel(r, t))
     return out
+
+
+def exchange_oracle(config):
+    """The exchange written as full-length arrays: the stream oracle.
+
+    Draws n of Alice's bits, n of Alice's bases, n of Bob's bases and n
+    uniforms from ``default_rng(seed_channel)``, each in one call, and keeps
+    every intermediate at length n.
+    """
+    rng = np.random.default_rng(config.seed_channel)
+    bases = config.bases
+    nb = len(bases)
+    n = config.n_signals
+    abit = rng.integers(0, 2, size=n)
+    abas = rng.integers(0, nb, size=n)
+    bbas = rng.integers(0, nb, size=n)
+    # P(y = 1 | a, x, b), indexed [a, x, b]; the factor 2 undoes P(x) = 1/2 exactly
+    p1 = 2.0 * joint_tables(config.channel, bases)[..., 1].transpose(0, 2, 1)
+    ybit = (rng.random(n) < p1[abas, abit, bbas]).astype(np.int64)
+
+    n_est = int(round(n * config.estimation_fraction))
+    est = np.arange(n) < n_est
+    flat = ((abas * nb + bbas) * 2 + abit) * 2 + ybit
+    counts = np.bincount(flat[est], minlength=nb * nb * 4).reshape(nb, nb, 2, 2)
+    tally = TallyTable(counts, bases)
+
+    ia_key, ib_key = (bases.index(b) for b in key_bases(config.direction))
+    mask = (~est) & (abas == ia_key) & (bbas == ib_key)
+    return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
+
+
+def alist_oracle(path):
+    """An alist reader that parses and checks one column line at a time.
+
+    Returns (n, m, chk_ptr, chk_vars), or raises ValueError naming the line.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [(k, line.split()) for k, line in enumerate(f, start=1) if line.strip()]
+    if not lines:
+        raise ValueError("empty alist file")
+    cols = []
+    try:
+        lineno, tokens = lines[0]
+        n, m = (int(v) for v in tokens)
+        if n < 1 or m < 1:
+            raise ValueError(f"sizes n={n} m={m} must be positive")
+        lineno, tokens = lines[3] if len(lines) > 3 else (lines[-1][0], [])
+        if len(tokens) != m:
+            raise ValueError(f"expected m={m} row weights, got {len(tokens)}")
+        for lineno, tokens in lines[4 : 4 + n]:
+            ids = [int(v) for v in tokens]
+            if min(ids, default=0) < 0:
+                raise ValueError(f"negative check index {min(ids)}")
+            rows = sorted(v - 1 for v in ids if v)
+            if rows and rows[-1] >= m:
+                raise ValueError(f"check index {rows[-1] + 1} above m={m}")
+            if repeated := [a + 1 for a, b in zip(rows, rows[1:]) if a == b]:
+                raise ValueError(f"check index {repeated[0]} repeated in one column")
+            cols.append(rows)
+    except ValueError as exc:
+        raise ValueError(f"alist line {lineno}: {exc}") from None
+    if len(cols) < n:
+        raise ValueError(f"alist ends at line {lines[-1][0]}, before column {len(cols) + 1} of {n}")
+    checks = [[] for _ in range(m)]
+    for j, rows in enumerate(cols):
+        for i in rows:
+            checks[i].append(j)
+    chk_ptr = np.cumsum([0] + [len(c) for c in checks])
+    chk_vars = np.array([j for c in checks for j in c], dtype=np.int64)
+    return n, m, chk_ptr, chk_vars
 
 
 def pool_tally(channel, seed=1001):

@@ -179,6 +179,41 @@ def test_simulate_builds_a_code_with_m_equal_to_the_column_weight(tmp_path, caps
     assert "keys_equal=true" in capsys.readouterr().out
 
 
+# a short run whose estimation sample sees no error in the key basis pair, so
+# the syndrome rate is about the margin alone
+SPARSE_SYNDROME_CONFIG = (
+    "protocol={protocol}\nchannel=kind=rotation theta=0.2\nn_signals=2000\n"
+    "estimation_fraction=0.05\nmargin=0.01\nseed_channel={seed}\n"
+)
+
+
+def _report_fields(text):
+    return dict(line.split("=", 1) for line in text.splitlines() if not line.startswith("#"))
+
+
+def test_simulate_floors_the_check_count_at_the_column_weight(tmp_path, capsys):
+    # ceil(n_key * rate) = 2 checks here, below the column weight 3: the run
+    # builds a code with 3 checks and discloses all three
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(SPARSE_SYNDROME_CONFIG.format(protocol="sixstate", seed=5))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    report = _report_fields(capsys.readouterr().out)
+    assert float(report["syndrome_rate"]) == 3 / int(report["n_key"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="success does not yet imply equal keys: no error verification after decoding",
+)
+def test_successful_run_has_equal_keys(tmp_path, capsys):
+    # the decoder meets the 5-check syndrome with a wrong word after one sweep
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(SPARSE_SYNDROME_CONFIG.format(protocol="bb84", seed=0))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    report = _report_fields(capsys.readouterr().out)
+    assert report["abort_reason"] != "none" or report["keys_equal"] == "true"
+
+
 def test_usage_error_exit_code():
     assert main(["rates", "--channel-family", "amplitude_damping"]) == 1
     assert main(["bogus-command"]) == 1

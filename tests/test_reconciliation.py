@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from qkdpost.reconciliation import (
     syndrome,
     write_alist,
 )
+
+from conftest import alist_oracle
 
 
 def damping_joint(p):
@@ -171,6 +175,51 @@ class TestAlist:
         assert np.array_equal(back.chk_vars, code.chk_vars)
         write_alist(gen_parity_check(12, 6, 3, seed=1), path)
         assert path.read_text() == SMALL_ALIST
+
+    def test_round_trip_at_scale(self, tmp_path):
+        # 10^5 columns, 2.96 * 10^5 edges: the reader parses columns as one array
+        code = gen_parity_check(100_000, 20_000, 3, seed=4)
+        path = tmp_path / "code.alist"
+        write_alist(code, path)
+        back = read_alist(path)
+        assert back.n == code.n and back.m == code.m
+        assert np.array_equal(back.chk_ptr, code.chk_ptr)
+        assert np.array_equal(back.chk_vars, code.chk_vars)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reader_matches_the_line_by_line_oracle(self, tmp_path, seed):
+        # small codes with up to three token edits each: bad integers, numbers
+        # beyond int64, negative, zero, repeated or out-of-range checks, and
+        # blank or split lines; the outcome and any message must agree
+        rng = random.Random(seed)
+        edits = ["0", "1", "2", "3", "-1", "7", "9" * 25, "x", "1.5", "+2", "", " ", "\n"]
+        path = tmp_path / "code.alist"
+        outcomes = set()
+        for trial in range(100):
+            m = rng.randint(2, 5)
+            write_alist(gen_parity_check(m + rng.randint(1, 5), m, 2, seed=trial), path)
+            chars = list(path.read_text())
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randrange(len(chars))
+                if rng.random() < 0.5:
+                    chars[k] = rng.choice(edits)
+                else:
+                    chars.insert(k, rng.choice(edits) + " ")
+            path.write_text("".join(chars))
+            try:
+                want = alist_oracle(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    read_alist(path)
+                assert str(got.value) == str(exc)
+                outcomes.add("error")
+                continue
+            back = read_alist(path)
+            assert (back.n, back.m) == want[:2]
+            assert np.array_equal(back.chk_ptr, want[2])
+            assert np.array_equal(back.chk_vars, want[3])
+            outcomes.add("parsed")
+        assert outcomes == {"error", "parsed"}
 
     def test_round_trip_keeps_an_empty_column(self, tmp_path):
         code = _explicit_code([{0}, {2}], 3)

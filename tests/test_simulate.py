@@ -2,14 +2,22 @@ import importlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkdpost.channels import make_amplitude_damping, make_identity, make_rotation
-from qkdpost.keyrate import closed_form_example_rates
+from qkdpost.channels import (
+    PauliProbs,
+    make_amplitude_damping,
+    make_identity,
+    make_pauli,
+    make_rotation,
+)
+from qkdpost.keyrate import DIRECTIONS, closed_form_example_rates
 from qkdpost.simulate import (
+    EXCHANGE_CHUNK,
     SWEEP_COLUMNS,
     ProtocolConfig,
     load_config,
@@ -18,6 +26,8 @@ from qkdpost.simulate import (
     simulate_exchange,
     sweep_rates,
 )
+
+from conftest import exchange_oracle
 
 
 class TestConfig:
@@ -130,6 +140,62 @@ class TestExchange:
         assert ex.tally.counts.sum() == 10_000
         # remaining z/z pairs: ~ 30000 / 4
         assert abs(ex.x_key.size - 7_500) < 500
+
+
+C = EXCHANGE_CHUNK
+# (n_signals, estimation_fraction): odd n, n at the chunk size and one off it,
+# the estimation prefix ending one before, at and one after a chunk boundary
+EXCHANGE_SIZES = (
+    (1001, 0.05),
+    (20_001, 0.5),
+    (20_001, 0.97),
+    (C - 1, 0.5),
+    (C, 0.05),
+    (C + 1, 0.97),
+    (2 * C, (C - 1) / (2 * C)),
+    (2 * C, 0.5),
+    (2 * C, (C + 1) / (2 * C)),
+    (3 * C + 7, 0.97),
+)
+EXCHANGE_CHANNELS = {
+    "damping": make_amplitude_damping(0.2),
+    "rotation": make_rotation(0.7),
+    "pauli": make_pauli(PauliProbs(0.85, 0.05, 0.06, 0.04)),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(EXCHANGE_CHANNELS))
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
+def test_exchange_draws_the_oracle_stream(protocol, direction, channel):
+    """The chunked exchange gives the tally and keys of the full-length oracle."""
+    for k, (n, fraction) in enumerate(EXCHANGE_SIZES):
+        for seed in (k, 100 + k):
+            cfg = ProtocolConfig(
+                protocol=protocol,
+                direction=direction,
+                channel=EXCHANGE_CHANNELS[channel],
+                n_signals=n,
+                estimation_fraction=fraction,
+                seed_channel=seed,
+            )
+            got, want = simulate_exchange(cfg), exchange_oracle(cfg)
+            assert np.array_equal(got.tally.counts, want.tally.counts), (n, fraction, seed)
+            for a, b in ((got.x_key, want.x_key), (got.y_key, want.y_key)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, fraction, seed)
+
+
+def test_exchange_memory_is_bytes_per_signal():
+    # one uint8 cell per signal plus chunk-sized temporaries: about 1.5 MiB
+    # here, against 43 MiB for the full-length oracle
+    cfg = ProtocolConfig(protocol="bb84", channel=make_amplitude_damping(0.1), n_signals=10**6)
+    tracemalloc.start()
+    try:
+        simulate_exchange(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestRunProtocol:
