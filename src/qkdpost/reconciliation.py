@@ -25,6 +25,11 @@ from .entropy import JointDistribution, cond_entropy
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
 BRUTE_FORCE_MAX_N = 24
+# sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
+# most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, which a
+# code of fewer than 2 * GROUP_EDGES edges does not earn back in saved sweeps
+GROUP_EDGES = 6_000
+MAX_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -123,12 +128,16 @@ def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Pari
 
 
 def _check_parity(chk_ptr: np.ndarray, edge_bits: np.ndarray) -> np.ndarray:
-    """Parity of each check's edge bits, uint8 of length m.
+    """Parity of each check's edge bits, uint8 of length len(chk_ptr) - 1.
 
-    ``edge_bits`` is in check-grouped edge order with one sentinel entry
-    appended, so ``reduceat`` over all m + 1 pointers reduces exactly each
-    check's own edges, the last check's included; an empty check would read
-    its successor's first bit instead, so its parity is set to 0.
+    ``chk_ptr`` bounds a run of consecutive checks, counted from the start
+    of ``edge_bits``, which holds the run's edge bits in check-grouped order
+    and one entry more: the next check's first bit, or a sentinel.
+    ``reduceat`` over all the pointers then reduces exactly each check's own
+    edges, the last check's included, and the extra entry's segment is
+    dropped; an empty check would read its successor's first bit instead,
+    so its parity is set to 0.  :func:`syndrome` passes every check of the
+    matrix, and :func:`sp_decode` its two syndrome-test runs in group order.
     """
     par = np.bitwise_xor.reduceat(edge_bits, chk_ptr)[:-1] & 1
     par[chk_ptr[:-1] == chk_ptr[1:]] = 0
@@ -168,6 +177,11 @@ class DecodeResult:
     iterations: int
 
 
+def _group_count(num_edges: int) -> int:
+    """Check groups per sweep: one below 2 * GROUP_EDGES edges, at most MAX_GROUPS."""
+    return max(1, min(MAX_GROUPS, num_edges // GROUP_EDGES))
+
+
 def sp_decode(
     matrix: ParityCheckMatrix,
     syn: np.ndarray,
@@ -176,15 +190,25 @@ def sp_decode(
 ) -> DecodeResult:
     """Sum-product decoding of the coset selected by ``syn``.
 
-    Flooding schedule, log-likelihood messages clamped to +/-30, tanh-rule
-    check updates with the sign of check k flipped when syn[k] = 1.  Each
-    check multiplies its factors tanh(v/2) in one segmented product, and an
+    Group-serial schedule: check i belongs to group i mod G, and a sweep
+    updates the groups in turn, each from the variable totals the groups
+    before it left, so a sweep passes information along the checks and
+    fewer sweeps are needed than with flooding.  G = min(MAX_GROUPS,
+    E // GROUP_EDGES), at least 1, for a code of E edges: each group costs a
+    fixed number of numpy calls, which short codes do not repay, and at
+    G = 1 the sweep is a flooding sweep.  A variable may sit in several
+    checks of one group; those checks read the same total, as in flooding.
+
+    Log-likelihood messages are clamped to +/-30, and the tanh-rule check
+    update flips the sign of check k when syn[k] = 1.  Each check
+    multiplies its factors tanh(v/2) in one segmented product, and an
     edge's message divides its own factor back out; an exact zero factor is
     floored at 1e-300, which keeps that edge's message exact and sends about
-    0 to the check's other edges.  Success means the running hard decision
-    reproduced the syndrome before ``max_iter`` sweeps; a False flag means
-    the caller must abort or retry, the returned bits are then only
-    diagnostic.
+    0 to the check's other edges.  Totals and messages are held as half
+    LLRs, which is exact.  Success means the hard decision at the end of a
+    sweep reproduced the syndrome before ``max_iter`` sweeps; ``iterations``
+    counts whole sweeps.  A False flag means the caller must abort or
+    retry, the returned bits are then only diagnostic.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -193,41 +217,88 @@ def sp_decode(
         raise ValueError(f"syndrome length {syn.shape} does not match m={matrix.m}")
     if priors.shape != (matrix.n, 2):
         raise ValueError(f"priors must have shape ({matrix.n}, 2)")
-    # edges are grouped by check, plus one sentinel edge on a dummy variable n
-    # in a dummy check m that keeps every reduceat segment inside its check
-    # (see _check_parity); llr > 0 means bit 0 is more likely
-    n, chk_ptr = matrix.n, matrix.chk_ptr
-    var = np.append(matrix.chk_vars, n)
-    row_weights = np.append(matrix.row_weights(), 1)
-    sgn_syn = np.append(1.0 - 2.0 * syn, 1.0)
-    prior = np.append(_prior_llrs(priors), 0.0)
+    n, m = matrix.n, matrix.m
+    chk_ptr, chk_vars, row_weights = matrix.chk_ptr, matrix.chk_vars, matrix.row_weights()
+    count = _group_count(matrix.num_edges)
+    # group g holds the relabelled checks first[g]:first[g + 1]
+    first = np.cumsum([0] + [len(range(g, m, count)) for g in range(count)]).tolist()
+    if count > 1:
+        # relabel the checks in group order, and their edges with them, in
+        # O(m + E) without a sort; each check keeps its variables ascending
+        order = np.concatenate([np.arange(g, m, count) for g in range(count)])
+        row_weights = row_weights[order]
+        chk_ptr = np.zeros(m + 1, np.int64)
+        np.cumsum(row_weights, out=chk_ptr[1:])
+        edges = np.repeat(matrix.chk_ptr[order] - chk_ptr[:-1], row_weights)
+        edges += np.arange(matrix.num_edges)
+        chk_vars = chk_vars[edges]
+        syn = syn[order]
+    sgn_syn = 1.0 - 2.0 * syn
+    # every total and message is held as half its LLR, the argument tanh
+    # takes; halving is exact, so the clamps and signs are those of full
+    # LLRs.  llr > 0 means bit 0 is more likely.
+    half = 0.5 * LLR_CLAMP
+    prior = 0.5 * _prior_llrs(priors)
+    tot = prior.copy()
     # ``th`` is updated in place across sweeps, which spares the page faults
-    # of fresh edge-sized arrays: it holds tot[var], then the clamped
-    # variable-to-check message, then its tanh.  take(mode="clip") writes
-    # ``out`` directly, where the default mode buffers it; every index is in
-    # range anyway.
-    th = prior[var]
-    cv = np.zeros(var.shape[0])
+    # of fresh edge-sized arrays: it holds tot[chk_vars], then the clamped
+    # variable-to-check message, then its tanh.  Its sentinel entry, 0 after
+    # the last edge, keeps _check_parity's last segment inside the last
+    # check.  take(mode="clip") writes ``out`` directly, where the default
+    # mode buffers it; every index is in range anyway.
+    th = np.append(prior[chk_vars], 0.0)
+    # the groups that have edges, as (first check, end check, first edge,
+    # end edge); each keeps its views of th and chk_vars, and the starts,
+    # weights and signs of its non-empty checks: reduceat reads each start
+    # up to the next, the last one up to the end of the view, and an empty
+    # check sends nothing
+    spans = [
+        (c0, c1, int(chk_ptr[c0]), int(chk_ptr[c1]))
+        for c0, c1 in zip(first[:-1], first[1:])
+        if chk_ptr[c0] < chk_ptr[c1]
+    ]
+    layout = []
+    for c0, c1, a, b in spans:
+        full = row_weights[c0:c1] > 0
+        starts = chk_ptr[c0:c1][full] - a
+        layout.append((th[a:b], chk_vars[a:b], starts, row_weights[c0:c1][full], sgn_syn[c0:c1][full]))
+    cv = [np.zeros(b - a) for _, _, a, b in spans]
+    # the syndrome test gathers and reads the checks up to the end of the
+    # first group first, where most failing sweeps already fail, and the
+    # rest only if those hold; that first gather starts the next sweep
+    split = spans[0][1] if spans else m
+    tests = []
+    for c0, c1 in ((0, split), (split, m)):
+        a, b = int(chk_ptr[c0]), int(chk_ptr[c1])
+        if c0 < c1:
+            tests.append((th[a:b], chk_vars[a:b], th[a : b + 1], chk_ptr[c0 : c1 + 1] - a, syn[c0:c1]))
     for it in range(1, max_iter + 1):
-        th -= cv
-        np.clip(th, -LLR_CLAMP, LLR_CLAMP, out=th)
-        th *= 0.5
-        np.tanh(th, out=th)
-        th[th == 0.0] = 1e-300
-        prod = np.multiply.reduceat(th, chk_ptr) * sgn_syn
-        cv = np.repeat(prod, row_weights)
-        cv /= th
-        np.clip(cv, -1 + 1e-15, 1 - 1e-15, out=cv)
-        np.arctanh(cv, out=cv)
-        cv *= 2.0
-        np.clip(cv, -LLR_CLAMP, LLR_CLAMP, out=cv)
-        tot = prior + np.bincount(var, weights=cv, minlength=n + 1)
-        # the next sweep starts from this gather, and its signs are the
-        # running hard decision on every edge
-        np.take(tot, var, out=th, mode="clip")
-        if np.array_equal(_check_parity(chk_ptr, (th < 0.0).view(np.uint8)), syn):
-            return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
-    return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
+        for g, (t, v, starts, weights, sgn) in enumerate(layout):
+            if g:
+                np.take(tot, v, out=t, mode="clip")
+            t -= cv[g]
+            np.clip(t, -half, half, out=t)
+            np.tanh(t, out=t)
+            t[t == 0.0] = 1e-300
+            msg = np.repeat(np.multiply.reduceat(t, starts) * sgn, weights)
+            msg /= t
+            np.clip(msg, -1 + 1e-15, 1 - 1e-15, out=msg)
+            np.arctanh(msg, out=msg)
+            np.clip(msg, -half, half, out=msg)
+            # one group sums its messages afresh, exactly as flooding does;
+            # with more, each group adds the change of its own messages
+            if len(layout) == 1:
+                tot = prior + np.bincount(v, weights=msg, minlength=n)
+            else:
+                np.add.at(tot, v, msg - cv[g])
+            cv[g] = msg
+        for t, v, signs, ptr, syn_part in tests:
+            np.take(tot, v, out=t, mode="clip")
+            if not np.array_equal(_check_parity(ptr, (signs < 0.0).view(np.uint8)), syn_part):
+                break
+        else:
+            return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
+    return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from qkdpost.channels import (
     make_rotation,
 )
 from qkdpost.keyrate import key_bases
+from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _check_parity, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import TallyTable
 
@@ -232,6 +233,41 @@ def exchange_oracle(config):
     ia_key, ib_key = (bases.index(b) for b in key_bases(config.direction))
     mask = (~est) & (abas == ia_key) & (bbas == ib_key)
     return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
+
+
+def flooding_oracle(matrix, syn, priors, max_iter=100):
+    """Sum-product decoding on the flooding schedule: the schedule oracle.
+
+    Every check updates from the same variable totals in each sweep, and the
+    totals are summed afresh from the prior and all messages.  ``sp_decode``
+    must return exactly this on a code of one check group.
+    """
+    syn = np.asarray(syn, dtype=np.uint8)
+    n, chk_ptr = matrix.n, matrix.chk_ptr
+    var = np.append(matrix.chk_vars, n)
+    row_weights = np.append(matrix.row_weights(), 1)
+    sgn_syn = np.append(1.0 - 2.0 * syn, 1.0)
+    prior = np.append(_prior_llrs(priors), 0.0)
+    th = prior[var]
+    cv = np.zeros(var.shape[0])
+    for it in range(1, max_iter + 1):
+        th -= cv
+        np.clip(th, -LLR_CLAMP, LLR_CLAMP, out=th)
+        th *= 0.5
+        np.tanh(th, out=th)
+        th[th == 0.0] = 1e-300
+        prod = np.multiply.reduceat(th, chk_ptr) * sgn_syn
+        cv = np.repeat(prod, row_weights)
+        cv /= th
+        np.clip(cv, -1 + 1e-15, 1 - 1e-15, out=cv)
+        np.arctanh(cv, out=cv)
+        cv *= 2.0
+        np.clip(cv, -LLR_CLAMP, LLR_CLAMP, out=cv)
+        tot = prior + np.bincount(var, weights=cv, minlength=n + 1)
+        np.take(tot, var, out=th, mode="clip")
+        if np.array_equal(_check_parity(chk_ptr, (th < 0.0).view(np.uint8)), syn):
+            return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
+    return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
 
 
 def alist_oracle(path):

@@ -4,7 +4,16 @@ import pytest
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
 from qkdpost.entropy import JointDistribution
-from qkdpost.reconciliation import gen_parity_check, syndrome, write_alist
+from qkdpost.reconciliation import (
+    ParityCheckMatrix,
+    _group_count,
+    gen_parity_check,
+    priors_from_joint,
+    required_syndrome_rate,
+    sp_decode,
+    syndrome,
+    write_alist,
+)
 from qkdpost.tomography import SIXSTATE_BASES, exact_tally
 
 
@@ -133,6 +142,38 @@ def test_decode_command(tmp_path, capsys):
     argv = ["decode", "--matrix", str(mpath), "--syndrome", str(spath), "--observed", str(opath)]
     assert main(argv + ["--channel", str(cpath)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "".join(str(int(b)) for b in x)
+
+
+def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
+    """An alist code with its checks and columns in no particular order, large
+    enough for the decoder to split its checks into groups: the command
+    decodes exactly as the library does."""
+    n = 12_000
+    joint = JointDistribution(joint_distribution(make_amplitude_damping(0.1), Basis.Z, Basis.Z))
+    m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+    base = gen_parity_check(n, m, 3, seed=23)
+    rng = np.random.default_rng(6)
+    # shuffled checks and columns leave no staircase in place
+    rows = rng.permutation(m)[np.repeat(np.arange(m), base.row_weights())]
+    cols = rng.permutation(n)[base.chk_vars]
+    order = np.lexsort((cols, rows))
+    code = ParityCheckMatrix(n, m, np.searchsorted(rows[order], np.arange(m + 1)), cols[order])
+    assert _group_count(code.num_edges) >= 2
+    flat = rng.choice(4, size=n, p=joint.table.ravel())
+    x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
+    want = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+    assert want.converged and np.array_equal(want.bits, x)
+
+    mpath, spath, opath = tmp_path / "code.alist", tmp_path / "syn.bits", tmp_path / "obs.bits"
+    cpath, out = tmp_path / "damp.ch", tmp_path / "decoded.bits"
+    write_alist(code, mpath)
+    write_bits(spath, syndrome(code, x))
+    write_bits(opath, y)
+    cpath.write_text("kind=amplitude_damping p=0.1\n")
+    argv = ["decode", "--matrix", str(mpath), "--syndrome", str(spath), "--observed", str(opath)]
+    assert main(argv + ["--channel", str(cpath), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["converged=true", f"iterations={want.iterations}"]
+    assert np.array_equal(read_bits(out), want.bits)
 
 
 def test_bit_file_formats(tmp_path):

@@ -1,12 +1,15 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
+from qkdpost import reconciliation
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy, pw_from_joint, shannon_entropy
 from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
+    _group_count,
     gen_parity_check,
     map_decode_bruteforce,
     priors_from_joint,
@@ -17,11 +20,15 @@ from qkdpost.reconciliation import (
     write_alist,
 )
 
-from conftest import alist_oracle
+from conftest import alist_oracle, flooding_oracle
 
 
 def damping_joint(p):
     return JointDistribution(joint_distribution(make_amplitude_damping(p), Basis.Z, Basis.Z))
+
+
+def bsc_joint(p):
+    return JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
 
 
 def sample_pair(joint, n, rng):
@@ -454,6 +461,112 @@ class TestSumProductSegments:
             agree += score(res.bits) >= score(best) - 1e-9
         assert conv >= 30
         assert agree / conv >= 0.95
+
+
+class TestSumProductSegmentsInGroups(TestSumProductSegments):
+    """The segment cases again, with the checks split into 2, 3 or 4 groups."""
+
+    @pytest.fixture(autouse=True, params=[2, 3, 4])
+    def groups(self, request, monkeypatch):
+        # every code here has at least 4 edges, so it runs MAX_GROUPS groups
+        monkeypatch.setattr(reconciliation, "GROUP_EDGES", 1)
+        monkeypatch.setattr(reconciliation, "MAX_GROUPS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("syn_of_empty", [0, 1])
+    def test_an_empty_check_last_in_its_group(self, groups, syn_of_empty):
+        # check 0 carries the weak wrong bit 7 on its last edge, and check
+        # `groups`, the next one in its group, is empty; checks 1 and
+        # groups + 1 share group 1, whose last check ends at the final edge
+        supports = [[] for _ in range(groups + 2)]
+        supports[0], supports[1], supports[groups + 1] = [4, 5, 6, 7], [0, 1, 2], [2, 3, 4]
+        code = _explicit_code(supports, n=8)
+        assert code.num_edges == 10 and _group_count(code.num_edges) == groups
+        x = np.array([1, 0, 1, 1, 0, 0, 1, 0], np.uint8)
+        syn = syndrome(code, x)
+        syn[groups] = syn_of_empty
+        # strong priors toward x, except a weak one toward 1 on variable 7: a
+        # check 0 product that missed bit 7 would, divided by its negative
+        # factor, push bit 7 further toward 1
+        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+        priors[7] = [0.4, 0.6]
+        res = sp_decode(code, syn, priors, max_iter=20)
+        if syn_of_empty:
+            assert not res.converged and res.iterations == 20
+        else:
+            assert res.converged and np.array_equal(res.bits, x)
+
+
+class TestFloodingOracle:
+    """Below 2 * GROUP_EDGES edges a sweep is one group: flooding, bit for bit."""
+
+    @staticmethod
+    def _assert_flooding(code, syn, priors, max_iter=100):
+        assert _group_count(code.num_edges) == 1
+        got = sp_decode(code, syn, priors, max_iter)
+        want = flooding_oracle(code, syn, priors, max_iter)
+        assert np.array_equal(got.bits, want.bits)
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        return got
+
+    @pytest.mark.parametrize("joint", [bsc_joint(0.05), damping_joint(0.3)], ids=["bsc", "damping"])
+    def test_random_codes_decode_as_flooding(self, joint, rng):
+        converged = []
+        for n, margin in ((200, 0.02), (1000, 0.03), (2000, 0.1), (3500, 0.05)):
+            m = int(np.ceil(n * required_syndrome_rate(joint, margin)))
+            code = gen_parity_check(n, m, 3, seed=n)
+            for _ in range(3):
+                x, y = sample_pair(joint, n, rng)
+                res = self._assert_flooding(code, syndrome(code, x), priors_from_joint(joint, y))
+                converged.append(res.converged)
+        # failing decodes, whose bits are only diagnostic, are compared too
+        assert any(converged) and not all(converged)
+
+    def test_segment_codes_decode_as_flooding(self, rng):
+        code = _explicit_code(TestSumProductSegments.SUPPORTS, n=8)
+        for bit7, empty in product((0, 1), ([0, 0, 0], [0, 1, 0])):
+            x = np.array([1, 0, 1, 1, 0, 0, 1, bit7], np.uint8)
+            # strong priors toward x, except a weak wrong one on variable 7
+            priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+            priors[7] = [0.6, 0.4] if bit7 else [0.4, 0.6]
+            syn = syndrome(code, x)
+            syn[[1, 3, 5]] = empty
+            self._assert_flooding(code, syn, priors, max_iter=20)
+        joint = bsc_joint(0.03)
+        base = gen_parity_check(2000, 800, 3, seed=9)
+        supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
+        code = _explicit_code(supports + [range(2000)], 2000)
+        x, y = sample_pair(joint, 2000, rng)
+        self._assert_flooding(code, syndrome(code, x), priors_from_joint(joint, y))
+        code = gen_parity_check(60, 30, 3, seed=4)
+        x = rng.integers(0, 2, 60).astype(np.uint8)
+        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+        priors[::7] = 0.5
+        self._assert_flooding(code, syndrome(code, x), priors)
+
+
+class TestGroupSchedule:
+    def test_fewer_sweeps_than_flooding_above_the_threshold(self):
+        """At n = 12,000 the decoder runs 4 groups: it decodes at least as many
+        blocks as flooding in at most 3/4 of its sweeps."""
+        rng = np.random.default_rng(12)
+        n = 12_000
+        joints = [bsc_joint(0.03), bsc_joint(0.05), bsc_joint(0.08), damping_joint(0.3)]
+        decoded, sweeps = np.zeros(2, int), np.zeros(2, int)
+        for k, joint in enumerate(joints):
+            m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+            code = gen_parity_check(n, m, 3, seed=30 + k)
+            assert _group_count(code.num_edges) == reconciliation.MAX_GROUPS
+            for _ in range(3):
+                x, y = sample_pair(joint, n, rng)
+                syn, priors = syndrome(code, x), priors_from_joint(joint, y)
+                for side, res in enumerate(
+                    (sp_decode(code, syn, priors), flooding_oracle(code, syn, priors))
+                ):
+                    decoded[side] += res.converged and np.array_equal(res.bits, x)
+                    sweeps[side] += res.iterations
+        assert decoded[0] >= decoded[1]
+        assert sweeps[0] <= 0.75 * sweeps[1]
 
 
 class TestSyndromeRate:
