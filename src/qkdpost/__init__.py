@@ -15,22 +15,18 @@ from .channels import (
     PauliProbs,
     affine_from_choi,
     choi_from_affine,
-    is_completely_positive,
     joint_distribution,
     make_amplitude_damping,
     make_identity,
     make_pauli,
     make_rotation,
-    outcome_probability,
     parse_channel_spec,
     pauli_probs_from_diagonal,
-    singular_values_zx,
 )
 from .entropy import (
     JointDistribution,
     binary_entropy,
     cond_entropy,
-    pw_from_joint,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -40,19 +36,16 @@ from .keyrate import (
     RateReport,
     ambiguity_direct,
     ambiguity_reverse,
-    closed_form_example_rates,
     error_rates,
     key_bases,
     key_joint,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
-    unital_ambiguity_closed_form,
 )
 from .reconciliation import (
     ParityCheckMatrix,
     gen_parity_check,
-    map_decode_bruteforce,
     priors_from_joint,
     read_alist,
     required_syndrome_rate,
@@ -74,7 +67,6 @@ from .tomography import (
     TallyTable,
     estimate_rates_bb84,
     estimate_rates_sixstate,
-    exact_tally,
     linear_inversion,
     nearest_choi,
     project_omega_bb84,

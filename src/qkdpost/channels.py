@@ -45,18 +45,6 @@ class Basis(Enum):
             raise ValueError(f"unknown basis {letter!r}, expected one of z, x, y") from None
 
 
-# Eigenvector conventions, fixed once for the whole package:
-#   |0_z> = (1, 0),  |1_z> = (0, 1)
-#   |0_x> = (1, 1)/sqrt(2),   |1_x> = (1, -1)/sqrt(2)
-#   |0_y> = (1, i)/sqrt(2),   |1_y> = (1, -i)/sqrt(2)
-_S = 1.0 / math.sqrt(2.0)
-KETS = {
-    Basis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
-    Basis.X: np.array([[_S, _S], [_S, -_S]], dtype=complex),
-    Basis.Y: np.array([[_S, _S], [_S * 1j, -_S * 1j]], dtype=complex),
-}
-# columns of KETS[b] are |0_b>, |1_b>
-
 # Pauli matrices in (z, x, y) order, the Choi basis indexed like theta, and
 # its (12, 16) reshapes for C from theta and (transposed) for theta from C
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
@@ -98,8 +86,8 @@ def pauli_weights(e: np.ndarray) -> np.ndarray:
 class AffineChannel:
     """Trace-preserving qubit map theta -> r @ theta + t on Bloch vectors.
 
-    Trace preservation holds by construction; complete positivity does not,
-    use :func:`is_completely_positive` to check it.
+    Trace preservation holds by construction; complete positivity does not:
+    it holds exactly when the Choi matrix of :func:`choi_from_affine` is PSD.
     """
 
     r: np.ndarray
@@ -115,10 +103,6 @@ class AffineChannel:
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
         return self.r @ np.asarray(theta, dtype=float) + self.t
-
-    def is_unital(self) -> bool:
-        """True when the translation vanishes, to within 1e-9."""
-        return bool(np.abs(self.t).max() <= 1e-9)
 
 
 def partial_trace_output(m: np.ndarray) -> np.ndarray:
@@ -236,11 +220,6 @@ def affine_from_choi(choi: ChoiMatrix, tol: float = 1e-9) -> AffineChannel:
     return AffineChannel(theta[:9], theta[9:])
 
 
-def is_completely_positive(ch: AffineChannel, tol: float = 1e-9) -> bool:
-    """True when the Choi matrix is PSD up to ``-tol`` on the lowest eigenvalue."""
-    return choi_from_affine(ch).min_eigenvalue() >= -tol
-
-
 # ---------------------------------------------------------------------------
 # measurement statistics
 # ---------------------------------------------------------------------------
@@ -254,11 +233,6 @@ def _joint(ch: AffineChannel, a, b) -> np.ndarray:
     return 0.5 * np.clip(0.5 * (1.0 + _BIT_SIGNS * comp[..., None]), 0.0, 1.0)
 
 
-def outcome_probability(ch: AffineChannel, a: Basis, x: int, b: Basis, y: int) -> float:
-    """Probability of Bob reading ``y`` in basis ``b`` when Alice sent ``x`` in ``a``."""
-    return float(2.0 * _joint(ch, a.axis, b.axis)[x, y])
-
-
 def joint_distribution(ch: AffineChannel, a: Basis, b: Basis) -> np.ndarray:
     """2x2 table P(x, y) for a uniform input bit; rows x, columns y."""
     return _joint(ch, a.axis, b.axis)
@@ -268,13 +242,6 @@ def joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
     """Exact P(x, y) of every basis pair, indexed [a, b, x, y] like a tally."""
     axes = np.array([b.axis for b in bases])
     return _joint(ch, axes[:, None], axes)
-
-
-def singular_values_zx(ch: AffineChannel) -> tuple[float, float]:
-    """Singular values of the z-x block of ``r``, sorted descending."""
-    block = ch.r[:2, :2]
-    s = np.linalg.svd(block, compute_uv=False)
-    return float(s[0]), float(s[1])
 
 
 # ---------------------------------------------------------------------------

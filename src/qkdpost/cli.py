@@ -90,6 +90,9 @@ def _cmd_rates(args) -> int:
 def _cmd_bound(args) -> int:
     ch = load_channel_spec(args.channel)
     omega = ObservableParams.from_channel(ch)
+    # BB84 statistics see only omega, so omega alone must admit a channel
+    if omega.interval is None:
+        raise ValueError(f"{args.channel}: omega admits no completely positive completion")
     directions = ("direct", "reverse") if args.direction == "both" else (args.direction,)
     for d in directions:
         bound = worst_case_lower_bound(omega, d)
@@ -156,6 +159,8 @@ def _cmd_decode(args) -> int:
     matrix = read_alist(args.matrix)
     syn = read_bits(args.syndrome)
     observed = read_bits(args.observed)
+    if observed.shape != (matrix.n,):
+        raise ValueError(f"{args.observed} holds {observed.size} bits, the matrix has n={matrix.n}")
     ch = load_channel_spec(args.channel)
     d = args.direction
     priors = priors_from_joint(key_joint(joint_distribution(ch, *key_bases(d)), d), observed)

@@ -87,10 +87,3 @@ def cond_entropy(dist: JointDistribution) -> float:
     """H(row | column) of a joint table; transpose the table for the other."""
     t = dist.table
     return _plogp(t) - _plogp(t.sum(axis=0))
-
-
-def pw_from_joint(dist: JointDistribution) -> np.ndarray:
-    """Distribution of the difference w = x + y (mod 2) under the joint table."""
-    t = dist.table
-    p1 = t[0, 1] + t[1, 0]
-    return np.array([1.0 - p1, p1])

@@ -47,14 +47,6 @@ class HashDescriptor:
         """``rfft`` of the generator at the transform size of ``apply_hash``."""
         return np.fft.rfft(self.generator.astype(np.float64), _fft_size(self.generator.shape[0]))
 
-    def matrix(self) -> np.ndarray:
-        """Dense Toeplitz matrix; intended for tests and tiny sizes."""
-        n, ell = self.input_len, self.output_len
-        t = np.empty((ell, n), np.uint8)
-        for i in range(ell):
-            t[i] = self.generator[i : n + i][::-1]
-        return t
-
     def serialize(self) -> str:
         """Hex text form for transmission over the public channel."""
         bits = np.packbits(self.generator) if self.generator.size else np.zeros(0, np.uint8)

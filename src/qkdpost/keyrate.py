@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    AffineChannel,
     Basis,
     ChoiMatrix,
     affine_from_choi,
     choi_coefficients,
-    choi_from_affine,
     choi_from_coefficients,
     joint_distribution,
     pauli_diagonal,
@@ -176,42 +174,3 @@ def keyrate_conventional_sixstate(choi: ChoiMatrix) -> float:
     three matched error rates; unclamped."""
     rep = keyrate(twirl(choi), "direct")
     return rep.raw_rate
-
-
-def unital_ambiguity_closed_form(ch: AffineChannel, direction: str = "direct") -> float:
-    """H(X|E) of a unital channel in closed form.
-
-    Equals 1 - H(choi spectrum) + h((1 + |column|)/2) with the z column of
-    ``r`` for direct reconciliation and the z row for reverse.  Checked
-    against :func:`ambiguity_direct` in the test-suite; requires t = 0.
-    """
-    if not ch.is_unital():
-        raise ValueError("closed form requires a unital channel (t = 0)")
-    choi = choi_from_affine(ch)
-    spec = np.clip(choi.eigenvalues(), 0.0, None)
-    vec = ch.r[:, 0] if direction == "direct" else ch.r[0, :]
-    rnorm = min(float(np.linalg.norm(vec)), 1.0)
-    return 1.0 - _plogp(spec) + binary_entropy(0.5 * (1.0 + rnorm))
-
-
-# ---------------------------------------------------------------------------
-# closed-form example rates, exposed for fixture generation
-# ---------------------------------------------------------------------------
-
-
-def closed_form_example_rates(kind: str, param: float) -> float:
-    """Analytic key rates for the two worked example channel families.
-
-    ``kind='amplitude_damping_direct'``:
-        1 + h(p)/2 - h(p/2) - ((1+p)/2) h(1/(1+p)), which crosses zero at
-        exactly p = 1/2.
-    ``kind='rotation'``:
-        1 - h(sin^2(theta/2)), the direct rate of the rotation channel.
-    """
-    h = binary_entropy
-    if kind == "amplitude_damping_direct":
-        p = param
-        return 1.0 + 0.5 * h(p) - h(0.5 * p) - 0.5 * (1.0 + p) * h(1.0 / (1.0 + p))
-    if kind == "rotation":
-        return 1.0 - h(float(np.sin(0.5 * param) ** 2))
-    raise ValueError(f"unknown closed-form kind {kind!r}")

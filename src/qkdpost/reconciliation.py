@@ -3,10 +3,8 @@
 One side publishes the syndrome ``t = M x`` of its bit block under a sparse
 parity-check matrix; the other side recovers ``x`` from its correlated block
 by a posteriori decoding restricted to the coset ``{x' : M x' = t}``.  The
-production decoder is sum-product message passing seeded with per-position
-source priors and with each check's sign set by its syndrome bit; an
-exhaustive MAP decoder over the coset serves as the oracle at small block
-lengths.
+decoder is sum-product message passing seeded with per-position source
+priors and with each check's sign set by its syndrome bit.
 
 Priors enter as an (n, 2) table: row j holds the probability of key bit 0
 and 1 at position j given the helper's observation, P(key | helper_j), read
@@ -24,7 +22,6 @@ from .entropy import JointDistribution, cond_entropy
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
-BRUTE_FORCE_MAX_N = 24
 # sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
 # most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, which a
 # code of fewer than 2 * GROUP_EDGES edges does not earn back in saved sweeps
@@ -66,12 +63,6 @@ class ParityCheckMatrix:
 
     def col_weights(self) -> np.ndarray:
         return np.bincount(self.chk_vars, minlength=self.n)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.m, self.n), np.uint8)
-        rows = np.repeat(np.arange(self.m), self.row_weights())
-        dense[rows, self.chk_vars] = 1
-        return dense
 
 
 def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> ParityCheckMatrix:
@@ -299,78 +290,6 @@ def sp_decode(
         else:
             return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
     return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
-
-
-# ---------------------------------------------------------------------------
-# brute-force MAP oracle
-# ---------------------------------------------------------------------------
-
-
-def _gf2_solve_with_nullspace(dense: np.ndarray, syn: np.ndarray):
-    """Particular solution and null-space basis of M x = t, dense uint8 input."""
-    m, n = dense.shape
-    mat = dense.astype(np.uint8).copy()
-    vec = syn.astype(np.uint8).copy()
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        hits = np.flatnonzero(mat[r:, c])
-        if hits.size == 0:
-            continue
-        p = r + hits[0]
-        mat[[r, p]] = mat[[p, r]]
-        vec[[r, p]] = vec[[p, r]]
-        mask = mat[:, c].astype(bool).copy()
-        mask[r] = False
-        mat[mask] ^= mat[r]
-        vec[mask] ^= vec[r]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if r < m:
-        raise ValueError("parity-check matrix is rank deficient")
-    x0 = np.zeros(n, np.uint8)
-    for i, c in enumerate(piv_cols):
-        x0[c] = vec[i]
-    free_cols = sorted(set(range(n)) - set(piv_cols))
-    basis = np.zeros((len(free_cols), n), np.uint8)
-    for b, fc in enumerate(free_cols):
-        basis[b, fc] = 1
-        for i, c in enumerate(piv_cols):
-            basis[b, c] = mat[i, fc]
-    return x0, basis
-
-
-def map_decode_bruteforce(
-    matrix: ParityCheckMatrix, syn: np.ndarray, priors: np.ndarray
-) -> np.ndarray:
-    """Exact MAP over the coset, ties broken toward the lexicographically
-    smallest vector.  Enumerates all 2^(n-m) coset members; n is capped at
-    24 to keep this an oracle, not a decoder.
-
-    Log-scores within 1e-9 of the maximum count as tied, which absorbs
-    the summation-order rounding of mathematically equal products.
-    """
-    if matrix.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {matrix.n}")
-    syn = np.asarray(syn, dtype=np.uint8)
-    x0, basis = _gf2_solve_with_nullspace(matrix.to_dense(), syn)
-    k = basis.shape[0]
-    masks = np.arange(2**k, dtype=np.uint32)
-    select = ((masks[:, None] >> np.arange(k, dtype=np.uint32)[None, :]) & 1).astype(np.int64)
-    members = (x0[None, :].astype(np.int64) ^ ((select @ basis.astype(np.int64)) & 1)).astype(
-        np.uint8
-    )
-    logp = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
-    scores = np.take_along_axis(
-        np.broadcast_to(logp, (members.shape[0], matrix.n, 2)),
-        members[:, :, None].astype(np.int64),
-        axis=2,
-    )[:, :, 0].sum(axis=1)
-    contenders = members[scores >= scores.max() - 1e-9]
-    order = np.lexsort(contenders[:, ::-1].T)
-    return contenders[order[0]].astype(np.uint8)
 
 
 def required_syndrome_rate(joint: JointDistribution, margin: float = 0.05) -> float:

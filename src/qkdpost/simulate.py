@@ -52,6 +52,7 @@ from .reconciliation import (
 from .tomography import (
     BB84_BASES,
     SIXSTATE_BASES,
+    EstimationError,
     TallyTable,
     estimate_rates_bb84,
     estimate_rates_sixstate,
@@ -267,7 +268,7 @@ def _empirical_key_joint(config: ProtocolConfig, tally: TallyTable) -> JointDist
     cell = tally.counts[ia, ib].astype(float)
     total = cell.sum()
     if total <= 0:
-        raise ValueError("estimation subset has no samples in the key basis pair")
+        raise EstimationError("estimation subset has no samples in the key basis pair")
     return key_joint(cell / total, config.direction)
 
 

@@ -152,15 +152,6 @@ def sample_tally(
     return TallyTable(np.array(counts), bases)
 
 
-def exact_tally(ch: AffineChannel, bases: tuple[Basis, ...], scale: int = 10**12) -> TallyTable:
-    """Idealized tally with counts proportional to the exact probabilities.
-
-    Rounding error is at most one count per cell, which is negligible at the
-    default scale; meant for fixtures and pipeline identities.
-    """
-    return TallyTable(np.rint(joint_tables(ch, bases) * scale).astype(np.int64), bases)
-
-
 # ---------------------------------------------------------------------------
 # linear inversion
 # ---------------------------------------------------------------------------
@@ -429,32 +420,3 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
         conventional_bb84=1.0 - binary_entropy(min(max(p_x, 0.0), 1.0)) - binary_entropy(p_z),
         projected=projected,
     )
-
-
-def rate_error_curve(
-    ch: AffineChannel,
-    protocol: str,
-    sample_sizes: list[int],
-    trials: int,
-    seed: int,
-) -> list[float]:
-    """Median absolute error of the estimated direct rate at each sample size.
-
-    Drives the estimator-consistency checks: the medians must fall as the
-    per-cell sample count grows.
-    """
-    if protocol == "sixstate":
-        bases, estimate = SIXSTATE_BASES, estimate_rates_sixstate
-        truth = keyrate(choi_from_affine(ch), "direct").raw_rate
-    else:
-        bases, estimate = BB84_BASES, estimate_rates_bb84
-        truth = estimate(exact_tally(ch, bases)).direct.raw_rate
-    rng = np.random.default_rng(seed)
-    medians = []
-    for size in sample_sizes:
-        errs = []
-        for _ in range(trials):
-            rate = estimate(sample_tally(ch, bases, size, rng)).direct.raw_rate
-            errs.append(abs(rate - truth))
-        medians.append(float(np.median(errs)))
-    return medians

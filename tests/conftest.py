@@ -3,16 +3,26 @@ import pytest
 
 from qkdpost.channels import (
     AffineChannel,
+    Basis,
     PauliProbs,
+    choi_from_affine,
     joint_tables,
     make_amplitude_damping,
     make_pauli,
     make_rotation,
 )
-from qkdpost.keyrate import key_bases
+from qkdpost.entropy import _plogp, binary_entropy
+from qkdpost.keyrate import key_bases, keyrate
 from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _check_parity, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
-from qkdpost.tomography import TallyTable
+from qkdpost.tomography import (
+    BB84_BASES,
+    SIXSTATE_BASES,
+    TallyTable,
+    estimate_rates_bb84,
+    estimate_rates_sixstate,
+    sample_tally,
+)
 
 
 def random_rotation_matrix(rng):
@@ -148,6 +158,64 @@ def twirl_oracle(m):
     return (BELL_ORACLE * (q / q.sum())) @ BELL_ORACLE.T
 
 
+# Basis kets, |0_b> and |1_b> as the columns of KETS[b]:
+#   |0_z> = (1, 0),  |1_z> = (0, 1)
+#   |0_x> = (1, 1)/sqrt(2),   |1_x> = (1, -1)/sqrt(2)
+#   |0_y> = (1, i)/sqrt(2),   |1_y> = (1, -i)/sqrt(2)
+_S = 1.0 / np.sqrt(2.0)
+KETS = {
+    Basis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
+    Basis.X: np.array([[_S, _S], [_S, -_S]], dtype=complex),
+    Basis.Y: np.array([[_S, _S], [_S * 1j, -_S * 1j]], dtype=complex),
+}
+
+
+def is_completely_positive(ch, tol=1e-9):
+    """True when the Choi matrix is PSD up to ``-tol`` on the lowest eigenvalue."""
+    return choi_from_affine(ch).min_eigenvalue() >= -tol
+
+
+def singular_values_zx(ch):
+    """Singular values of the z-x block of ``r``, sorted descending."""
+    block = ch.r[:2, :2]
+    s = np.linalg.svd(block, compute_uv=False)
+    return float(s[0]), float(s[1])
+
+
+def unital_ambiguity_closed_form(ch, direction="direct"):
+    """H(X|E) of a unital channel in closed form.
+
+    Equals 1 - H(choi spectrum) + h((1 + |column|)/2) with the z column of
+    ``r`` for direct reconciliation and the z row for reverse.  Checked
+    against :func:`ambiguity_direct` in the test-suite; requires t = 0.
+    """
+    if np.abs(ch.t).max() > 1e-9:
+        raise ValueError("closed form requires a unital channel (t = 0)")
+    choi = choi_from_affine(ch)
+    spec = np.clip(choi.eigenvalues(), 0.0, None)
+    vec = ch.r[:, 0] if direction == "direct" else ch.r[0, :]
+    rnorm = min(float(np.linalg.norm(vec)), 1.0)
+    return 1.0 - _plogp(spec) + binary_entropy(0.5 * (1.0 + rnorm))
+
+
+def closed_form_example_rates(kind, param):
+    """Analytic key rates for the two worked example channel families.
+
+    ``kind='amplitude_damping_direct'``:
+        1 + h(p)/2 - h(p/2) - ((1+p)/2) h(1/(1+p)), which crosses zero at
+        exactly p = 1/2.
+    ``kind='rotation'``:
+        1 - h(sin^2(theta/2)), the direct rate of the rotation channel.
+    """
+    h = binary_entropy
+    if kind == "amplitude_damping_direct":
+        p = param
+        return 1.0 + 0.5 * h(p) - h(0.5 * p) - 0.5 * (1.0 + p) * h(1.0 / (1.0 + p))
+    if kind == "rotation":
+        return 1.0 - h(float(np.sin(0.5 * param) ** 2))
+    raise ValueError(f"unknown closed-form kind {kind!r}")
+
+
 def _entropy_bits(ev):
     ev = ev[ev > 1e-12]
     return float(-(ev * np.log2(ev)).sum())
@@ -235,6 +303,38 @@ def exchange_oracle(config):
     return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
 
 
+def exact_tally(ch, bases, scale=10**12):
+    """Idealized tally with counts proportional to the exact probabilities.
+
+    Rounding error is at most one count per cell, which is negligible at the
+    default scale; meant for fixtures and pipeline identities.
+    """
+    return TallyTable(np.rint(joint_tables(ch, bases) * scale).astype(np.int64), bases)
+
+
+def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
+    """Median absolute error of the estimated direct rate at each sample size.
+
+    Drives the estimator-consistency checks: the medians must fall as the
+    per-cell sample count grows.
+    """
+    if protocol == "sixstate":
+        bases, estimate = SIXSTATE_BASES, estimate_rates_sixstate
+        truth = keyrate(choi_from_affine(ch), "direct").raw_rate
+    else:
+        bases, estimate = BB84_BASES, estimate_rates_bb84
+        truth = estimate(exact_tally(ch, bases)).direct.raw_rate
+    rng = np.random.default_rng(seed)
+    medians = []
+    for size in sample_sizes:
+        errs = []
+        for _ in range(trials):
+            rate = estimate(sample_tally(ch, bases, size, rng)).direct.raw_rate
+            errs.append(abs(rate - truth))
+        medians.append(float(np.median(errs)))
+    return medians
+
+
 def flooding_oracle(matrix, syn, priors, max_iter=100):
     """Sum-product decoding on the flooding schedule: the schedule oracle.
 
@@ -268,6 +368,87 @@ def flooding_oracle(matrix, syn, priors, max_iter=100):
         if np.array_equal(_check_parity(chk_ptr, (th < 0.0).view(np.uint8)), syn):
             return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
     return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
+
+
+def to_dense(matrix):
+    dense = np.zeros((matrix.m, matrix.n), np.uint8)
+    rows = np.repeat(np.arange(matrix.m), matrix.row_weights())
+    dense[rows, matrix.chk_vars] = 1
+    return dense
+
+
+BRUTE_FORCE_MAX_N = 24
+
+
+def _gf2_solve_with_nullspace(dense, syn):
+    """Particular solution and null-space basis of M x = t, dense uint8 input."""
+    m, n = dense.shape
+    mat = dense.astype(np.uint8).copy()
+    vec = syn.astype(np.uint8).copy()
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        hits = np.flatnonzero(mat[r:, c])
+        if hits.size == 0:
+            continue
+        p = r + hits[0]
+        mat[[r, p]] = mat[[p, r]]
+        vec[[r, p]] = vec[[p, r]]
+        mask = mat[:, c].astype(bool).copy()
+        mask[r] = False
+        mat[mask] ^= mat[r]
+        vec[mask] ^= vec[r]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    if r < m:
+        raise ValueError("parity-check matrix is rank deficient")
+    x0 = np.zeros(n, np.uint8)
+    for i, c in enumerate(piv_cols):
+        x0[c] = vec[i]
+    free_cols = sorted(set(range(n)) - set(piv_cols))
+    basis = np.zeros((len(free_cols), n), np.uint8)
+    for b, fc in enumerate(free_cols):
+        basis[b, fc] = 1
+        for i, c in enumerate(piv_cols):
+            basis[b, c] = mat[i, fc]
+    return x0, basis
+
+
+def gf2_rank(dense):
+    """Rank of a dense GF(2) matrix of full row rank; raises ValueError otherwise."""
+    _, basis = _gf2_solve_with_nullspace(dense, np.zeros(dense.shape[0], np.uint8))
+    return dense.shape[1] - basis.shape[0]
+
+
+def map_decode_bruteforce(matrix, syn, priors):
+    """Exact MAP over the coset, ties broken toward the lexicographically
+    smallest vector.  Enumerates all 2^(n-m) coset members; n is capped at
+    24 to keep this an oracle, not a decoder.
+
+    Log-scores within 1e-9 of the maximum count as tied, which absorbs
+    the summation-order rounding of mathematically equal products.
+    """
+    if matrix.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {matrix.n}")
+    syn = np.asarray(syn, dtype=np.uint8)
+    x0, basis = _gf2_solve_with_nullspace(to_dense(matrix), syn)
+    k = basis.shape[0]
+    masks = np.arange(2**k, dtype=np.uint32)
+    select = ((masks[:, None] >> np.arange(k, dtype=np.uint32)[None, :]) & 1).astype(np.int64)
+    members = (x0[None, :].astype(np.int64) ^ ((select @ basis.astype(np.int64)) & 1)).astype(
+        np.uint8
+    )
+    logp = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
+    scores = np.take_along_axis(
+        np.broadcast_to(logp, (members.shape[0], matrix.n, 2)),
+        members[:, :, None].astype(np.int64),
+        axis=2,
+    )[:, :, 0].sum(axis=1)
+    contenders = members[scores >= scores.max() - 1e-9]
+    order = np.lexsort(contenders[:, ::-1].T)
+    return contenders[order[0]].astype(np.uint8)
 
 
 def alist_oracle(path):
@@ -309,6 +490,15 @@ def alist_oracle(path):
     chk_ptr = np.cumsum([0] + [len(c) for c in checks])
     chk_vars = np.array([j for c in checks for j in c], dtype=np.int64)
     return n, m, chk_ptr, chk_vars
+
+
+def toeplitz_matrix(desc):
+    """Dense Toeplitz matrix of a hash descriptor; for tests and tiny sizes."""
+    n, ell = desc.input_len, desc.output_len
+    t = np.empty((ell, n), np.uint8)
+    for i in range(ell):
+        t[i] = desc.generator[i : n + i][::-1]
+    return t
 
 
 def pool_tally(channel, seed=1001):

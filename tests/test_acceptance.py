@@ -12,29 +12,17 @@ from qkdpost.channels import (
     make_amplitude_damping,
     make_rotation,
 )
-from qkdpost.entropy import (
-    JointDistribution,
-    binary_entropy,
-    cond_entropy,
-    pw_from_joint,
-    shannon_entropy,
-)
-from qkdpost.keyrate import (
-    ambiguity_direct,
-    closed_form_example_rates,
-    keyrate,
-)
+from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
+from qkdpost.keyrate import ambiguity_direct, keyrate
 from qkdpost.reconciliation import (
     gen_parity_check,
-    map_decode_bruteforce,
     priors_from_joint,
     required_syndrome_rate,
     sp_decode,
     syndrome,
 )
 from qkdpost.simulate import ProtocolConfig, run_protocol, sweep_rates
-from qkdpost.tomography import rate_error_curve, sample_tally, estimate_rates_sixstate
-from qkdpost.tomography import SIXSTATE_BASES
+from qkdpost.tomography import SIXSTATE_BASES, estimate_rates_sixstate, sample_tally
 from qkdpost.worstcase import (
     ObservableParams,
     feasible_interval,
@@ -43,7 +31,13 @@ from qkdpost.worstcase import (
 )
 from qkdpost.channels import Basis, joint_distribution
 
-from conftest import completions_of_omega, random_cp_channel
+from conftest import (
+    closed_form_example_rates,
+    completions_of_omega,
+    map_decode_bruteforce,
+    random_cp_channel,
+    rate_error_curve,
+)
 
 
 def _sweep_rows(text):
@@ -241,7 +235,7 @@ def test_criterion_7_reconciliation():
         table = rng.dirichlet(np.ones(4)).reshape(2, 2)
         j = JointDistribution(table)
         hx = cond_entropy(j)
-        hw = shannon_entropy(pw_from_joint(j))
+        hw = binary_entropy(j.error_probability())
         assert hx <= hw + 1e-12
         cond = j.conditional()
         if abs(cond[0, 0] - cond[1, 1]) > 1e-6:

@@ -13,26 +13,26 @@ from qkdpost.channels import (
     choi_from_affine,
     choi_from_coefficients,
     format_channel_spec,
-    is_completely_positive,
     joint_distribution,
     joint_tables,
     make_amplitude_damping,
     make_identity,
     make_pauli,
     make_rotation,
-    outcome_probability,
     parse_channel_spec,
     partial_trace_output,
     pauli_probs_from_diagonal,
-    singular_values_zx,
 )
 
 from conftest import (
+    KETS,
     affine_entries_oracle,
     choi_entries_oracle,
+    is_completely_positive,
     partial_trace_oracle,
     random_affine_channel,
     random_cp_channel,
+    singular_values_zx,
 )
 
 
@@ -268,16 +268,16 @@ def _oracle_choi(ch):
 
 class TestOutcomeStatistics:
     def test_identity_matched(self):
-        assert outcome_probability(make_identity(), Basis.Z, 0, Basis.Z, 0) == pytest.approx(1.0)
+        assert 2 * joint_distribution(make_identity(), Basis.Z, Basis.Z)[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.9])
     def test_damping_flip_from_one(self, p):
-        got = outcome_probability(make_amplitude_damping(p), Basis.Z, 1, Basis.Z, 0)
+        got = 2 * joint_distribution(make_amplitude_damping(p), Basis.Z, Basis.Z)[1, 0]
         assert got == pytest.approx(p)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.2])
     def test_rotation_cross_basis(self, theta):
-        got = outcome_probability(make_rotation(theta), Basis.Z, 0, Basis.X, 1)
+        got = 2 * joint_distribution(make_rotation(theta), Basis.Z, Basis.X)[0, 1]
         assert got == pytest.approx(math.sin(theta / 2 - math.pi / 4) ** 2, abs=1e-12)
 
     def test_outcomes_normalize(self, rng):
@@ -286,15 +286,13 @@ class TestOutcomeStatistics:
             for a in Basis:
                 for b in Basis:
                     for x in (0, 1):
-                        total = sum(outcome_probability(ch, a, x, b, y) for y in (0, 1))
+                        total = sum(2 * joint_distribution(ch, a, b)[x, y] for y in (0, 1))
                         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_matches_choi_trace_in_real_bases(self, rng):
         # 2 * Re Tr[choi (proj_x (x) conj(proj_y))] for the basis kets of all
         # nine basis pairs; the output projector is conjugated as the Choi
         # matrix stores the output transposed
-        from qkdpost.channels import KETS
-
         for _ in range(20):
             ch = random_cp_channel(rng)
             choi = choi_from_affine(ch).matrix
@@ -306,7 +304,7 @@ class TestOutcomeStatistics:
                             kb = KETS[b][:, y]
                             proj = np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()).conj())
                             want = 2.0 * np.real(np.trace(choi @ proj))
-                            got = outcome_probability(ch, a, x, b, y)
+                            got = 2 * joint_distribution(ch, a, b)[x, y]
                             assert got == pytest.approx(want, abs=1e-12)
 
     def test_joint_tables_match_choi_trace_in_all_bases(self, rng):

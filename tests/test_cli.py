@@ -14,7 +14,9 @@ from qkdpost.reconciliation import (
     syndrome,
     write_alist,
 )
-from qkdpost.tomography import SIXSTATE_BASES, exact_tally
+from qkdpost.tomography import SIXSTATE_BASES
+
+from conftest import exact_tally
 
 
 def test_rates_writes_csv(tmp_path, capsys):
@@ -255,6 +257,29 @@ def test_successful_run_has_equal_keys(tmp_path, capsys):
     assert report["abort_reason"] != "none" or report["keys_equal"] == "true"
 
 
+def test_an_empty_estimation_sample_is_a_numerical_failure(tmp_path, capsys):
+    # exit 2 like a sample that leaves only one tally cell empty
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        "protocol=bb84\nchannel=kind=amplitude_damping p=0.1\nn_signals=1000\n"
+        "estimation_fraction=0.0001\n"
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_decode_names_an_observed_file_of_the_wrong_length(tmp_path, capsys):
+    mpath, spath, opath, cpath = (tmp_path / f for f in ("code.alist", "syn", "obs", "ch"))
+    write_alist(gen_parity_check(12, 6, 3, seed=1), mpath)
+    write_bits(spath, np.zeros(6, np.uint8))
+    write_bits(opath, np.zeros(8, np.uint8))
+    cpath.write_text("kind=amplitude_damping p=0.1\n")
+    argv = ["decode", "--matrix", str(mpath), "--syndrome", str(spath), "--observed", str(opath)]
+    assert main(argv + ["--channel", str(cpath)]) == 1
+    assert capsys.readouterr().err == f"error: {opath} holds 8 bits, the matrix has n=12\n"
+
+
 def test_usage_error_exit_code():
     assert main(["rates", "--channel-family", "amplitude_damping"]) == 1
     assert main(["bogus-command"]) == 1
@@ -301,6 +326,8 @@ VALID_ALIST = "<valid alist>"
         (["bound", "--channel"], "kind=rotation theta=nan\n", "'nan' is not finite"),
         (["bound", "--channel"], "kind=explicit 1 0 0 0 1 0 0 0 inf 0 0 0\n",
          "'inf' is not finite"),
+        (["bound", "--channel"], "kind=explicit 2 0 0 0 1 0 0 0 1 0 0 0\n",
+         "omega admits no completely positive completion"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,2,0,5\n", "tally line 2: bits"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,-5\n", "tally line 2: count -5"),
@@ -333,8 +360,8 @@ VALID_ALIST = "<valid alist>"
         (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
           "--out"], "", "sweep range 0.0..nan is not finite"),
     ],
-    ids=["spec-without-p", "spec-nan", "spec-inf", "tally-bit-2", "tally-six-fields",
-         "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
+    ids=["spec-without-p", "spec-nan", "spec-inf", "spec-not-physical", "tally-bit-2",
+         "tally-six-fields", "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
          "truncated-alist", "alist-row-weights", "alist-repeated-check", "alist-negative-check",
          "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",

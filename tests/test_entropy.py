@@ -5,7 +5,6 @@ from qkdpost.entropy import (
     JointDistribution,
     binary_entropy,
     cond_entropy,
-    pw_from_joint,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -75,19 +74,19 @@ def test_cond_entropy_other_direction():
 
 def test_pw_identity_channel():
     ident = JointDistribution(np.diag([0.5, 0.5]))
-    assert pw_from_joint(ident)[1] == 0.0
+    assert ident.error_probability() == 0.0
 
 
 def test_pw_damping():
     p = 0.4
-    assert pw_from_joint(damping_joint(p))[1] == pytest.approx(p / 2)
+    assert damping_joint(p).error_probability() == pytest.approx(p / 2)
 
 
 def test_pw_symmetric_equality_case():
     # symmetric crossover: H(W) equals H(X|Y)
     q = 0.2
     sym = JointDistribution(np.array([[(1 - q) / 2, q / 2], [q / 2, (1 - q) / 2]]))
-    hw = shannon_entropy(pw_from_joint(sym))
+    hw = binary_entropy(sym.error_probability())
     assert hw == pytest.approx(cond_entropy(sym), abs=1e-12)
 
 
@@ -99,7 +98,7 @@ def test_error_syndrome_floor_dominates_cond_entropy(rng):
         table = rng.dirichlet(np.ones(4)).reshape(2, 2)
         joint = JointDistribution(table)
         hxy = cond_entropy(joint)
-        hw = shannon_entropy(pw_from_joint(joint))
+        hw = binary_entropy(joint.error_probability())
         assert hxy <= hw + 1e-12
         cond = joint.conditional()
         symmetric = abs(cond[0, 0] - cond[1, 1]) < 1e-9

@@ -17,20 +17,20 @@ from qkdpost.keyrate import (
     ambiguity_direct,
     ambiguity_reverse,
     bell_diagonal_probs,
-    closed_form_example_rates,
     error_rates,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
     twirl,
-    unital_ambiguity_closed_form,
 )
 
 from conftest import (
     bell_diagonal_oracle,
+    closed_form_example_rates,
     random_cp_channel,
     random_unital_channel,
     twirl_oracle,
+    unital_ambiguity_closed_form,
 )
 
 

@@ -26,6 +26,8 @@ from qkdpost.reconciliation import read_alist, syndrome  # noqa: E402
 from qkdpost.simulate import ProtocolConfig, parse_config  # noqa: E402
 from qkdpost.tomography import TallyTable  # noqa: E402
 
+from conftest import to_dense  # noqa: E402
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 # unbounded integers, plus a band around the int64 limit
@@ -114,7 +116,7 @@ def test_alist_parses_or_raises_value_error(scratch, text):
     matrix = returns_or_value_error(read_alist, scratch)
     if matrix is not None:
         x = np.ones(matrix.n, np.uint8)
-        assert np.array_equal(syndrome(matrix, x), matrix.to_dense() @ x % 2)
+        assert np.array_equal(syndrome(matrix, x), to_dense(matrix) @ x % 2)
 
 
 BIT_LINE = st.one_of(

@@ -6,12 +6,11 @@ import pytest
 
 from qkdpost import reconciliation
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
-from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy, pw_from_joint, shannon_entropy
+from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
 from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
     _group_count,
     gen_parity_check,
-    map_decode_bruteforce,
     priors_from_joint,
     read_alist,
     required_syndrome_rate,
@@ -20,7 +19,7 @@ from qkdpost.reconciliation import (
     write_alist,
 )
 
-from conftest import alist_oracle, flooding_oracle
+from conftest import alist_oracle, flooding_oracle, gf2_rank, map_decode_bruteforce, to_dense
 
 
 def damping_joint(p):
@@ -43,13 +42,13 @@ class TestConstruction:
         b = gen_parity_check(6, 3, 2, seed=9)
         assert np.array_equal(a.chk_vars, b.chk_vars)
         assert np.array_equal(a.chk_ptr, b.chk_ptr)
-        assert _gf2_rank(a.to_dense()) == 3
+        assert gf2_rank(to_dense(a)) == 3
 
     def test_column_regular_when_unrepaired(self):
         n, m, w = 400, 200, 3
         code = gen_parity_check(n, m, w, seed=13)
-        dense = code.to_dense()
-        assert _gf2_rank(dense) == m
+        dense = to_dense(code)
+        assert gf2_rank(dense) == m
         assert (code.col_weights()[: n - m] == w).all()
         t = dense[:, n - m :]
         assert np.array_equal(np.triu(t), np.eye(m, dtype=np.uint8))
@@ -60,7 +59,7 @@ class TestConstruction:
         for n, m, w in sizes:
             for seed in range(20):
                 code = gen_parity_check(n, m, w, seed=seed)
-                assert _gf2_rank(code.to_dense()) == m
+                assert gf2_rank(to_dense(code)) == m
                 assert (code.col_weights()[: n - m] == w).all()
 
     def test_parameter_validation(self):
@@ -87,25 +86,6 @@ class TestConstruction:
         code = gen_parity_check(n, m, 3, seed=42)
         assert time.perf_counter() - t0 < 1.0
         assert code.m == m and (code.col_weights()[: n - m] == 3).all()
-
-
-def _gf2_rank(dense):
-    a = dense.astype(np.uint8).copy()
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        rows = np.nonzero(a[r:, c])[0]
-        if rows.size == 0:
-            continue
-        p = r + rows[0]
-        a[[r, p]] = a[[p, r]]
-        mask = a[:, c].astype(bool).copy()
-        mask[r] = False
-        a[mask] ^= a[r]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 class TestSyndrome:
@@ -233,7 +213,7 @@ class TestAlist:
         path = tmp_path / "code.alist"
         write_alist(code, path)
         back = read_alist(path)
-        assert np.array_equal(back.to_dense(), code.to_dense())
+        assert np.array_equal(to_dense(back), to_dense(code))
 
 
 class TestBruteForceMap:
@@ -271,7 +251,7 @@ class TestBruteForceMap:
 
 
 def _coset_members(code, syn):
-    dense = code.to_dense()
+    dense = to_dense(code)
     out = []
     for v in range(2**code.n):
         vec = np.array([(v >> i) & 1 for i in range(code.n)], np.uint8)
@@ -412,7 +392,7 @@ class TestSumProductSegments:
         assert res.converged
         assert np.array_equal(res.bits, x)
         assert np.array_equal(syndrome(code, res.bits), syn)
-        assert np.array_equal((code.to_dense().astype(int) @ res.bits) % 2, syn)
+        assert np.array_equal((to_dense(code).astype(int) @ res.bits) % 2, syn)
 
     @pytest.mark.parametrize("syn_of_empty", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     def test_an_empty_check_with_syndrome_one_never_converges(self, syn_of_empty):
@@ -595,7 +575,7 @@ class TestConventionalFloorSeparation:
         p = 0.5
         joint = damping_joint(p)
         hxy = cond_entropy(joint)
-        hw = shannon_entropy(pw_from_joint(joint))
+        hw = binary_entropy(joint.error_probability())
         assert hw == pytest.approx(binary_entropy(p / 2), abs=1e-12)
         rate = 0.805
         assert hxy + 0.05 < rate < hw

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from qkdpost.channels import (
     make_pauli,
     make_rotation,
 )
-from qkdpost.keyrate import DIRECTIONS, closed_form_example_rates
+from qkdpost.keyrate import DIRECTIONS
 from qkdpost.simulate import (
     EXCHANGE_CHUNK,
     SWEEP_COLUMNS,
@@ -27,7 +28,7 @@ from qkdpost.simulate import (
     sweep_rates,
 )
 
-from conftest import exchange_oracle
+from conftest import closed_form_example_rates, exchange_oracle
 
 
 class TestConfig:
@@ -362,6 +363,13 @@ def test_benchmark_trace_reads_every_per_layer_count():
     metrics = tracer.layer_metrics(2)
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert {m["name"] for m in per_layer} - {"trace.overhead_s"} <= set(metrics)
+
+
+def test_readme_library_example_prints_three_rates(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    rates = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(rates) == 3 and all(0.0 <= r <= 1.0 for r in rates)
 
 
 class TestSweep:

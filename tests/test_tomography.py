@@ -14,7 +14,6 @@ from qkdpost.channels import (
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
-from qkdpost.keyrate import closed_form_example_rates
 from qkdpost.tomography import (
     BB84_BASES,
     SIXSTATE_BASES,
@@ -22,16 +21,21 @@ from qkdpost.tomography import (
     TallyTable,
     estimate_rates_bb84,
     estimate_rates_sixstate,
-    exact_tally,
     linear_inversion,
     nearest_choi,
     project_omega_bb84,
-    rate_error_curve,
     sample_tally,
 )
 from qkdpost.worstcase import ObservableParams, feasible_interval, worst_case_ambiguity
 
-from conftest import affine_projection_oracle, pool_tally, random_cp_channel
+from conftest import (
+    affine_projection_oracle,
+    closed_form_example_rates,
+    exact_tally,
+    pool_tally,
+    random_cp_channel,
+    rate_error_curve,
+)
 
 
 class TestTallyTable:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from qkdpost import worstcase
-from qkdpost.channels import (
-    choi_from_affine,
-    is_completely_positive,
-    make_amplitude_damping,
-    make_identity,
-    make_rotation,
-)
+from qkdpost.channels import choi_from_affine, make_amplitude_damping, make_identity, make_rotation
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import ambiguity_direct, choi_ambiguity
 from qkdpost.tomography import linear_inversion, project_omega_bb84
@@ -25,7 +19,13 @@ from qkdpost.worstcase import (
     worst_case_lower_bound,
 )
 
-from conftest import POOL_CHANNELS, pool_tally, purification_ambiguity, random_cp_channel
+from conftest import (
+    POOL_CHANNELS,
+    is_completely_positive,
+    pool_tally,
+    purification_ambiguity,
+    random_cp_channel,
+)
 
 
 def omega_of(ch):
