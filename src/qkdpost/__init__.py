@@ -39,6 +39,7 @@ from .keyrate import (
     error_rates,
     key_bases,
     key_joint,
+    key_party,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,

@@ -101,9 +101,6 @@ class AffineChannel:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
 
-    def apply(self, theta: np.ndarray) -> np.ndarray:
-        return self.r @ np.asarray(theta, dtype=float) + self.t
-
 
 def partial_trace_output(m: np.ndarray) -> np.ndarray:
     """Trace of a 4x4 input (x) output matrix over the output system.

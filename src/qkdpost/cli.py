@@ -104,31 +104,23 @@ def _cmd_bound(args) -> int:
 
 def _cmd_estimate(args) -> int:
     tally = TallyTable.from_csv(args.tally)
-    protocol = args.protocol or tally.protocol
-    if protocol == "sixstate":
-        est = estimate_rates_sixstate(tally)
-        print(f"projected={'true' if est.projected else 'false'}")
-        for name, rep in (("direct", est.direct), ("reverse", est.reverse)):
-            print(
-                f"{name}: ambiguity={rep.ambiguity!r} cond_entropy={rep.cond_entropy!r} "
-                f"key_rate={rep.key_rate!r}"
-            )
-        print(f"conventional_bb84={est.conventional_bb84!r}")
-        print(f"conventional_sixstate={est.conventional_sixstate!r}")
-    else:
-        est = estimate_rates_bb84(tally)
-        print(f"projected={'true' if est.projected else 'false'}")
+    sixstate = (args.protocol or tally.protocol) == "sixstate"
+    if sixstate and tally.protocol != "sixstate":
+        raise ValueError(f"{args.tally}: six-state estimation needs tallies in all three bases")
+    est = estimate_rates_sixstate(tally) if sixstate else estimate_rates_bb84(tally)
+    print(f"projected={'true' if est.projected else 'false'}")
+    if not sixstate:
         print("omega=" + " ".join(repr(float(v)) for v in est.omega.as_array()))
-        for name, rep in (
-            ("direct", est.direct),
-            ("reverse", est.reverse),
-            ("mismatched", est.mismatched),
-        ):
+    for name in DIRECTIONS:
+        rep = getattr(est, name, None)  # a six-state estimate has no mismatched report
+        if rep is not None:
             print(
                 f"{name}: ambiguity={rep.ambiguity!r} cond_entropy={rep.cond_entropy!r} "
                 f"key_rate={rep.key_rate!r}"
             )
-        print(f"conventional_bb84={est.conventional_bb84!r}")
+    print(f"conventional_bb84={est.conventional_bb84!r}")
+    if sixstate:
+        print(f"conventional_sixstate={est.conventional_sixstate!r}")
     return 0
 
 

@@ -64,9 +64,6 @@ class JointDistribution:
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
-    def marginal_x(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
     def marginal_y(self) -> np.ndarray:
         return self.table.sum(axis=0)
 

@@ -1,18 +1,20 @@
 """Eavesdropper ambiguity and secret-key rates from an exactly known channel.
 
 Eve is modeled as holding the full environment of the channel.  Her ambiguity
-about the key bit K is the conditional von Neumann entropy H(K|E): K = X,
-Alice's bit, for direct reconciliation and K = Y, Bob's bit, for reverse.
-Both come from the Choi matrix C alone as H(K|E) = H(KE) - S(C).  Given
-K = k a purification of C leaves the other party and E in a pure state, so
-E's spectrum is that of the other party's 2x2 block of C at fixed k, and
-H(KE) is the entropy of those two blocks (:func:`key_entropy`).
+about the key bit K is the conditional von Neumann entropy H(K|E).  The key
+party says whose bit K is: party 0, Alice (K = X), for direct reconciliation
+and for the mismatched variant, and party 1, Bob (K = Y), for reverse.  Both
+come from the Choi matrix C alone as H(K|E) = H(KE) - S(C).  Given K = k a
+purification of C leaves the other party and E in a pure state, so E's
+spectrum is that of the other party's 2x2 block of C at fixed k, and H(KE)
+is the entropy of those two blocks (:func:`key_entropy`).
 
 The asymptotic secret-key rate is the ambiguity minus the syndrome rate the
 reconciliation needs, H(K|helper) for the other party's bit as helper.
-:func:`key_bases` and :func:`key_joint` are the one place a direction is
-decided: which bases the key pair is measured in, and which party's bit is
-the key.  Every other layer takes the key pair's joint as P(key, helper).
+``_DIRECTION_TABLE`` is the one place a direction is decided: the bases the
+key pair is measured in and the key party.  Every other layer reads it
+through :func:`key_bases` and :func:`key_party`, and takes the key pair's
+joint as P(key, helper) from :func:`key_joint`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,15 @@ from .entropy import (
     cond_entropy,
 )
 
-DIRECTIONS = ("direct", "reverse", "mismatched")
-_KEY_BLOCKS = {"direct": "kakb->kab", "reverse": "akbk->kab"}
+# direction -> (Alice's basis, Bob's basis, key party) of the key pair; key
+# party 0 distills the key from Alice's bits, 1 from Bob's
+_DIRECTION_TABLE = {
+    "direct": (Basis.Z, Basis.Z, 0),
+    "reverse": (Basis.Z, Basis.Z, 1),
+    "mismatched": (Basis.Z, Basis.X, 0),
+}
+DIRECTIONS = tuple(_DIRECTION_TABLE)
+_KEY_BLOCKS = ("kakb->kab", "akbk->kab")
 
 @dataclass(frozen=True)
 class ErrorRates:
@@ -74,13 +83,11 @@ def key_entropy(c: np.ndarray, direction: str = "direct") -> float:
     """H(KE) in bits: the entropy of the two 2x2 blocks of ``c`` at fixed key bit.
 
     ``c`` is a real or complex 4x4 Choi matrix indexed (input, output).  The
-    key bit is the input for direct reconciliation (blocks ``m[k, :, k, :]``)
-    and the output for reverse (blocks ``m[:, k, :, k]``), with
-    ``m = c.reshape(2, 2, 2, 2)``; ``_KEY_BLOCKS`` stacks them over k.
+    key bit is the input when Alice is the key party (blocks
+    ``m[k, :, k, :]``) and the output when Bob is (blocks ``m[:, k, :, k]``),
+    with ``m = c.reshape(2, 2, 2, 2)``; ``_KEY_BLOCKS`` stacks them over k.
     """
-    if direction not in _KEY_BLOCKS:
-        raise ValueError(f"direction must be direct or reverse, got {direction!r}")
-    blocks = np.einsum(_KEY_BLOCKS[direction], np.asarray(c).reshape(2, 2, 2, 2))
+    blocks = np.einsum(_KEY_BLOCKS[key_party(direction)], np.asarray(c).reshape(2, 2, 2, 2))
     return _plogp(np.linalg.eigvalsh(blocks))
 
 
@@ -112,23 +119,28 @@ def error_rates(choi: ChoiMatrix) -> ErrorRates:
     return ErrorRates(*(float(0.5 * (1.0 - v)) for v in d))
 
 
-def key_bases(direction: str) -> tuple[Basis, Basis]:
-    """(Alice's basis, Bob's basis) of the key pair: Bob measures x for the
-    mismatched variant, z otherwise; Alice always prepares z."""
-    if direction not in DIRECTIONS:
+def _direction_row(direction: str) -> tuple[Basis, Basis, int]:
+    row = _DIRECTION_TABLE.get(direction)
+    if row is None:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return (Basis.Z, Basis.X) if direction == "mismatched" else (Basis.Z, Basis.Z)
+    return row
+
+
+def key_bases(direction: str) -> tuple[Basis, Basis]:
+    """(Alice's basis, Bob's basis) of the key pair."""
+    return _direction_row(direction)[:2]
+
+
+def key_party(direction: str) -> int:
+    """Whose bit is the key: 0 for Alice's, 1 for Bob's."""
+    return _direction_row(direction)[2]
 
 
 def key_joint(table: np.ndarray, direction: str) -> JointDistribution:
-    """The key pair's joint P(x, y) oriented as P(key, helper).
-
-    Reverse reconciliation distills the key from Bob's bits, so the table is
-    transposed; direct and mismatched distill from Alice's.
-    """
-    key_bases(direction)  # checks the direction
+    """The key pair's joint P(x, y) oriented as P(key, helper): transposed
+    when Bob is the key party."""
     table = np.asarray(table)
-    return JointDistribution(table.T if direction == "reverse" else table)
+    return JointDistribution(table.T if key_party(direction) else table)
 
 
 def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
@@ -140,8 +152,7 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     """
     ch = affine_from_choi(choi, tol=1e-6)
     joint = key_joint(joint_distribution(ch, *key_bases(direction)), direction)
-    ambiguity = ambiguity_reverse(choi) if direction == "reverse" else ambiguity_direct(choi)
-    return RateReport.build(direction, ambiguity, cond_entropy(joint))
+    return RateReport.build(direction, choi_ambiguity(choi.matrix, direction), cond_entropy(joint))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .entropy import JointDistribution, cond_entropy
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
+# column weight of gen_parity_check's codes unless a caller asks for another
+COL_WEIGHT = 3
 # sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
 # most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, which a
 # code of fewer than 2 * GROUP_EDGES edges does not earn back in saved sweeps
@@ -65,7 +67,7 @@ class ParityCheckMatrix:
         return np.bincount(self.chk_vars, minlength=self.n)
 
 
-def gen_parity_check(n: int, m: int, col_weight: int = 3, seed: int = 0) -> ParityCheckMatrix:
+def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
     """Random parity-check matrix ``H = [A | T]`` of rank m by construction.
 
     A holds the first n - m columns, each of weight ``col_weight``, dealt
@@ -292,7 +294,7 @@ def sp_decode(
     return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
 
 
-def required_syndrome_rate(joint: JointDistribution, margin: float = 0.05) -> float:
+def required_syndrome_rate(joint: JointDistribution, margin: float) -> float:
     """Syndrome rate m/n the reconciliation needs: H(key | helper) of the
     (key, helper) joint, plus a finite-length margin."""
     if margin <= 0:

@@ -31,18 +31,19 @@ from .channels import (
     make_rotation,
     parse_channel_spec,
 )
-from .entropy import JointDistribution, cond_entropy
+from .entropy import cond_entropy
 from .hashing import apply_hash, key_length, sample_hash
 from .keyrate import (
-    DIRECTIONS,
     RateReport,
     key_bases,
     key_joint,
+    key_party,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
 )
 from .reconciliation import (
+    COL_WEIGHT,
     gen_parity_check,
     priors_from_joint,
     required_syndrome_rate,
@@ -51,9 +52,10 @@ from .reconciliation import (
 )
 from .tomography import (
     BB84_BASES,
+    PSD_TOL,
     SIXSTATE_BASES,
-    EstimationError,
     TallyTable,
+    empirical_key_joint,
     estimate_rates_bb84,
     estimate_rates_sixstate,
 )
@@ -84,14 +86,11 @@ class ProtocolConfig:
     seed_channel: int = 1
     seed_code: int = 2
     seed_hash: int = 3
-    ldpc_col_weight: int = 3
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.protocol not in ("bb84", "sixstate"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
+        key_party(self.direction)  # checks the direction
         if not 0.0 < self.estimation_fraction < 1.0:
             raise ValueError("estimation fraction must be inside (0, 1)")
         if self.n_signals < 1000:
@@ -100,13 +99,12 @@ class ProtocolConfig:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.ldpc_col_weight < 2:
-            raise ValueError(f"ldpc_col_weight must be at least 2, got {self.ldpc_col_weight}")
         for name in ("seed_channel", "seed_code", "seed_hash"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # the exchange would silently clip a non-physical channel's probabilities
+        if (ev := choi_from_affine(self.channel).min_eigenvalue()) < -PSD_TOL:
+            raise ValueError(f"channel is not completely positive (Choi min eigenvalue {ev:.3e})")
 
     @property
     def bases(self) -> tuple[Basis, ...]:
@@ -256,30 +254,17 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _empirical_key_joint(config: ProtocolConfig, tally: TallyTable) -> JointDistribution:
-    """Relative frequencies of the key basis pair's tally cell, as P(key, helper).
+def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
+    """Decided rate report, prior-feeding joint, and estimate summary text.
 
-    The reconciliation statistics are directly observable, so the syndrome
+    Ambiguity comes from the tomographic pipeline, about the key party's
+    bits.  The conditional entropy comes from the empirical key-pair joint:
+    the reconciliation statistics are directly observable, so the syndrome
     rate and the decoder priors use the raw cell rather than the smoothed
     joint of the projected channel estimate; near-deterministic channels
     would otherwise pick up a large upward entropy bias from the noise floor.
     """
-    ia, ib = (config.bases.index(b) for b in key_bases(config.direction))
-    cell = tally.counts[ia, ib].astype(float)
-    total = cell.sum()
-    if total <= 0:
-        raise EstimationError("estimation subset has no samples in the key basis pair")
-    return key_joint(cell / total, config.direction)
-
-
-def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
-    """Decided rate report, prior-feeding joint, and estimate summary text.
-
-    Ambiguity comes from the tomographic pipeline: reverse reconciliation
-    reads Eve's ambiguity about Bob's bits, direct and mismatched about
-    Alice's.  The conditional entropy comes from the empirical key-pair joint.
-    """
-    joint = _empirical_key_joint(config, tally)
+    joint = empirical_key_joint(tally, config.direction)
     ce = cond_entropy(joint)
     if config.protocol == "sixstate":
         est = estimate_rates_sixstate(tally)
@@ -287,7 +272,7 @@ def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
     else:
         est = estimate_rates_bb84(tally)
         estimate_text = "omega " + " ".join(repr(float(v)) for v in est.omega.as_array())
-    ambiguity = (est.reverse if config.direction == "reverse" else est.direct).ambiguity
+    ambiguity = (est.direct, est.reverse)[key_party(config.direction)].ambiguity
     return RateReport.build(config.direction, ambiguity, ce), joint, estimate_text
 
 
@@ -328,26 +313,25 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
         return report("nonpositive_rate")
 
     m = int(np.ceil(n_key * required_syndrome_rate(joint, config.margin)))
-    # a code needs ldpc_col_weight checks at least; the extra ones are disclosed too
-    m = max(m, config.ldpc_col_weight)
+    # a code needs COL_WEIGHT checks at least; the extra ones are disclosed too
+    m = max(m, COL_WEIGHT)
     if m >= n_key:
         return report("syndrome_rate_full")
     syn_rate = m / n_key
 
-    # source holds the sequence the key is distilled from; the helper decodes
-    if config.direction == "reverse":
-        source, helper = exchange.y_key, exchange.x_key
-    else:
-        source, helper = exchange.x_key, exchange.y_key
+    # source holds the key party's sequence, the key's origin; the helper decodes
+    party = key_party(config.direction)
+    bits = (exchange.x_key, exchange.y_key)
+    source, helper = bits[party], bits[1 - party]
 
     t0 = time.perf_counter()
-    code = gen_parity_check(n_key, m, config.ldpc_col_weight, config.seed_code)
+    code = gen_parity_check(n_key, m, seed=config.seed_code)
     timings["code_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     syn = syndrome(code, source)
     priors = priors_from_joint(joint, helper)
-    result = sp_decode(code, syn, priors, config.max_iter)
+    result = sp_decode(code, syn, priors)
     timings["decode_s"] = time.perf_counter() - t0
 
     if not result.converged:

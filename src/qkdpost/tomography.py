@@ -29,11 +29,12 @@ from .channels import (
     joint_distribution,
     joint_tables,
 )
-from .entropy import binary_entropy, cond_entropy
+from .entropy import JointDistribution, binary_entropy, cond_entropy
 from .keyrate import (
     RateReport,
     key_bases,
     key_joint,
+    key_party,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
@@ -150,6 +151,16 @@ def sample_tally(
     cells = np.clip(joint_tables(ch, bases), 0.0, None).reshape(-1, 4)
     counts = [rng.multinomial(samples_per_cell, p / p.sum()) for p in cells]
     return TallyTable(np.array(counts), bases)
+
+
+def empirical_key_joint(tally: TallyTable, direction: str) -> JointDistribution:
+    """Relative frequencies of the key basis pair's tally cell, as P(key, helper)."""
+    ia, ib = (tally.bases.index(b) for b in key_bases(direction))
+    cell = tally.counts[ia, ib].astype(float)
+    total = cell.sum()
+    if total <= 0:
+        raise EstimationError("tally has no samples in the key basis pair")
+    return key_joint(cell / total, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +406,25 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     Matched-pair conditional entropies come from the projected observable
     block; the mismatched-basis rate reads its conditional entropy straight
     off the z-sent / x-measured tally cell, the distribution that variant
-    actually reconciles against.
+    actually reconciles against.  The worst-case ambiguity is one per key party.
     """
     raw = linear_inversion(tally)
     omega_raw = raw.to_omega()
     omega = project_omega_bb84(omega_raw)
     projected = omega is not omega_raw
     zz = joint_distribution(omega.complete(0.0), Basis.Z, Basis.Z)
-    ia, ib = (tally.bases.index(b) for b in key_bases("mismatched"))
-    cell_zx = tally.counts[ia, ib].astype(float)
-    amb_direct = worst_case_ambiguity(omega, "direct")
-    amb_reverse = worst_case_ambiguity(omega, "reverse")
+    ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
 
-    def report(direction: str, ambiguity: float, table: np.ndarray) -> RateReport:
-        return RateReport.build(direction, ambiguity, cond_entropy(key_joint(table, direction)))
+    def report(direction: str, joint: JointDistribution) -> RateReport:
+        return RateReport.build(direction, ambiguity[key_party(direction)], cond_entropy(joint))
 
     p_z = key_joint(zz, "direct").error_probability()
     p_x = 0.5 * (1.0 - omega.r_xx)
     return BB84Estimate(
         omega=omega,
-        direct=report("direct", amb_direct, zz),
-        reverse=report("reverse", amb_reverse, zz),
-        mismatched=report("mismatched", amb_direct, cell_zx / cell_zx.sum()),
+        direct=report("direct", key_joint(zz, "direct")),
+        reverse=report("reverse", key_joint(zz, "reverse")),
+        mismatched=report("mismatched", empirical_key_joint(tally, "mismatched")),
         conventional_bb84=1.0 - binary_entropy(min(max(p_x, 0.0), 1.0)) - binary_entropy(p_z),
         projected=projected,
     )

@@ -9,11 +9,13 @@ Choi matrix is real and affine in ``r_yy``, a 4x4 pencil
 reads its spectrum without building channel objects.  The valid ``r_yy``
 form a closed interval (the minimum eigenvalue is concave in ``r_yy``)
 whose ends are roots of the pencil.  The ambiguity is ``H(KE) - S(C(r))``
-(:func:`~qkdpost.keyrate.choi_ambiguity`), and ``step`` is zero on the 2x2
-blocks at fixed key bit of either direction, so ``H(KE)`` does not depend on
-``r``: the worst case of both directions is the completion of largest Choi
-entropy.  That entropy is concave in ``r``; one golden-section search per
-omega finds its maximum without derivatives.
+(:func:`~qkdpost.keyrate.choi_ambiguity`), where K is the bit of the key
+party (:func:`~qkdpost.keyrate.key_party`): Alice's for direct and
+mismatched, Bob's for reverse.  ``step`` is zero on the 2x2 blocks at fixed
+key bit of either party, so ``H(KE)`` does not depend on ``r``: the worst
+case of every direction is the completion of largest Choi entropy.  That
+entropy is concave in ``r``; one golden-section search per omega finds its
+maximum without derivatives.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .channels import AffineChannel, choi_from_affine
 from .entropy import _plogp, binary_entropy
-from .keyrate import key_entropy
+from .keyrate import key_entropy, key_party
 
 # Numerically a channel counts as valid when the Choi minimum eigenvalue is
 # above -PSD_SLACK; the slack must absorb the parameter noise of near-exact
@@ -144,9 +146,6 @@ class FeasibleInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __contains__(self, r_yy: float) -> bool:
-        return self.lo - 1e-12 <= r_yy <= self.hi + 1e-12
-
 
 def _min_eig(omega: ObservableParams, r_yy: float) -> float:
     base, step = omega.pencil
@@ -183,7 +182,7 @@ def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> 
     """Minimum ambiguity over all channels consistent with ``omega``.
 
     ``H(KE)`` is the same for every completion, so the minimum is ``H(KE)``
-    less :attr:`ObservableParams.max_entropy`, shared by both directions.
+    less :attr:`ObservableParams.max_entropy`, shared by every direction.
     """
     return key_entropy(omega.pencil[0], direction) - omega.max_entropy
 
@@ -192,12 +191,13 @@ def worst_case_lower_bound(omega: ObservableParams, direction: str = "direct") -
     """Closed-form lower bound on the worst-case ambiguity.
 
     Uses the two singular values of the z-x block plus the norm of the block
-    column (direct) or row (reverse) through the z axis.  Tight whenever
-    t_z = t_x = 0; never above the search result otherwise.
+    column through the z axis when Alice is the key party, or of the row when
+    Bob is.  Tight whenever t_z = t_x = 0; never above the search result
+    otherwise.
     """
+    cross = (omega.r_xz, omega.r_zx)[key_party(direction)]
     block = np.array([[omega.r_zz, omega.r_zx], [omega.r_xz, omega.r_xx]])
     d_hi, d_lo = np.linalg.svd(block, compute_uv=False)
-    cross = omega.r_xz if direction == "direct" else omega.r_zx
     col = min(math.hypot(omega.r_zz, cross), 1.0)
     h = binary_entropy
     return (

@@ -54,7 +54,7 @@ class TestConstructors:
         assert np.allclose(ch.r, 0.0)
         assert np.allclose(ch.t, [1.0, 0.0, 0.0])
         for theta in (np.array([1.0, 0, 0]), np.array([-0.3, 0.4, 0.2])):
-            assert np.allclose(ch.apply(theta), [1.0, 0.0, 0.0])
+            assert np.allclose(ch.r @ theta + ch.t, [1.0, 0.0, 0.0])
 
     def test_damping_rejects_bad_parameter(self):
         with pytest.raises(ValueError):

@@ -357,6 +357,12 @@ VALID_ALIST = "<valid alist>"
          "epsilon must be nonnegative and finite, got inf"),
         (["simulate", "--config"], "protocol=bb84\nseed_code=-1\n",
          "seed_code must be nonnegative, got -1"),
+        (["simulate", "--config"],
+         "protocol=bb84\nchannel=kind=explicit 2 0 0 0 1 0 0 0 1 0 0 0\nn_signals=20000\n",
+         "channel is not completely positive"),
+        (["estimate", "--protocol", "sixstate", "--tally"],
+         "a,b,x,y,count\nz,z,0,0,5\nz,x,0,1,5\nx,z,1,0,5\nx,x,1,1,5\n",
+         "six-state estimation needs tallies in all three bases"),
         (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
           "--out"], "", "sweep range 0.0..nan is not finite"),
     ],
@@ -365,7 +371,8 @@ VALID_ALIST = "<valid alist>"
          "truncated-alist", "alist-row-weights", "alist-repeated-check", "alist-negative-check",
          "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",
-         "config-seed-negative", "rates-nan"],
+         "config-seed-negative", "config-channel-not-physical", "sixstate-tally-without-y",
+         "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

@@ -111,7 +111,7 @@ def test_error_syndrome_floor_dominates_cond_entropy(rng):
 
 def test_marginals_and_conditionals():
     j = damping_joint(0.4)
-    assert np.allclose(j.marginal_x(), [0.5, 0.5])
+    assert np.allclose(j.table.sum(axis=1), [0.5, 0.5])
     assert np.allclose(j.marginal_y(), [0.7, 0.3])
     cond = j.conditional()
     assert np.allclose(cond.sum(axis=0), 1.0)

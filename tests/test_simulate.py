@@ -79,8 +79,6 @@ class TestConfig:
             ("margin", 0.0),
             ("margin", -0.1),
             ("epsilon", -0.1),
-            ("max_iter", 0),
-            ("ldpc_col_weight", 1),
             ("seed_channel", -1),
             ("seed_code", -1),
             ("seed_hash", -2),
@@ -363,6 +361,8 @@ def test_benchmark_trace_reads_every_per_layer_count():
     metrics = tracer.layer_metrics(2)
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert {m["name"] for m in per_layer} - {"trace.overhead_s"} <= set(metrics)
+    # a run must still call every wrapped name, not merely resolve it
+    assert {t[2] for t in tracing.SPAN_TARGETS} <= {span.name for span in tracer.spans}
 
 
 def test_readme_library_example_prints_three_rates(capsys):

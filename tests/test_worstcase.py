@@ -6,7 +6,7 @@ import pytest
 from qkdpost import worstcase
 from qkdpost.channels import choi_from_affine, make_amplitude_damping, make_identity, make_rotation
 from qkdpost.entropy import binary_entropy
-from qkdpost.keyrate import ambiguity_direct, choi_ambiguity
+from qkdpost.keyrate import DIRECTIONS, ambiguity_direct, choi_ambiguity
 from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
     DEGENERATE_WIDTH,
@@ -65,13 +65,13 @@ class TestFeasibleInterval:
     def test_identity_pins_to_one(self):
         iv = feasible_interval(omega_of(make_identity()))
         assert iv is not None
-        assert 1.0 in iv
+        assert iv.lo - 1e-12 <= 1.0 <= iv.hi + 1e-12
         assert iv.hi == pytest.approx(1.0, abs=1e-9)
 
     def test_rotation_contains_one(self):
         iv = feasible_interval(omega_of(make_rotation(math.pi / 6)))
         assert iv is not None
-        assert 1.0 in iv
+        assert iv.lo - 1e-12 <= 1.0 <= iv.hi + 1e-12
 
     def test_grid_oracle_agreement(self, rng):
         """Interval endpoints bracket exactly the grid points whose completion
@@ -144,6 +144,8 @@ class TestPencil:
             for direction in ("direct", "reverse"):
                 want = purification_ambiguity(c, direction)
                 assert abs(choi_ambiguity(c, direction) - want) <= 1e-12
+            # the mismatched key is Alice's bit, as for direct
+            assert choi_ambiguity(c, "mismatched") == choi_ambiguity(c, "direct")
 
     def test_ambiguity_matches_the_channel_formulas_on_pool_omegas(self, pool_tallies):
         """On raw and projected pool omegas the kernel on the real pencil
@@ -175,6 +177,8 @@ class TestPencil:
             worst_case_ambiguity(om, "sideways")
         with pytest.raises(ValueError, match="direction"):
             choi_ambiguity(base + om.interval.anchor * step, "sideways")
+        with pytest.raises(ValueError, match="direction"):
+            worst_case_lower_bound(om, "sideways")
         for direction in ("direct", "reverse"):
             with pytest.raises(ValueError, match="not PSD"):
                 choi_ambiguity(base - step, direction)
@@ -189,9 +193,9 @@ class TestPencil:
             return golden_section_min(*args, **kwargs)
 
         monkeypatch.setattr(worstcase, "golden_section_min", counted)
-        for direction in ("direct", "reverse"):
-            worst_case_ambiguity(om, direction)
+        worst = {d: worst_case_ambiguity(om, d) for d in DIRECTIONS}
         assert len(calls) == 1
+        assert worst["mismatched"] == worst["direct"]
 
 
 class TestWorstCaseAmbiguity:
@@ -300,3 +304,7 @@ class TestLowerBound:
         base = 1 - h((1 + dvals[0]) / 2) - h((1 + dvals[1]) / 2)
         assert d == pytest.approx(base + h((1 + math.hypot(0.8, 0.1)) / 2), abs=1e-12)
         assert r == pytest.approx(base + h((1 + math.hypot(0.8, 0.3)) / 2), abs=1e-12)
+        # the mismatched key is Alice's bit, so it takes the direct bound
+        for omega in (om, ObservableParams(0.8, 0.1, -0.2, 0.7, 0.1, 0.0)):
+            want = worst_case_lower_bound(omega, "direct")
+            assert worst_case_lower_bound(omega, "mismatched") == want
