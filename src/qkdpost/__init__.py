@@ -17,25 +17,19 @@ from .channels import (
     choi_from_affine,
     joint_distribution,
     make_amplitude_damping,
-    make_identity,
     make_pauli,
     make_rotation,
     parse_channel_spec,
-    pauli_probs_from_diagonal,
 )
 from .entropy import (
     JointDistribution,
     binary_entropy,
     cond_entropy,
-    shannon_entropy,
-    von_neumann_entropy,
 )
 from .hashing import HashDescriptor, apply_hash, key_length, sample_hash
 from .keyrate import (
     ErrorRates,
     RateReport,
-    ambiguity_direct,
-    ambiguity_reverse,
     error_rates,
     key_bases,
     key_joint,
@@ -52,7 +46,6 @@ from .reconciliation import (
     required_syndrome_rate,
     sp_decode,
     syndrome,
-    write_alist,
 )
 from .simulate import (
     ProtocolConfig,

@@ -164,10 +164,6 @@ class PauliProbs:
 # ---------------------------------------------------------------------------
 
 
-def make_identity() -> AffineChannel:
-    return AffineChannel(np.eye(3), np.zeros(3))
-
-
 def make_amplitude_damping(p: float) -> AffineChannel:
     """Relaxation toward |0> with decay probability ``p``."""
     if not 0.0 <= p <= 1.0:
@@ -184,20 +180,6 @@ def make_rotation(theta: float) -> AffineChannel:
 
 def make_pauli(q: PauliProbs) -> AffineChannel:
     return AffineChannel(np.diag(q.diagonal()), np.zeros(3))
-
-
-def pauli_probs_from_diagonal(e_z: float, e_x: float, e_y: float) -> PauliProbs:
-    """Invert the diagonal contraction factors back to Pauli probabilities.
-
-    Raises ValueError when any probability comes out below -1e-9,
-    which means the diagonal does not belong to a completely positive
-    (unital, axis-aligned) channel.
-    """
-    q = pauli_weights(np.array([e_z, e_x, e_y]))
-    if (q < -1e-9).any():
-        raise ValueError(f"diagonal ({e_z}, {e_x}, {e_y}) gives negative probabilities {q}")
-    q = np.clip(q, 0.0, None)
-    return PauliProbs(*(q / q.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -259,40 +241,42 @@ def _finite(token: str) -> float:
 
 
 def parse_channel_spec(text: str) -> AffineChannel:
+    """Parse a one-line spec; raises ValueError naming the first token its
+    kind does not take: a repeated key, another kind's key, or a bare number
+    after a named kind."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty channel spec")
+    keys = [tok.split("=", 1)[0].strip().lower() if "=" in tok else None for tok in tokens]
+    if "kind" not in keys:
+        raise ValueError("channel spec is missing kind=")
+    kind = tokens[keys.index("kind")].split("=", 1)[1].strip().lower()
+    # the keys each named kind takes, in the order its constructor reads them
+    named = {
+        "amplitude_damping": (("p",), make_amplitude_damping),
+        "rotation": (("theta",), make_rotation),
+        "pauli": (("qi", "qz", "qx", "qy"), lambda *q: make_pauli(PauliProbs(*q))),
+        "explicit": ((), None),
+    }
+    if kind not in named:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    takes, build = named[kind]
     kv = {}
     numbers = []
-    for tok in tokens:
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            kv[k.strip().lower()] = v.strip()
-        else:
+    for tok, key in zip(tokens, keys):
+        if key is None and kind == "explicit":
             numbers.append(_finite(tok))
-    kind = kv.get("kind")
-    if kind is None:
-        raise ValueError("channel spec is missing kind=")
-    kind = kind.lower()
-
-    def num(key: str) -> float:
-        if key not in kv:
-            raise ValueError(f"{kind} channel spec is missing {key}=")
-        return _finite(kv[key])
-
-    if kind == "amplitude_damping":
-        return make_amplitude_damping(num("p"))
-    if kind == "rotation":
-        return make_rotation(num("theta"))
-    if kind == "pauli":
-        return make_pauli(PauliProbs(num("qi"), num("qz"), num("qx"), num("qy")))
-    if kind == "explicit":
-        if len(numbers) != 12:
-            raise ValueError(
-                f"explicit channel needs 9 r entries plus 3 t entries, got {len(numbers)}"
-            )
-        return AffineChannel(np.array(numbers[:9]).reshape(3, 3), np.array(numbers[9:]))
-    raise ValueError(f"unknown channel kind {kind!r}")
+        elif key in ("kind", *takes) and key not in kv:
+            kv[key] = tok.split("=", 1)[1].strip()
+        else:
+            raise ValueError(f"{kind} channel spec: unexpected token {tok!r}")
+    if build is not None:
+        if missing := [key for key in takes if key not in kv]:
+            raise ValueError(f"{kind} channel spec is missing {missing[0]}=")
+        return build(*(_finite(kv[key]) for key in takes))
+    if len(numbers) != 12:
+        raise ValueError(f"explicit channel needs 9 r entries plus 3 t entries, got {len(numbers)}")
+    return AffineChannel(np.array(numbers[:9]).reshape(3, 3), np.array(numbers[9:]))
 
 
 def format_channel_spec(ch: AffineChannel) -> str:

@@ -150,6 +150,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_decode(args) -> int:
     matrix = read_alist(args.matrix)
     syn = read_bits(args.syndrome)
+    if syn.shape != (matrix.m,):
+        raise ValueError(f"{args.syndrome} holds {syn.size} bits, the matrix has m={matrix.m}")
     observed = read_bits(args.observed)
     if observed.shape != (matrix.n,):
         raise ValueError(f"{args.observed} holds {observed.size} bits, the matrix has n={matrix.n}")

@@ -27,29 +27,6 @@ def binary_entropy(p: float) -> float:
     return _plogp([p, 1.0 - p])
 
 
-def shannon_entropy(dist) -> float:
-    dist = np.asarray(dist, dtype=float)
-    if (dist < -1e-9).any() or abs(dist.sum() - 1.0) > 1e-6:
-        raise ValueError("not a probability distribution")
-    return _plogp(dist)
-
-
-def von_neumann_entropy(density: np.ndarray) -> float:
-    """Entropy of a Hermitian PSD unit-trace matrix from its spectrum.
-
-    Each of the three properties is checked to within 1e-9.
-    """
-    density = np.asarray(density)
-    if np.abs(density - density.conj().T).max() > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
-    ev = np.linalg.eigvalsh(density)
-    if ev[0] < -1e-9:
-        raise ValueError(f"negative eigenvalue {ev[0]:.3e} below -1e-09")
-    if abs(ev.sum() - 1.0) > 1e-9:
-        raise ValueError(f"trace {ev.sum():.6f} differs from 1")
-    return _plogp(np.clip(ev, 0.0, None))
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """2x2 joint table P(x, y); rows index x, columns index y."""

@@ -5,7 +5,7 @@ filled from n+ell-1 random generator bits g:
 
     T[i, j] = g[n - 1 - j + i]
 
-so a descriptor is just (n, ell, generator bits, seed) and fits on a public
+so a descriptor is just (n, ell, generator bits) and fits on a public
 channel.  Any two distinct inputs collide with probability 2^-ell over the
 choice of generator, which is what privacy amplification needs.
 """
@@ -26,7 +26,6 @@ class HashDescriptor:
     input_len: int
     output_len: int
     generator: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         gen = np.asarray(self.generator, dtype=np.uint8).copy()
@@ -47,26 +46,6 @@ class HashDescriptor:
         """``rfft`` of the generator at the transform size of ``apply_hash``."""
         return np.fft.rfft(self.generator.astype(np.float64), _fft_size(self.generator.shape[0]))
 
-    def serialize(self) -> str:
-        """Hex text form for transmission over the public channel."""
-        bits = np.packbits(self.generator) if self.generator.size else np.zeros(0, np.uint8)
-        seed = "-" if self.seed is None else str(self.seed)
-        return f"toeplitz n={self.input_len} l={self.output_len} seed={seed} gen={bits.tobytes().hex()}"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "HashDescriptor":
-        fields = dict(tok.split("=", 1) for tok in text.split()[1:])
-        missing = [key + "=" for key in ("n", "l", "seed", "gen") if key not in fields]
-        if missing:
-            raise ValueError(f"hash descriptor is missing {' '.join(missing)}")
-        n = int(fields["n"])
-        ell = int(fields["l"])
-        nbits = n + ell - 1 if ell else 0
-        raw = np.frombuffer(bytes.fromhex(fields["gen"]), dtype=np.uint8)
-        gen = np.unpackbits(raw)[:nbits]
-        seed = None if fields["seed"] == "-" else int(fields["seed"])
-        return cls(n, ell, gen, seed)
-
 
 def key_length(n: int, m: int, ambiguity: float, epsilon: float) -> int:
     """Secure key length floor(n*ambiguity - m - n*epsilon), clamped at 0.
@@ -85,7 +64,7 @@ def sample_hash(output_len: int, input_len: int, seed: int) -> HashDescriptor:
     rng = np.random.default_rng(seed)
     nbits = input_len + output_len - 1 if output_len else 0
     gen = rng.integers(0, 2, size=nbits, dtype=np.uint8)
-    return HashDescriptor(input_len, output_len, gen, seed)
+    return HashDescriptor(input_len, output_len, gen)
 
 
 def _fft_size(conv_len: int) -> int:

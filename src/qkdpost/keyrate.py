@@ -102,16 +102,6 @@ def choi_ambiguity(c: np.ndarray, direction: str = "direct", tol: float = 1e-9) 
     return key_entropy(c, direction) - _plogp(ev)
 
 
-def ambiguity_direct(choi: ChoiMatrix, tol: float = 1e-9) -> float:
-    """H(X|E) in bits for a uniformly random key bit prepared in the z basis."""
-    return choi_ambiguity(choi.matrix, "direct", tol)
-
-
-def ambiguity_reverse(choi: ChoiMatrix, tol: float = 1e-9) -> float:
-    """H(Y|E) in bits for Bob's z-basis bit."""
-    return choi_ambiguity(choi.matrix, "reverse", tol)
-
-
 def error_rates(choi: ChoiMatrix) -> ErrorRates:
     """Matched-basis flip probabilities; equal to (1 - r_aa)/2 per axis."""
     ch = affine_from_choi(choi, tol=1e-6)

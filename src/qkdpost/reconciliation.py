@@ -63,9 +63,6 @@ class ParityCheckMatrix:
     def row_weights(self) -> np.ndarray:
         return np.diff(self.chk_ptr)
 
-    def col_weights(self) -> np.ndarray:
-        return np.bincount(self.chk_vars, minlength=self.n)
-
 
 def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
     """Random parity-check matrix ``H = [A | T]`` of rank m by construction.
@@ -303,30 +300,8 @@ def required_syndrome_rate(joint: JointDistribution, margin: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# alist-format I/O (per-column and per-row adjacency, 1-indexed)
+# alist-format input (per-column and per-row adjacency, 1-indexed)
 # ---------------------------------------------------------------------------
-
-
-def write_alist(matrix: ParityCheckMatrix, path) -> None:
-    colw = matrix.col_weights()
-    roww = matrix.row_weights()
-    # edges are grouped by check, so a stable sort by variable leaves each
-    # column's checks ascending, as each check's variables already are
-    checks = np.repeat(np.arange(1, matrix.m + 1), roww)
-    col_checks = checks[np.argsort(matrix.chk_vars, kind="stable")]
-    col_ptr = np.concatenate([[0], np.cumsum(colw)])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{matrix.n} {matrix.m}\n")
-        f.write(f"{int(colw.max())} {int(roww.max())}\n")
-        f.write(" ".join(map(str, colw.tolist())) + "\n")
-        f.write(" ".join(map(str, roww.tolist())) + "\n")
-        # an empty column or row is a lone 0, since the reader skips blank lines
-        for values, ptr in ((col_checks, col_ptr), (matrix.chk_vars + 1, matrix.chk_ptr)):
-            words = list(map(str, values.tolist()))
-            bounds = ptr.tolist()
-            f.writelines(
-                (" ".join(words[a:b]) or "0") + "\n" for a, b in zip(bounds[:-1], bounds[1:])
-            )
 
 
 def _column_checks(tokens: list[str], m: int) -> list[int]:

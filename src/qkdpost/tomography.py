@@ -87,18 +87,6 @@ class TallyTable:
     def protocol(self) -> str:
         return "sixstate" if len(self.bases) == 3 else "bb84"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("a,b,x,y,count\n")
-            for ia, a in enumerate(self.bases):
-                for ib, b in enumerate(self.bases):
-                    for x in (0, 1):
-                        for y in (0, 1):
-                            f.write(
-                                f"{a.name.lower()},{b.name.lower()},{x},{y},"
-                                f"{int(self.counts[ia, ib, x, y])}\n"
-                            )
-
     @classmethod
     def from_csv(cls, path) -> "TallyTable":
         """Parse ``a,b,x,y,count`` rows; the counts must total below 2^63."""

@@ -25,6 +25,10 @@ from qkdpost.tomography import (
 )
 
 
+def make_identity():
+    return AffineChannel(np.eye(3), np.zeros(3))
+
+
 def random_rotation_matrix(rng):
     a = rng.normal(size=(3, 3))
     q, r = np.linalg.qr(a)
@@ -187,7 +191,7 @@ def unital_ambiguity_closed_form(ch, direction="direct"):
 
     Equals 1 - H(choi spectrum) + h((1 + |column|)/2) with the z column of
     ``r`` for direct reconciliation and the z row for reverse.  Checked
-    against :func:`ambiguity_direct` in the test-suite; requires t = 0.
+    against :func:`qkdpost.keyrate.choi_ambiguity` in the test-suite; requires t = 0.
     """
     if np.abs(ch.t).max() > 1e-9:
         raise ValueError("closed form requires a unital channel (t = 0)")
@@ -312,6 +316,20 @@ def exact_tally(ch, bases, scale=10**12):
     return TallyTable(np.rint(joint_tables(ch, bases) * scale).astype(np.int64), bases)
 
 
+def write_tally(tally, path):
+    """A tally as the ``a,b,x,y,count`` CSV that ``qkdpost estimate`` reads."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("a,b,x,y,count\n")
+        for ia, a in enumerate(tally.bases):
+            for ib, b in enumerate(tally.bases):
+                for x in (0, 1):
+                    for y in (0, 1):
+                        f.write(
+                            f"{a.name.lower()},{b.name.lower()},{x},{y},"
+                            f"{int(tally.counts[ia, ib, x, y])}\n"
+                        )
+
+
 def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
     """Median absolute error of the estimated direct rate at each sample size.
 
@@ -375,6 +393,33 @@ def to_dense(matrix):
     rows = np.repeat(np.arange(matrix.m), matrix.row_weights())
     dense[rows, matrix.chk_vars] = 1
     return dense
+
+
+def col_weights(matrix):
+    return np.bincount(matrix.chk_vars, minlength=matrix.n)
+
+
+def write_alist(matrix, path):
+    """A parity-check matrix in the alist format that ``qkdpost decode`` reads."""
+    colw = col_weights(matrix)
+    roww = matrix.row_weights()
+    # edges are grouped by check, so a stable sort by variable leaves each
+    # column's checks ascending, as each check's variables already are
+    checks = np.repeat(np.arange(1, matrix.m + 1), roww)
+    col_checks = checks[np.argsort(matrix.chk_vars, kind="stable")]
+    col_ptr = np.concatenate([[0], np.cumsum(colw)])
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{matrix.n} {matrix.m}\n")
+        f.write(f"{int(colw.max())} {int(roww.max())}\n")
+        f.write(" ".join(map(str, colw.tolist())) + "\n")
+        f.write(" ".join(map(str, roww.tolist())) + "\n")
+        # an empty column or row is a lone 0, since the reader skips blank lines
+        for values, ptr in ((col_checks, col_ptr), (matrix.chk_vars + 1, matrix.chk_ptr)):
+            words = list(map(str, values.tolist()))
+            bounds = ptr.tolist()
+            f.writelines(
+                (" ".join(words[a:b]) or "0") + "\n" for a, b in zip(bounds[:-1], bounds[1:])
+            )
 
 
 BRUTE_FORCE_MAX_N = 24

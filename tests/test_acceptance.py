@@ -13,7 +13,7 @@ from qkdpost.channels import (
     make_rotation,
 )
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
-from qkdpost.keyrate import ambiguity_direct, keyrate
+from qkdpost.keyrate import choi_ambiguity, keyrate
 from qkdpost.reconciliation import (
     gen_parity_check,
     priors_from_joint,
@@ -147,11 +147,11 @@ def test_criterion_5_convexity_and_full_completions():
     for _ in range(200):
         a = random_cp_channel(rng)
         b = random_cp_channel(rng)
-        amb_a = ambiguity_direct(choi_from_affine(a))
-        amb_b = ambiguity_direct(choi_from_affine(b))
+        amb_a = choi_ambiguity(choi_from_affine(a).matrix, "direct")
+        amb_b = choi_ambiguity(choi_from_affine(b).matrix, "direct")
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
             mix = AffineChannel(lam * a.r + (1 - lam) * b.r, lam * a.t + (1 - lam) * b.t)
-            amb_mix = ambiguity_direct(choi_from_affine(mix))
+            amb_mix = choi_ambiguity(choi_from_affine(mix).matrix, "direct")
             assert amb_mix <= lam * amb_a + (1 - lam) * amb_b + 1e-9
 
     undercut = 0.0
@@ -161,7 +161,7 @@ def test_criterion_5_convexity_and_full_completions():
         iv = feasible_interval(om)
         f = worst_case_ambiguity(om)
         for comp in completions_of_omega(ch, iv, rng, 50):
-            amb = ambiguity_direct(choi_from_affine(comp), tol=1e-8)
+            amb = choi_ambiguity(choi_from_affine(comp).matrix, "direct", tol=1e-8)
             undercut = max(undercut, f - amb)
             assert amb >= f - 1e-6
     print(

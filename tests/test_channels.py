@@ -16,12 +16,12 @@ from qkdpost.channels import (
     joint_distribution,
     joint_tables,
     make_amplitude_damping,
-    make_identity,
     make_pauli,
     make_rotation,
     parse_channel_spec,
     partial_trace_output,
-    pauli_probs_from_diagonal,
+    pauli_diagonal,
+    pauli_weights,
 )
 
 from conftest import (
@@ -29,6 +29,7 @@ from conftest import (
     affine_entries_oracle,
     choi_entries_oracle,
     is_completely_positive,
+    make_identity,
     partial_trace_oracle,
     random_affine_channel,
     random_cp_channel,
@@ -90,32 +91,15 @@ class TestConstructors:
         assert np.allclose(np.diag(ch.r), [0.0, 0.0, 1.0])
 
 
-class TestPauliProbsFromDiagonal:
-    def test_identity_diagonal(self):
-        q = pauli_probs_from_diagonal(1, 1, 1)
-        assert np.allclose(q.as_array(), [1, 0, 0, 0])
-
-    def test_zero_diagonal(self):
-        q = pauli_probs_from_diagonal(0, 0, 0)
-        assert np.allclose(q.as_array(), [0.25, 0.25, 0.25, 0.25])
-
-    def test_worked_example(self):
-        q = pauli_probs_from_diagonal(0.5, 0.5, 0.0)
-        assert np.allclose(q.as_array(), [0.5, 0.25, 0.25, 0.0])
-
-    def test_transpose_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            pauli_probs_from_diagonal(1.0, 1.0, -1.0)
-
+class TestPauliWeights:
     def test_round_trip_on_valid_diagonals(self, rng):
+        # identity, zero and worked-example diagonals, then the inverse
+        assert np.allclose(pauli_weights(np.array([1.0, 1.0, 1.0])), [1, 0, 0, 0])
+        assert np.allclose(pauli_weights(np.zeros(3)), [0.25, 0.25, 0.25, 0.25])
+        assert np.allclose(pauli_weights(np.array([0.5, 0.5, 0.0])), [0.5, 0.25, 0.25, 0.0])
         for _ in range(200):
             e = rng.uniform(-1, 1, 3)
-            try:
-                q = pauli_probs_from_diagonal(*e)
-            except ValueError:
-                continue
-            ch = make_pauli(q)
-            assert np.allclose(np.diag(ch.r), e, atol=1e-12)
+            assert np.allclose(pauli_diagonal(pauli_weights(e)), e, atol=1e-12)
 
 
 class TestChoiConversions:

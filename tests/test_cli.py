@@ -12,11 +12,10 @@ from qkdpost.reconciliation import (
     required_syndrome_rate,
     sp_decode,
     syndrome,
-    write_alist,
 )
 from qkdpost.tomography import SIXSTATE_BASES
 
-from conftest import exact_tally
+from conftest import exact_tally, write_alist, write_tally
 
 
 def test_rates_writes_csv(tmp_path, capsys):
@@ -59,7 +58,7 @@ def test_bound_command(tmp_path, capsys):
 def test_estimate_command(tmp_path, capsys):
     tally = exact_tally(make_amplitude_damping(0.2), SIXSTATE_BASES)
     path = tmp_path / "tally.csv"
-    tally.to_csv(path)
+    write_tally(tally, path)
     assert main(["estimate", "--tally", str(path)]) == 0
     out = capsys.readouterr().out
     assert "direct: ambiguity=" in out
@@ -69,7 +68,7 @@ def test_estimate_command(tmp_path, capsys):
 def test_estimate_bb84_from_sixstate_tally(tmp_path, capsys):
     tally = exact_tally(make_rotation(0.7), SIXSTATE_BASES)
     path = tmp_path / "tally.csv"
-    tally.to_csv(path)
+    write_tally(tally, path)
     assert main(["estimate", "--tally", str(path), "--protocol", "bb84"]) == 0
     assert "mismatched:" in capsys.readouterr().out
 
@@ -328,6 +327,16 @@ VALID_ALIST = "<valid alist>"
          "'inf' is not finite"),
         (["bound", "--channel"], "kind=explicit 2 0 0 0 1 0 0 0 1 0 0 0\n",
          "omega admits no completely positive completion"),
+        (["bound", "--channel"], "kind=amplitude_damping p=0.2 kind=rotation theta=0.3\n",
+         "amplitude_damping channel spec: unexpected token 'kind=rotation'"),
+        (["bound", "--channel"], "kind=rotation theta=0.5 p=0.9\n",
+         "rotation channel spec: unexpected token 'p=0.9'"),
+        (["bound", "--channel"], "kind=amplitude_damping p=0.2 theta=1.0 0.7\n",
+         "amplitude_damping channel spec: unexpected token 'theta=1.0'"),
+        (["bound", "--channel"], "kind=rotation theta=0.5 0.7\n",
+         "rotation channel spec: unexpected token '0.7'"),
+        (["bound", "--channel"], "kind=explicit 1 0 0 0 1 0 0 0 1 0 0 0 theta=3\n",
+         "explicit channel spec: unexpected token 'theta=3'"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,2,0,5\n", "tally line 2: bits"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,5,1\n", "tally line 2: expected 5"),
         (["estimate", "--tally"], "a,b,x,y,count\nz,z,0,0,-5\n", "tally line 2: count -5"),
@@ -349,6 +358,8 @@ VALID_ALIST = "<valid alist>"
          "hex 16 ab\n", "line 1: expected 'hex <nbits> <digits>' (bit count 16 not in 0..8)"),
         (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
          "hex -2 ab\n", "line 1: expected 'hex <nbits> <digits>' (bit count -2 not in 0..8)"),
+        (["decode", "--matrix", VALID_ALIST, "--observed", "o", "--channel", "c", "--syndrome"],
+         "11011\n", "input holds 5 bits, the matrix has m=6"),
         (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
          "config line 2, key 'n_signals'"),
         (["simulate", "--config"], "protocol=bb84\nmargin=inf\n",
@@ -360,19 +371,23 @@ VALID_ALIST = "<valid alist>"
         (["simulate", "--config"],
          "protocol=bb84\nchannel=kind=explicit 2 0 0 0 1 0 0 0 1 0 0 0\nn_signals=20000\n",
          "channel is not completely positive"),
+        (["simulate", "--config"], "protocol=bb84\nchannel=kind=rotation theta=0.3 p=0.2\n",
+         "config line 2, key 'channel': rotation channel spec: unexpected token 'p=0.2'"),
         (["estimate", "--protocol", "sixstate", "--tally"],
          "a,b,x,y,count\nz,z,0,0,5\nz,x,0,1,5\nx,z,1,0,5\nx,x,1,1,5\n",
          "six-state estimation needs tallies in all three bases"),
         (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
           "--out"], "", "sweep range 0.0..nan is not finite"),
     ],
-    ids=["spec-without-p", "spec-nan", "spec-inf", "spec-not-physical", "tally-bit-2",
+    ids=["spec-without-p", "spec-nan", "spec-inf", "spec-not-physical", "spec-repeated-kind",
+         "spec-other-kinds-key", "spec-extra-key-and-number", "spec-number-after-named-kind",
+         "spec-key-after-explicit", "tally-bit-2",
          "tally-six-fields", "tally-negative-count", "tally-count-overflow", "tally-total-overflow",
          "truncated-alist", "alist-row-weights", "alist-repeated-check", "alist-negative-check",
          "hex-two-fields", "hex-more-bits-than-digits",
-         "hex-negative-bits", "config-int", "config-margin-inf", "config-epsilon-inf",
-         "config-seed-negative", "config-channel-not-physical", "sixstate-tally-without-y",
-         "rates-nan"],
+         "hex-negative-bits", "syndrome-wrong-length", "config-int", "config-margin-inf",
+         "config-epsilon-inf", "config-seed-negative", "config-channel-not-physical",
+         "config-channel-extra-key", "sixstate-tally-without-y", "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

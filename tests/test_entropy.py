@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qkdpost.entropy import (
-    JointDistribution,
-    binary_entropy,
-    cond_entropy,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
 
 
 def test_binary_entropy_symmetric_point():
@@ -23,34 +17,6 @@ def test_binary_entropy_edges():
     assert binary_entropy(1.0) == 0.0
     with pytest.raises(ValueError):
         binary_entropy(1.2)
-
-
-def test_shannon_entropy_uniform():
-    assert shannon_entropy([0.25] * 4) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        shannon_entropy([0.5, 0.6])
-
-
-def test_von_neumann_pure_and_mixed():
-    pure = np.zeros((4, 4))
-    pure[0, 0] = 1.0
-    assert von_neumann_entropy(pure) == 0.0
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
-
-
-def test_von_neumann_dyadic_spectrum():
-    rho = np.diag([0.5, 0.25, 0.125, 0.125])
-    assert von_neumann_entropy(rho) == pytest.approx(1.75, abs=1e-14)
-
-
-def test_von_neumann_rejects_bad_input():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.5, -0.5]))
-    bad = np.eye(2) / 2
-    bad = bad.astype(complex)
-    bad[0, 1] = 0.3j  # not Hermitian
-    with pytest.raises(ValueError):
-        von_neumann_entropy(bad)
 
 
 def damping_joint(p):

@@ -38,19 +38,6 @@ class TestDescriptor:
         with pytest.raises(ValueError):
             HashDescriptor(3, 5, np.ones(7, np.uint8))
 
-    def test_serialize_round_trip(self):
-        desc = sample_hash(40, 128, seed=5)
-        back = HashDescriptor.deserialize(desc.serialize())
-        assert back.input_len == desc.input_len
-        assert back.output_len == desc.output_len
-        assert back.seed == desc.seed
-        assert np.array_equal(back.generator, desc.generator)
-
-    def test_deserialize_rejects_missing_fields(self):
-        text = sample_hash(4, 8, seed=1).serialize()
-        with pytest.raises(ValueError, match="missing gen="):
-            HashDescriptor.deserialize(text.rsplit(" ", 1)[0])
-
     def test_sampling_deterministic(self):
         a = sample_hash(64, 256, seed=9)
         b = sample_hash(64, 256, seed=9)

@@ -8,15 +8,13 @@ from qkdpost.channels import (
     PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
-    make_identity,
     make_pauli,
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import (
-    ambiguity_direct,
-    ambiguity_reverse,
     bell_diagonal_probs,
+    choi_ambiguity,
     error_rates,
     keyrate,
     keyrate_conventional_bb84,
@@ -27,6 +25,7 @@ from qkdpost.keyrate import (
 from conftest import (
     bell_diagonal_oracle,
     closed_form_example_rates,
+    make_identity,
     random_cp_channel,
     random_unital_channel,
     twirl_oracle,
@@ -40,42 +39,48 @@ def choi_of(ch):
 
 class TestAmbiguityDirect:
     def test_identity(self):
-        assert ambiguity_direct(choi_of(make_identity())) == pytest.approx(1.0, abs=1e-12)
+        assert choi_ambiguity(choi_of(make_identity()).matrix, "direct") == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_depolarizing(self):
         depol = AffineChannel(np.zeros((3, 3)), np.zeros(3))
-        assert ambiguity_direct(choi_of(depol)) == pytest.approx(0.0, abs=1e-12)
+        assert choi_ambiguity(choi_of(depol).matrix, "direct") == pytest.approx(0.0, abs=1e-12)
 
     def test_damping_half(self):
-        got = ambiguity_direct(choi_of(make_amplitude_damping(0.5)))
+        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)).matrix, "direct")
         want = 1 + 0.5 * binary_entropy(0.5) - binary_entropy(0.25)
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.6887218755408672, abs=1e-9)
 
     def test_damping_general_closed_form(self):
         for p in (0.1, 0.3, 0.7, 0.95):
-            got = ambiguity_direct(choi_of(make_amplitude_damping(p)))
+            got = choi_ambiguity(choi_of(make_amplitude_damping(p)).matrix, "direct")
             want = 1 + 0.5 * binary_entropy(p) - binary_entropy(p / 2)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unitary_channels_leak_nothing(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
-            assert ambiguity_direct(choi_of(make_rotation(theta))) == pytest.approx(1.0, abs=1e-12)
+            assert choi_ambiguity(choi_of(make_rotation(theta)).matrix, "direct") == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_range(self, rng):
         for _ in range(100):
-            amb = ambiguity_direct(choi_of(random_cp_channel(rng)))
+            amb = choi_ambiguity(choi_of(random_cp_channel(rng)).matrix, "direct")
             assert -1e-12 <= amb <= 1.0 + 1e-12
 
     def test_rejects_unphysical(self):
         transpose = AffineChannel(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            ambiguity_direct(choi_of(transpose))
+            choi_ambiguity(choi_of(transpose).matrix, "direct")
 
 
 class TestAmbiguityReverse:
     def test_identity(self):
-        assert ambiguity_reverse(choi_of(make_identity())) == pytest.approx(1.0, abs=1e-12)
+        assert choi_ambiguity(choi_of(make_identity()).matrix, "reverse") == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_pauli_channels_symmetric(self, rng):
         for _ in range(20):
@@ -86,12 +91,14 @@ class TestAmbiguityReverse:
             if (q < 0).any():
                 continue
             choi = choi_of(make_pauli(PauliProbs(*q)))
-            assert ambiguity_reverse(choi) == pytest.approx(ambiguity_direct(choi), abs=1e-10)
+            assert choi_ambiguity(choi.matrix, "reverse") == pytest.approx(
+                choi_ambiguity(choi.matrix, "direct"), abs=1e-10
+            )
 
     def test_damping_half_value(self):
         # equal to the direct ambiguity at this channel; the reverse RATE then
         # differs through H(Y|X) only
-        got = ambiguity_reverse(choi_of(make_amplitude_damping(0.5)))
+        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)).matrix, "reverse")
         assert got == pytest.approx(0.6887218755408672, abs=1e-9)
 
     def test_unital_equality_condition(self, rng):
@@ -103,8 +110,8 @@ class TestAmbiguityReverse:
             choi = choi_of(ch)
             lhs = ch.r[1, 0] ** 2 + ch.r[2, 0] ** 2
             rhs = ch.r[0, 1] ** 2 + ch.r[0, 2] ** 2
-            d = ambiguity_direct(choi)
-            r = ambiguity_reverse(choi)
+            d = choi_ambiguity(choi.matrix, "direct")
+            r = choi_ambiguity(choi.matrix, "reverse")
             if abs(lhs - rhs) < 1e-12:
                 assert d == pytest.approx(r, abs=1e-9)
                 seen_equal = True
@@ -114,7 +121,9 @@ class TestAmbiguityReverse:
         assert seen_unequal
         # rotations satisfy the equality condition exactly
         choi = choi_of(make_rotation(1.234))
-        assert ambiguity_direct(choi) == pytest.approx(ambiguity_reverse(choi), abs=1e-12)
+        assert choi_ambiguity(choi.matrix, "direct") == pytest.approx(
+            choi_ambiguity(choi.matrix, "reverse"), abs=1e-12
+        )
 
 
 class TestKeyrate:
@@ -250,10 +259,10 @@ class TestUnitalClosedForm:
             ch = random_unital_channel(rng)
             choi = choi_of(ch)
             assert unital_ambiguity_closed_form(ch, "direct") == pytest.approx(
-                ambiguity_direct(choi), abs=1e-9
+                choi_ambiguity(choi.matrix, "direct"), abs=1e-9
             )
             assert unital_ambiguity_closed_form(ch, "reverse") == pytest.approx(
-                ambiguity_reverse(choi), abs=1e-9
+                choi_ambiguity(choi.matrix, "reverse"), abs=1e-9
             )
 
     def test_rejects_nonunital(self):
@@ -267,11 +276,11 @@ class TestConvexity:
         for _ in range(200):
             a = random_cp_channel(rng)
             b = random_cp_channel(rng)
-            amb_a = ambiguity_direct(choi_of(a))
-            amb_b = ambiguity_direct(choi_of(b))
+            amb_a = choi_ambiguity(choi_of(a).matrix, "direct")
+            amb_b = choi_ambiguity(choi_of(b).matrix, "direct")
             for lam in np.linspace(0.1, 0.9, 9):
                 mixed = AffineChannel(lam * a.r + (1 - lam) * b.r, lam * a.t + (1 - lam) * b.t)
-                amb_mix = ambiguity_direct(choi_of(mixed))
+                amb_mix = choi_ambiguity(choi_of(mixed).matrix, "direct")
                 assert amb_mix <= lam * amb_a + (1 - lam) * amb_b + 1e-9
 
 

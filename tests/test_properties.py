@@ -21,7 +21,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qkdpost.channels import parse_channel_spec  # noqa: E402
 from qkdpost.cli import main, read_bits  # noqa: E402
-from qkdpost.hashing import HashDescriptor  # noqa: E402
 from qkdpost.reconciliation import read_alist, syndrome  # noqa: E402
 from qkdpost.simulate import ProtocolConfig, parse_config  # noqa: E402
 from qkdpost.tomography import TallyTable  # noqa: E402
@@ -135,18 +134,6 @@ def test_bits_parse_or_raise_value_error(scratch, lines):
     bits = returns_or_value_error(read_bits, scratch)
     if bits is not None:
         assert set(bits.tolist()) <= {0, 1}
-
-
-HASH_FIELD = st.tuples(
-    st.sampled_from(["n", "l", "seed", "gen"]),
-    st.one_of(NUMBERS, st.just("-"), st.text("0123456789abcdef", max_size=16)),
-).map("=".join)
-
-
-@PROPERTY
-@given(st.lists(st.one_of(HASH_FIELD, JUNK), max_size=6))
-def test_hash_descriptor_parses_or_raises_value_error(tokens):
-    returns_or_value_error(HashDescriptor.deserialize, " ".join(["toeplitz", *tokens]))
 
 
 CONFIG_VALUES = {

@@ -12,7 +12,6 @@ import pytest
 from qkdpost.channels import (
     PauliProbs,
     make_amplitude_damping,
-    make_identity,
     make_pauli,
     make_rotation,
 )
@@ -28,7 +27,7 @@ from qkdpost.simulate import (
     sweep_rates,
 )
 
-from conftest import closed_form_example_rates, exchange_oracle
+from conftest import closed_form_example_rates, exchange_oracle, make_identity
 
 
 class TestConfig:

@@ -9,7 +9,6 @@ from qkdpost.channels import (
     PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
-    make_identity,
     make_pauli,
     make_rotation,
 )
@@ -32,9 +31,11 @@ from conftest import (
     affine_projection_oracle,
     closed_form_example_rates,
     exact_tally,
+    make_identity,
     pool_tally,
     random_cp_channel,
     rate_error_curve,
+    write_tally,
 )
 
 
@@ -42,7 +43,7 @@ class TestTallyTable:
     def test_csv_round_trip(self, rng, tmp_path):
         tally = sample_tally(make_amplitude_damping(0.3), SIXSTATE_BASES, 1000, rng)
         path = tmp_path / "tally.csv"
-        tally.to_csv(path)
+        write_tally(tally, path)
         back = TallyTable.from_csv(path)
         assert back.bases == tally.bases
         assert np.array_equal(back.counts, tally.counts)
@@ -50,7 +51,7 @@ class TestTallyTable:
     def test_bb84_csv_has_no_y_rows(self, rng, tmp_path):
         tally = sample_tally(make_rotation(0.4), BB84_BASES, 500, rng)
         path = tmp_path / "bb84.csv"
-        tally.to_csv(path)
+        write_tally(tally, path)
         body = path.read_text()
         assert ",y," not in body.replace("a,b,x,y,count", "")
         assert TallyTable.from_csv(path).protocol == "bb84"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qkdpost import worstcase
-from qkdpost.channels import choi_from_affine, make_amplitude_damping, make_identity, make_rotation
+from qkdpost.channels import choi_from_affine, make_amplitude_damping, make_rotation
 from qkdpost.entropy import binary_entropy
-from qkdpost.keyrate import DIRECTIONS, ambiguity_direct, choi_ambiguity
+from qkdpost.keyrate import DIRECTIONS, choi_ambiguity
 from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
     DEGENERATE_WIDTH,
@@ -22,6 +22,7 @@ from qkdpost.worstcase import (
 from conftest import (
     POOL_CHANNELS,
     is_completely_positive,
+    make_identity,
     pool_tally,
     purification_ambiguity,
     random_cp_channel,
@@ -208,7 +209,7 @@ class TestWorstCaseAmbiguity:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_damping_point_interval_recovers_exact_value(self, p):
         ch = make_amplitude_damping(p)
-        want = ambiguity_direct(choi_from_affine(ch))
+        want = choi_ambiguity(choi_from_affine(ch).matrix, "direct")
         assert worst_case_ambiguity(omega_of(ch)) == pytest.approx(want, abs=1e-6)
 
     def test_unital_matches_bound(self, rng):
@@ -235,7 +236,7 @@ class TestWorstCaseAmbiguity:
         for _ in range(60):
             ch = random_cp_channel(rng)
             f = worst_case_ambiguity(omega_of(ch))
-            assert ambiguity_direct(choi_from_affine(ch)) >= f - 1e-6
+            assert choi_ambiguity(choi_from_affine(ch).matrix, "direct") >= f - 1e-6
 
     def test_full_completions_never_beat_reduced_search(self, rng):
         """Monte-Carlo over completions with all six hidden parameters free."""
@@ -255,7 +256,7 @@ class TestWorstCaseAmbiguity:
                 assert np.allclose(back.as_array(), om.as_array(), atol=1e-12)
                 if np.abs(comp.r[2, :2]).max() > 1e-6 or np.abs(comp.r[:2, 2]).max() > 1e-6:
                     hidden_seen += 1
-                assert ambiguity_direct(choi, tol=1e-8) >= f - 1e-6
+                assert choi_ambiguity(choi.matrix, "direct", tol=1e-8) >= f - 1e-6
             assert hidden_seen > 10  # the sample really explored hidden parameters
 
     def test_continuity_under_small_shifts(self, rng):
@@ -275,7 +276,9 @@ class TestWorstCaseAmbiguity:
             iv = feasible_interval(om)
             if iv is None or iv.width < 1e-3:
                 continue
-            amb = lambda r: ambiguity_direct(choi_from_affine(om.complete(r)), tol=1e-6)
+            amb = lambda r: choi_ambiguity(
+                choi_from_affine(om.complete(r)).matrix, "direct", tol=1e-6
+            )
             lo, hi = iv.lo + 1e-6, iv.hi - 1e-6
             for lam in (0.25, 0.5, 0.75):
                 mid = lo + lam * (hi - lo)
