@@ -92,11 +92,20 @@ class TestConstructors:
 
 
 class TestPauliWeights:
-    def test_round_trip_on_valid_diagonals(self, rng):
-        # identity, zero and worked-example diagonals, then the inverse
+    def test_identity_diagonal(self):
         assert np.allclose(pauli_weights(np.array([1.0, 1.0, 1.0])), [1, 0, 0, 0])
+
+    def test_zero_diagonal(self):
         assert np.allclose(pauli_weights(np.zeros(3)), [0.25, 0.25, 0.25, 0.25])
+
+    def test_worked_example(self):
         assert np.allclose(pauli_weights(np.array([0.5, 0.5, 0.0])), [0.5, 0.25, 0.25, 0.0])
+
+    def test_transpose_diagonal_rejected(self):
+        with pytest.raises(ValueError):
+            PauliProbs(*pauli_weights(np.array([1.0, 1.0, -1.0])))
+
+    def test_round_trip_on_valid_diagonals(self, rng):
         for _ in range(200):
             e = rng.uniform(-1, 1, 3)
             assert np.allclose(pauli_diagonal(pauli_weights(e)), e, atol=1e-12)
