@@ -14,6 +14,7 @@ helper bit (see :func:`qkdpost.keyrate.key_joint`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,47 @@ LLR_CLAMP = 30.0
 # column weight of gen_parity_check's codes unless a caller asks for another
 COL_WEIGHT = 3
 # sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
-# most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, which a
-# code of fewer than 2 * GROUP_EDGES edges does not earn back in saved sweeps
+# most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, and
+# two more per row weight in it, which a code of fewer than 2 * GROUP_EDGES
+# edges does not earn back in saved sweeps
 GROUP_EDGES = 6_000
 MAX_GROUPS = 4
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """The checks of one weight w in one group: k checks, w * k edges.
+
+    The bucket's edges are a contiguous run of the layout, read as a (w, k)
+    block whose column c lists the variables of the bucket's c-th check
+    ascending.  ``edges`` and ``checks`` are slices of the layout.
+    """
+
+    edges: slice
+    checks: slice
+    shape: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A code's edges in sp_decode's order, built once per code.
+
+    Check i is in group i mod G.  ``checks`` lists every check by group,
+    then row weight, then index; a group's empty checks come first and sit
+    in no bucket, and ``empty`` lists them all.  ``groups`` holds the
+    buckets of each group that has edges (see :class:`_Bucket`), and
+    ``edge_vars`` the variable of each layout edge, bucket by bucket.  Its
+    intp indices gather and scatter faster than int32 ones under numpy 2.4.
+    A one-group code also keeps ``edge_pos``, the layout position of each
+    edge of ``chk_vars``: it lets the decoder sum the messages into the
+    totals in the order flooding does.
+    """
+
+    checks: np.ndarray
+    edge_vars: np.ndarray
+    empty: np.ndarray
+    groups: tuple[tuple[_Bucket, ...], ...]
+    edge_pos: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -36,7 +74,8 @@ class ParityCheckMatrix:
     """Sparse binary parity-check matrix in adjacency form, full rank m.
 
     ``chk_vars[chk_ptr[k]:chk_ptr[k+1]]`` lists the variables of check k in
-    ascending order.
+    ascending order; a check may be empty.  Malformed arrays raise
+    ``ValueError``.
     """
 
     n: int
@@ -49,6 +88,27 @@ class ParityCheckMatrix:
             arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        ptr, var = self.chk_ptr, self.chk_vars
+        if self.n < 1 or self.m < 0:
+            raise ValueError(f"need n >= 1 and m >= 0, got n={self.n} m={self.m}")
+        if ptr.shape != (self.m + 1,) or var.ndim != 1:
+            raise ValueError(
+                f"chk_ptr must have shape ({self.m + 1},) and chk_vars one axis, "
+                f"got {ptr.shape} and {var.shape}"
+            )
+        if ptr[0] != 0 or ptr[-1] != var.shape[0] or (np.diff(ptr) < 0).any():
+            raise ValueError(
+                f"chk_ptr must rise from 0 to the edge count {var.shape[0]} without decreasing"
+            )
+        if var.shape[0] and not (0 <= var.min() and var.max() < self.n):
+            raise ValueError(f"chk_vars must lie in [0, {self.n}), got {var.min()}..{var.max()}")
+        ascending = var[1:] > var[:-1]
+        # a pair of edges across a check boundary may step down
+        starts = ptr[1:-1]
+        ascending[starts[(0 < starts) & (starts < var.shape[0])] - 1] = True
+        if not ascending.all():
+            k = int(np.searchsorted(ptr, np.argmin(ascending), side="right")) - 1
+            raise ValueError(f"the variables of check {k} must ascend strictly")
 
     @property
     def rows_fixed(self) -> int:
@@ -62,6 +122,44 @@ class ParityCheckMatrix:
 
     def row_weights(self) -> np.ndarray:
         return np.diff(self.chk_ptr)
+
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        """The bucketed layout of :func:`sp_decode`, for the group count of
+        ``_group_count(num_edges)`` when it is first read."""
+        weights = self.row_weights()
+        count = _group_count(self.num_edges)
+        # one stable sort by (group, weight) keeps each bucket's checks
+        # ascending; a 16-bit key sorts by radix
+        span = int(weights.max(initial=0)) + 1
+        key = weights.astype(np.int16 if count * span <= 2**15 else np.intp)
+        for g in range(1, count):
+            key[g::count] += g * span
+        order = np.argsort(key, kind="stable")
+        sizes = np.bincount(key, minlength=count * span).tolist()
+        edge_vars = np.empty(self.num_edges, np.intp)
+        edge_pos = np.empty(self.num_edges, np.intp) if count == 1 else None
+        groups: dict[int, list[_Bucket]] = {}
+        hi = stop = 0
+        for b, k in enumerate(sizes):
+            lo, hi = hi, hi + k
+            g, w = divmod(b, span)
+            if not (k and w):
+                continue
+            start, stop = stop, stop + w * k
+            # row j of a bucket holds the j-th variable of each of its checks
+            edges = self.chk_ptr[order[lo:hi]] + np.arange(w)[:, None]
+            edge_vars[start:stop] = self.chk_vars[edges].ravel()
+            if edge_pos is not None:
+                edge_pos[edges.ravel()] = np.arange(start, stop)
+            groups.setdefault(g, []).append(_Bucket(slice(start, stop), slice(lo, hi), (w, k)))
+        return _Layout(
+            order,
+            edge_vars,
+            np.flatnonzero(weights == 0),
+            tuple(tuple(b) for b in groups.values()),
+            edge_pos,
+        )
 
 
 def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
@@ -120,23 +218,28 @@ def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0
 def _check_parity(chk_ptr: np.ndarray, edge_bits: np.ndarray) -> np.ndarray:
     """Parity of each check's edge bits, uint8 of length len(chk_ptr) - 1.
 
-    ``chk_ptr`` bounds a run of consecutive checks, counted from the start
-    of ``edge_bits``, which holds the run's edge bits in check-grouped order
-    and one entry more: the next check's first bit, or a sentinel.
-    ``reduceat`` over all the pointers then reduces exactly each check's own
-    edges, the last check's included, and the extra entry's segment is
-    dropped; an empty check would read its successor's first bit instead,
-    so its parity is set to 0.  :func:`syndrome` passes every check of the
-    matrix, and :func:`sp_decode` its two syndrome-test runs in group order.
+    ``edge_bits`` holds the bits of the edges in check order and one entry
+    more, a sentinel: ``reduceat`` over all the pointers then reduces
+    exactly each check's own edges, the last check's included, and the
+    sentinel's segment is dropped; an empty check would read its
+    successor's first bit instead, so its parity is set to 0.
     """
     par = np.bitwise_xor.reduceat(edge_bits, chk_ptr)[:-1] & 1
     par[chk_ptr[:-1] == chk_ptr[1:]] = 0
     return par
 
 
+def _bits(values, what: str) -> np.ndarray:
+    """``values`` as uint8; an entry other than 0 or 1 raises ValueError."""
+    values = np.asarray(values)
+    if ((values != 0) & (values != 1)).any():
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return values.astype(np.uint8)
+
+
 def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
-    """GF(2) product M x as a uint8 vector of length m."""
-    x = np.asarray(x)
+    """GF(2) product M x as a uint8 vector of length m; x holds bits 0 and 1."""
+    x = _bits(x, "sequence")
     if x.shape != (matrix.n,):
         raise ValueError(f"sequence length {x.shape} does not match n={matrix.n}")
     edge_bits = np.zeros(matrix.num_edges + 1, np.uint8)
@@ -155,9 +258,8 @@ def priors_from_joint(joint: JointDistribution, observed: np.ndarray) -> np.ndar
 
 
 def _prior_llrs(priors: np.ndarray) -> np.ndarray:
-    priors = np.asarray(priors, dtype=float)
-    llr = np.log(np.clip(priors[:, 0], 1e-300, None)) - np.log(np.clip(priors[:, 1], 1e-300, None))
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+    logs = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
+    return np.clip(logs[:, 0] - logs[:, 1], -LLR_CLAMP, LLR_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -189,105 +291,139 @@ def sp_decode(
     G = 1 the sweep is a flooding sweep.  A variable may sit in several
     checks of one group; those checks read the same total, as in flooding.
 
-    Log-likelihood messages are clamped to +/-30, and the tanh-rule check
-    update flips the sign of check k when syn[k] = 1.  Each check
-    multiplies its factors tanh(v/2) in one segmented product, and an
-    edge's message divides its own factor back out; an exact zero factor is
-    floored at 1e-300, which keeps that edge's message exact and sends about
-    0 to the check's other edges.  Totals and messages are held as half
-    LLRs, which is exact.  Success means the hard decision at the end of a
-    sweep reproduced the syndrome before ``max_iter`` sweeps; ``iterations``
-    counts whole sweeps.  A False flag means the caller must abort or
-    retry, the returned bits are then only diagnostic.
+    The code's layout (``ParityCheckMatrix._layout``, built once per code)
+    keeps each group's checks in buckets of equal row weight w, each a
+    (w, k) block of edges whose column holds one check.  A check multiplies
+    its factors tanh(v/2) down its column, times -1 when its syndrome bit
+    is 1, and an edge's message divides its own factor back out; an exact
+    zero factor is floored far below any other (1e-300, or 2^-100 in
+    float32), which keeps that edge's message exact and sends about 0 to
+    the check's other edges.  Totals and messages are held as half LLRs,
+    which is exact, and messages in both directions are clamped to +/-15,
+    LLR_CLAMP in full LLRs.  A message whose factor product rounds to +/-1
+    takes the clamp; one below 1 sends its arctanh, clamped.
+
+    A one-group code runs in float64 and sums its totals afresh each sweep
+    in the order of ``chk_vars``, so it decodes bit for bit as flooding.  A
+    grouped code runs totals and messages in float32, and each group adds
+    the change of its own messages to the totals.  In float32 tanh is
+    exactly +/-1 from |v/2| = 10 on, so the input clamp has no work, and
+    arctanh of the largest float below 1 is 8.66: a product of +/-1 steps
+    to that float, which keeps arctanh on its fast path, and its message is
+    then lifted to the clamp.
+
+    Success means the hard decision at the end of a sweep reproduced the
+    syndrome before ``max_iter`` sweeps; ``iterations`` counts whole
+    sweeps.  A False flag means the caller must abort or retry, the
+    returned bits are then only diagnostic.  ``syn`` holds bits and
+    ``priors`` are (n, 2) probabilities in [0, 1]; anything else raises
+    ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    syn = np.asarray(syn, dtype=np.uint8)
+    syn = _bits(syn, "syndrome")
     if syn.shape != (matrix.m,):
         raise ValueError(f"syndrome length {syn.shape} does not match m={matrix.m}")
+    priors = np.asarray(priors, dtype=float)
     if priors.shape != (matrix.n, 2):
-        raise ValueError(f"priors must have shape ({matrix.n}, 2)")
-    n, m = matrix.n, matrix.m
-    chk_ptr, chk_vars, row_weights = matrix.chk_ptr, matrix.chk_vars, matrix.row_weights()
-    count = _group_count(matrix.num_edges)
-    # group g holds the relabelled checks first[g]:first[g + 1]
-    first = np.cumsum([0] + [len(range(g, m, count)) for g in range(count)]).tolist()
-    if count > 1:
-        # relabel the checks in group order, and their edges with them, in
-        # O(m + E) without a sort; each check keeps its variables ascending
-        order = np.concatenate([np.arange(g, m, count) for g in range(count)])
-        row_weights = row_weights[order]
-        chk_ptr = np.zeros(m + 1, np.int64)
-        np.cumsum(row_weights, out=chk_ptr[1:])
-        edges = np.repeat(matrix.chk_ptr[order] - chk_ptr[:-1], row_weights)
-        edges += np.arange(matrix.num_edges)
-        chk_vars = chk_vars[edges]
-        syn = syn[order]
-    sgn_syn = 1.0 - 2.0 * syn
-    # every total and message is held as half its LLR, the argument tanh
-    # takes; halving is exact, so the clamps and signs are those of full
-    # LLRs.  llr > 0 means bit 0 is more likely.
-    half = 0.5 * LLR_CLAMP
-    prior = 0.5 * _prior_llrs(priors)
-    tot = prior.copy()
-    # ``th`` is updated in place across sweeps, which spares the page faults
-    # of fresh edge-sized arrays: it holds tot[chk_vars], then the clamped
-    # variable-to-check message, then its tanh.  Its sentinel entry, 0 after
-    # the last edge, keeps _check_parity's last segment inside the last
-    # check.  take(mode="clip") writes ``out`` directly, where the default
-    # mode buffers it; every index is in range anyway.
-    th = np.append(prior[chk_vars], 0.0)
-    # the groups that have edges, as (first check, end check, first edge,
-    # end edge); each keeps its views of th and chk_vars, and the starts,
-    # weights and signs of its non-empty checks: reduceat reads each start
-    # up to the next, the last one up to the end of the view, and an empty
-    # check sends nothing
-    spans = [
-        (c0, c1, int(chk_ptr[c0]), int(chk_ptr[c1]))
-        for c0, c1 in zip(first[:-1], first[1:])
-        if chk_ptr[c0] < chk_ptr[c1]
-    ]
-    layout = []
-    for c0, c1, a, b in spans:
-        full = row_weights[c0:c1] > 0
-        starts = chk_ptr[c0:c1][full] - a
-        layout.append((th[a:b], chk_vars[a:b], starts, row_weights[c0:c1][full], sgn_syn[c0:c1][full]))
-    cv = [np.zeros(b - a) for _, _, a, b in spans]
-    # the syndrome test gathers and reads the checks up to the end of the
-    # first group first, where most failing sweeps already fail, and the
-    # rest only if those hold; that first gather starts the next sweep
-    split = spans[0][1] if spans else m
-    tests = []
-    for c0, c1 in ((0, split), (split, m)):
-        a, b = int(chk_ptr[c0]), int(chk_ptr[c1])
-        if c0 < c1:
-            tests.append((th[a:b], chk_vars[a:b], th[a : b + 1], chk_ptr[c0 : c1 + 1] - a, syn[c0:c1]))
+        raise ValueError(f"priors must have shape ({matrix.n}, 2), got {priors.shape}")
+    # NaN fails both comparisons
+    if not ((0.0 <= priors) & (priors <= 1.0)).all():
+        raise ValueError("priors must be probabilities in [0, 1]")
+    layout = matrix._layout
+    wide = layout.edge_pos is not None
+    dtype = np.float64 if wide else np.float32
+    half, tiny = dtype(0.5 * LLR_CLAMP), dtype(1e-300 if wide else 2.0**-100)
+    # in float32 a product of +/-1 steps down by ``eps`` to the float below
+    # 1, and its arctanh, 8.66, is then lifted by eps * lift to the clamp;
+    # both steps are exact
+    eps = dtype(np.finfo(dtype).epsneg)
+    lift = (half - np.arctanh(np.full(1, 1 - eps))[0]) / eps
+    # llr > 0 means bit 0 is more likely.  The totals start as the prior's
+    # array: a one-group code sums them afresh from it each sweep, and a
+    # grouped code updates them in place and never reads the prior again
+    tot = prior = (0.5 * _prior_llrs(priors)).astype(dtype, copy=False)
+    # an empty check has parity 0, so a 1 on one fails every syndrome test
+    testable = not syn[layout.empty].any()
+    syn = syn[layout.checks]
+    sgn = (1.0 - 2.0 * syn).astype(dtype)
+    want = syn.astype(bool)
+    # edge-sized buffers, sliced per group.  A group's two value slices
+    # trade roles every sweep: ``t`` gathers the totals and turns into the
+    # variable-to-check messages, their tanh factors and the new
+    # check-to-variable messages, while ``c`` holds the last sweep's
+    # messages and then their change.  take(mode="clip") writes ``out``
+    # directly, where the default mode buffers it; every index is in range.
+    edges = layout.edge_vars.shape[0]
+    values = np.zeros((2, edges), dtype)
+    spare = np.empty(edges, dtype)
+    # the hard-decision bools reuse spare's bytes: the syndrome test runs
+    # after a sweep's updates, the only users of spare
+    neg = spare.view(bool)[:edges]
+    prod, par = np.empty(want.shape[0], dtype), np.empty(want.shape[0], bool)
+    updates, syndrome_tests = [], []
+    for buckets in layout.groups:
+        span = slice(buckets[0].edges.start, buckets[-1].edges.stop)
+        checks = slice(buckets[0].checks.start, buckets[-1].checks.stop)
+        sides = [
+            (vals[span], [(vals[b.edges].reshape(b.shape), prod[b.checks]) for b in buckets])
+            for vals in values
+        ]
+        v = layout.edge_vars[span]
+        updates.append((sides, v, prod[checks], sgn[checks], spare[span]))
+        blocks = [(neg[b.edges].reshape(b.shape), par[b.checks]) for b in buckets]
+        syndrome_tests.append((sides, v, neg[span], blocks, par[checks], want[checks]))
     for it in range(1, max_iter + 1):
-        for g, (t, v, starts, weights, sgn) in enumerate(layout):
-            if g:
+        for g, (sides, v, prod_g, sgn_g, work) in enumerate(updates):
+            (t, blocks), (c, _) = sides
+            # after the first sweep, group 0 reads the totals the last
+            # syndrome test gathered
+            if g or it == 1:
                 np.take(tot, v, out=t, mode="clip")
-            t -= cv[g]
-            np.clip(t, -half, half, out=t)
+            t -= c
+            if wide:
+                np.clip(t, -half, half, out=t)
             np.tanh(t, out=t)
-            t[t == 0.0] = 1e-300
-            msg = np.repeat(np.multiply.reduceat(t, starts) * sgn, weights)
-            msg /= t
-            np.clip(msg, -1 + 1e-15, 1 - 1e-15, out=msg)
-            np.arctanh(msg, out=msg)
-            np.clip(msg, -half, half, out=msg)
-            # one group sums its messages afresh, exactly as flooding does;
-            # with more, each group adds the change of its own messages
-            if len(layout) == 1:
-                tot = prior + np.bincount(v, weights=msg, minlength=n)
+            if not t.all():
+                t[t == 0.0] = tiny
+            for tb, pb in blocks:
+                np.multiply.reduce(tb, axis=0, out=pb)
+            prod_g *= sgn_g
+            for tb, pb in blocks:
+                np.divide(pb, tb, out=tb)
+            if wide:
+                # arctanh(1 - 1e-15) = 17.6, so every product from tanh(15)
+                # up is clamped to 15, and no exact +/-1 reaches arctanh
+                np.clip(t, -1 + 1e-15, 1 - 1e-15, out=t)
+                np.arctanh(t, out=t)
+                np.clip(t, -half, half, out=t)
+                np.take(t, layout.edge_pos, out=work, mode="clip")
+                tot = prior + np.bincount(matrix.chk_vars, weights=work, minlength=matrix.n)
             else:
-                np.add.at(tot, v, msg - cv[g])
-            cv[g] = msg
-        for t, v, signs, ptr, syn_part in tests:
+                # no factor exceeds 1, so |t| <= 1, and trunc(t) is +/-1
+                # where the product rounds to +/-1 and 0 elsewhere
+                sat = np.trunc(t, out=work)
+                sat *= eps
+                t -= sat
+                np.arctanh(t, out=t)
+                sat *= lift
+                t += sat
+                np.subtract(t, c, out=c)
+                np.add.at(tot, v, c)
+            sides.reverse()
+        # the hard decision is tested group by group, group 0 first, where
+        # most failing sweeps already fail; its gather starts the next sweep
+        for sides, v, neg_g, blocks, par_g, want_g in syndrome_tests:
+            t = sides[0][0]
             np.take(tot, v, out=t, mode="clip")
-            if not np.array_equal(_check_parity(ptr, (signs < 0.0).view(np.uint8)), syn_part):
+            np.less(t, 0.0, out=neg_g)
+            for nb, pb in blocks:
+                np.logical_xor.reduce(nb, axis=0, out=pb)
+            if not np.array_equal(par_g, want_g):
                 break
         else:
-            return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
+            if testable:
+                return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
     return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
 
 

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qkdpost.channels import parse_channel_spec  # noqa: E402
+from qkdpost.channels import format_channel_spec, parse_channel_spec  # noqa: E402
 from qkdpost.cli import main, read_bits  # noqa: E402
 from qkdpost.reconciliation import read_alist, syndrome  # noqa: E402
 from qkdpost.simulate import ProtocolConfig, parse_config  # noqa: E402
@@ -58,10 +58,41 @@ def spec_text():
     ).map(lambda t: " ".join([f"kind={t[0]}", *t[1], *t[2]]))
 
 
+def valid_spec_text():
+    """Specs of each kind with its own keys, in any order, and in-range values."""
+
+    def finite(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    def spec(kind, keys, values):
+        return values.flatmap(
+            lambda v: st.permutations([f"{k}={x!r}" for k, x in zip(keys, v)])
+        ).map(lambda tokens: " ".join([f"kind={kind}", *tokens]))
+
+    pauli_q = st.lists(finite(0, 1), min_size=4, max_size=4).filter(lambda q: sum(q) > 0)
+    return st.one_of(
+        spec("amplitude_damping", ["p"], st.tuples(finite(0, 1))),
+        spec("rotation", ["theta"], st.tuples(finite(-10, 10))),
+        spec("pauli", ["qi", "qz", "qx", "qy"], pauli_q.map(lambda q: [v / sum(q) for v in q])),
+        st.lists(finite(-2, 2), min_size=12, max_size=12).map(
+            lambda v: " ".join(["kind=explicit", *map(repr, v)])
+        ),
+    )
+
+
 @PROPERTY
-@given(st.one_of(spec_text(), JUNK))
+@given(st.one_of(spec_text(), valid_spec_text(), JUNK))
 def test_channel_spec_parses_or_raises_value_error(text):
-    returns_or_value_error(parse_channel_spec, text)
+    channel = returns_or_value_error(parse_channel_spec, text)
+    if channel is not None:
+        again = parse_channel_spec(format_channel_spec(channel))
+        assert np.array_equal(again.r, channel.r) and np.array_equal(again.t, channel.t)
+
+
+@PROPERTY
+@given(valid_spec_text())
+def test_in_range_channel_specs_parse(text):
+    parse_channel_spec(text)
 
 
 TALLY_ROW = st.tuples(

@@ -118,6 +118,51 @@ class TestSyndrome:
         with pytest.raises(ValueError):
             syndrome(code, np.zeros(19, np.uint8))
 
+    @pytest.mark.parametrize("x", [np.full(12, 2), np.full(12, 0.7), np.full(12, -1)])
+    def test_entries_other_than_bits_rejected(self, x):
+        code = gen_parity_check(12, 6, 3, seed=1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            syndrome(code, x)
+
+    def test_bool_and_float_bits_accepted(self, rng):
+        code = gen_parity_check(12, 6, 3, seed=1)
+        x = rng.integers(0, 2, 12).astype(np.uint8)
+        assert np.array_equal(syndrome(code, x.astype(bool)), syndrome(code, x))
+        assert np.array_equal(syndrome(code, x.astype(float)), syndrome(code, x))
+
+
+class TestMatrixValidation:
+    @pytest.mark.parametrize(
+        "n, m, chk_ptr, chk_vars",
+        [
+            (4, 2, [0, 2, 4], [0, 9, 1, 2]),
+            (4, 2, [0, 2, 4], [0, -1, 1, 2]),
+            (4, 2, [0, 2], [0, 1]),
+            (4, 2, [1, 2, 4], [0, 1, 1, 2]),
+            (4, 2, [0, 3, 2], [0, 1, 2]),
+            (4, 2, [0, 2, 3], [0, 1, 1, 2]),
+            (4, 2, [0, 2, 4], [1, 0, 1, 2]),
+            (4, 2, [0, 2, 4], [0, 1, 2, 2]),
+            (4, 2, [0, 2, 4], [[0, 1], [1, 2]]),
+            (0, 0, [0], []),
+        ],
+        ids=[
+            "variable-above-n", "negative-variable", "pointer-length", "pointer-start",
+            "pointer-decreases", "pointer-end", "descending-check", "repeated-variable",
+            "two-axes", "no-variables",
+        ],
+    )
+    def test_malformed_arrays_raise_value_error(self, n, m, chk_ptr, chk_vars):
+        from qkdpost.reconciliation import ParityCheckMatrix
+
+        with pytest.raises(ValueError):
+            ParityCheckMatrix(n, m, chk_ptr, chk_vars)
+
+    def test_empty_checks_and_steps_down_between_checks_allowed(self):
+        code = _explicit_code([[], [2, 3], [], [0, 1], []], n=4)
+        assert code.num_edges == 4
+        assert syndrome(code, np.array([1, 0, 1, 0], np.uint8)).tolist() == [0, 1, 0, 1, 0]
+
 
 def _explicit_code(row_supports, n):
     from qkdpost.reconciliation import ParityCheckMatrix
@@ -286,6 +331,51 @@ class TestSumProduct:
         res = sp_decode(code, syn, priors)
         assert res.converged and res.iterations == 1
         assert np.array_equal(res.bits, x)
+
+    def test_priors_as_a_list_of_pairs(self, rng):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        x = rng.integers(0, 2, 60).astype(np.uint8)
+        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
+        got = sp_decode(code, syndrome(code, x), priors.tolist())
+        want = sp_decode(code, syndrome(code, x), priors)
+        assert got.converged and np.array_equal(got.bits, want.bits)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -0.1, 1.5], ids=["nan", "inf", "negative", "above-one"]
+    )
+    def test_priors_outside_zero_one_rejected(self, rng, bad):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        x = rng.integers(0, 2, 60).astype(np.uint8)
+        priors = np.full((60, 2), 0.5)
+        priors[7, 1] = bad
+        with pytest.raises(ValueError, match="priors"):
+            sp_decode(code, syndrome(code, x), priors)
+        with pytest.raises(ValueError, match="priors"):
+            sp_decode(code, syndrome(code, x), np.full((60, 2), bad))
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_a_product_of_ones_sends_the_clamp(self, groups, monkeypatch):
+        # variables 0 and 1 are certain, so check 0's product for variable 2
+        # is 1 (exactly 1 in float32), and its message must outweigh the
+        # wrong half-LLR -12 there; arctanh of the float32 below 1 is 8.66
+        if groups > 1:
+            monkeypatch.setattr(reconciliation, "GROUP_EDGES", 1)
+            monkeypatch.setattr(reconciliation, "MAX_GROUPS", groups)
+        code = _explicit_code([[0, 1, 2], [3, 4]], n=5)
+        assert _group_count(code.num_edges) == groups
+        priors = np.array([[1.0, 0.0]] * 5)
+        priors[2] = [1 / (1 + np.exp(24.0)), 1 - 1 / (1 + np.exp(24.0))]
+        res = sp_decode(code, np.zeros(2, np.uint8), priors)
+        assert res.converged and res.iterations == 1
+        assert not res.bits.any()
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_syndrome_entries_other_than_bits_rejected(self, bad):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        syn = np.zeros(30)
+        syn[3] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            sp_decode(code, syn, np.full((60, 2), 0.5))
 
     def test_rejects_fewer_than_one_iteration(self, rng):
         code = gen_parity_check(60, 30, 3, seed=4)
@@ -509,6 +599,17 @@ class TestFloodingOracle:
         # failing decodes, whose bits are only diagnostic, are compared too
         assert any(converged) and not all(converged)
 
+    def test_totals_sum_in_flooding_order(self):
+        # variable 0 has an exact 1/2 prior, and checks 0 and 2 send it +m
+        # and -m; check 1 (weight 3, the next bucket) sends -e, below half
+        # an ulp of m.  Flooding adds them in check order, (m - e) - m = 0,
+        # bit 0; bucket by bucket, (m - m) - e < 0 would give bit 1
+        code = _explicit_code([[0, 1], [0, 3, 4], [0, 2]], n=5)
+        priors = np.array([[0.5, 0.5], [0.9, 0.1], [0.9, 0.1], [0.5, 0.5], [0.9, 0.1]])
+        priors[3, 0] = np.nextafter(0.5, 1)
+        got = self._assert_flooding(code, np.array([0, 1, 1], np.uint8), priors, max_iter=5)
+        assert got.bits[0] == 0
+
     def test_segment_codes_decode_as_flooding(self, rng):
         code = _explicit_code(TestSumProductSegments.SUPPORTS, n=8)
         for bit7, empty in product((0, 1), ([0, 0, 0], [0, 1, 0])):
@@ -554,6 +655,42 @@ class TestGroupSchedule:
                     sweeps[side] += res.iterations
         assert decoded[0] >= decoded[1]
         assert sweeps[0] <= 0.75 * sweeps[1]
+
+
+class TestLayout:
+    """sp_decode's bucketed layout: every edge once, group i mod G, buckets
+    of one row weight, and column c of a bucket is check c's variables."""
+
+    @pytest.mark.parametrize("n, m, seed", [(12_000, 4_000, 1), (2_000, 800, 2), (300, 200, 3)])
+    def test_buckets_cover_every_check_once(self, n, m, seed):
+        code = gen_parity_check(n, m, 3, seed=seed)
+        layout = code._layout
+        assert code._layout is layout
+        count = _group_count(code.num_edges)
+        assert len(layout.groups) == count
+        assert (layout.edge_pos is None) == (count > 1)
+        weights = code.row_weights()
+        seen = []
+        for g, buckets in enumerate(layout.groups):
+            assert [b.shape[0] for b in buckets] == sorted({b.shape[0] for b in buckets})
+            for b in buckets:
+                checks = layout.checks[b.checks]
+                assert (checks % count == g).all() and (np.diff(checks) > 0).all()
+                assert (weights[checks] == b.shape[0]).all()
+                block = layout.edge_vars[b.edges].reshape(b.shape)
+                for c, check in enumerate(checks):
+                    own = code.chk_vars[code.chk_ptr[check] : code.chk_ptr[check + 1]]
+                    assert np.array_equal(block[:, c], own)
+                seen.extend(checks.tolist())
+        assert sorted(seen + layout.empty.tolist()) == list(range(m))
+        if layout.edge_pos is not None:
+            assert np.array_equal(layout.edge_vars[layout.edge_pos], code.chk_vars)
+
+    def test_empty_checks_sit_in_no_bucket(self):
+        code = _explicit_code([[0, 1], [], [1, 2, 3], [], [3]], n=4)
+        layout = code._layout
+        assert layout.empty.tolist() == [1, 3]
+        assert [b.shape for b in layout.groups[0]] == [(1, 1), (2, 1), (3, 1)]
 
 
 class TestSyndromeRate:
