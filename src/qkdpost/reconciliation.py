@@ -49,33 +49,33 @@ class _Bucket:
 
 @dataclass(frozen=True)
 class _Layout:
-    """A code's edges in sp_decode's order, built once per code.
+    """A code's edges in the order :func:`syndrome` and :func:`sp_decode`
+    read, built once per code.
 
     Check i is in group i mod G.  ``checks`` lists every check by group,
     then row weight, then index; a group's empty checks come first and sit
-    in no bucket, and ``empty`` lists them all.  ``groups`` holds the
-    buckets of each group that has edges (see :class:`_Bucket`), and
-    ``edge_vars`` the variable of each layout edge, bucket by bucket.  Its
-    intp indices gather and scatter faster than int32 ones under numpy 2.4.
-    A one-group code also keeps ``edge_pos``, the layout position of each
-    edge of ``chk_vars``: it lets the decoder sum the messages into the
-    totals in the order flooding does.
+    in no bucket.  ``groups`` holds the buckets of each group that has
+    edges (see :class:`_Bucket`), and ``edge_vars`` the variable of each
+    layout edge, bucket by bucket, as intp, which gathers and scatters
+    faster than int32 under numpy 2.4.  A one-group code also keeps
+    ``edge_pos``, the layout position of each edge of ``chk_vars``, so that
+    the decoder sums its totals in the order flooding does.
     """
 
     checks: np.ndarray
     edge_vars: np.ndarray
-    empty: np.ndarray
     groups: tuple[tuple[_Bucket, ...], ...]
     edge_pos: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    """Sparse binary parity-check matrix in adjacency form, full rank m.
+    """Sparse binary parity-check matrix in adjacency form.
 
     ``chk_vars[chk_ptr[k]:chk_ptr[k+1]]`` lists the variables of check k in
-    ascending order; a check may be empty.  Malformed arrays raise
-    ``ValueError``.
+    ascending order.  A check may be empty and the rank may be below m, as
+    in any alist code; only :func:`gen_parity_check` guarantees rank m.
+    Malformed arrays raise ``ValueError``.
     """
 
     n: int
@@ -153,13 +153,7 @@ class ParityCheckMatrix:
             if edge_pos is not None:
                 edge_pos[edges.ravel()] = np.arange(start, stop)
             groups.setdefault(g, []).append(_Bucket(slice(start, stop), slice(lo, hi), (w, k)))
-        return _Layout(
-            order,
-            edge_vars,
-            np.flatnonzero(weights == 0),
-            tuple(tuple(b) for b in groups.values()),
-            edge_pos,
-        )
+        return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()), edge_pos)
 
 
 def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
@@ -215,20 +209,6 @@ def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0
     return ParityCheckMatrix(n, m, chk_ptr, chk_vars)
 
 
-def _check_parity(chk_ptr: np.ndarray, edge_bits: np.ndarray) -> np.ndarray:
-    """Parity of each check's edge bits, uint8 of length len(chk_ptr) - 1.
-
-    ``edge_bits`` holds the bits of the edges in check order and one entry
-    more, a sentinel: ``reduceat`` over all the pointers then reduces
-    exactly each check's own edges, the last check's included, and the
-    sentinel's segment is dropped; an empty check would read its
-    successor's first bit instead, so its parity is set to 0.
-    """
-    par = np.bitwise_xor.reduceat(edge_bits, chk_ptr)[:-1] & 1
-    par[chk_ptr[:-1] == chk_ptr[1:]] = 0
-    return par
-
-
 def _bits(values, what: str) -> np.ndarray:
     """``values`` as uint8; an entry other than 0 or 1 raises ValueError."""
     values = np.asarray(values)
@@ -237,24 +217,45 @@ def _bits(values, what: str) -> np.ndarray:
     return values.astype(np.uint8)
 
 
+def _blocks(buckets, edge_values: np.ndarray, check_values: np.ndarray) -> list:
+    # each bucket's (w, k) block of edge_values and its slice of check_values
+    return [(edge_values[b.edges].reshape(b.shape), check_values[b.checks]) for b in buckets]
+
+
+def _xor_checks(blocks) -> None:
+    """Check parities, of the syndrome and of the decoder's hard decision:
+    XOR each bool block of :func:`_blocks` down its columns."""
+    for bits, par in blocks:
+        np.logical_xor.reduce(bits, axis=0, out=par)
+
+
 def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
-    """GF(2) product M x as a uint8 vector of length m; x holds bits 0 and 1."""
+    """GF(2) product M x as a uint8 vector of length m; x holds bits 0 and 1.
+
+    The parities are reduced bucket by bucket on the code's layout, which
+    :func:`sp_decode` reuses; an empty check is in no bucket and stays 0.
+    """
     x = _bits(x, "sequence")
     if x.shape != (matrix.n,):
         raise ValueError(f"sequence length {x.shape} does not match n={matrix.n}")
-    edge_bits = np.zeros(matrix.num_edges + 1, np.uint8)
-    edge_bits[:-1] = x[matrix.chk_vars]
-    return _check_parity(matrix.chk_ptr, edge_bits)
+    layout = matrix._layout
+    edge_bits = x.view(bool)[layout.edge_vars]
+    par = np.zeros(matrix.m, bool)
+    for buckets in layout.groups:
+        _xor_checks(_blocks(buckets, edge_bits, par))
+    syn = np.empty(matrix.m, np.uint8)
+    syn[layout.checks] = par
+    return syn
 
 
 def priors_from_joint(joint: JointDistribution, observed: np.ndarray) -> np.ndarray:
     """Per-position pairs P(key | helper_j) of the (key, helper) joint.
 
     They carry the key bit's own prior, which is non-uniform when the key
-    side is biased (this is what makes MAP differ from ML).
+    side is biased (this is what makes MAP differ from ML).  ``observed``
+    holds the helper's bits; anything else raises ``ValueError``.
     """
-    observed = np.asarray(observed, dtype=np.int64)
-    return joint.conditional()[:, observed].T.copy()
+    return joint.conditional().T[_bits(observed, "observed")]
 
 
 def _prior_llrs(priors: np.ndarray) -> np.ndarray:
@@ -344,7 +345,7 @@ def sp_decode(
     # grouped code updates them in place and never reads the prior again
     tot = prior = (0.5 * _prior_llrs(priors)).astype(dtype, copy=False)
     # an empty check has parity 0, so a 1 on one fails every syndrome test
-    testable = not syn[layout.empty].any()
+    testable = not syn[matrix.row_weights() == 0].any()
     syn = syn[layout.checks]
     sgn = (1.0 - 2.0 * syn).astype(dtype)
     want = syn.astype(bool)
@@ -365,13 +366,10 @@ def sp_decode(
     for buckets in layout.groups:
         span = slice(buckets[0].edges.start, buckets[-1].edges.stop)
         checks = slice(buckets[0].checks.start, buckets[-1].checks.stop)
-        sides = [
-            (vals[span], [(vals[b.edges].reshape(b.shape), prod[b.checks]) for b in buckets])
-            for vals in values
-        ]
+        sides = [(vals[span], _blocks(buckets, vals, prod)) for vals in values]
         v = layout.edge_vars[span]
         updates.append((sides, v, prod[checks], sgn[checks], spare[span]))
-        blocks = [(neg[b.edges].reshape(b.shape), par[b.checks]) for b in buckets]
+        blocks = _blocks(buckets, neg, par)
         syndrome_tests.append((sides, v, neg[span], blocks, par[checks], want[checks]))
     for it in range(1, max_iter + 1):
         for g, (sides, v, prod_g, sgn_g, work) in enumerate(updates):
@@ -417,8 +415,7 @@ def sp_decode(
             t = sides[0][0]
             np.take(tot, v, out=t, mode="clip")
             np.less(t, 0.0, out=neg_g)
-            for nb, pb in blocks:
-                np.logical_xor.reduce(nb, axis=0, out=pb)
+            _xor_checks(blocks)
             if not np.array_equal(par_g, want_g):
                 break
         else:

@@ -13,7 +13,7 @@ from qkdpost.channels import (
 )
 from qkdpost.entropy import _plogp, binary_entropy
 from qkdpost.keyrate import key_bases, keyrate
-from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _check_parity, _prior_llrs
+from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     BB84_BASES,
@@ -383,7 +383,12 @@ def flooding_oracle(matrix, syn, priors, max_iter=100):
         np.clip(cv, -LLR_CLAMP, LLR_CLAMP, out=cv)
         tot = prior + np.bincount(var, weights=cv, minlength=n + 1)
         np.take(tot, var, out=th, mode="clip")
-        if np.array_equal(_check_parity(chk_ptr, (th < 0.0).view(np.uint8)), syn):
+        # reduceat over every pointer reduces each check's own edges and the
+        # sentinel's, which is dropped; an empty check would read its
+        # successor's first bit, so it is set to 0
+        par = np.logical_xor.reduceat(th < 0.0, chk_ptr)[:-1]
+        par[row_weights[:-1] == 0] = False
+        if np.array_equal(par, syn):
             return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
     return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
 

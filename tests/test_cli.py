@@ -247,10 +247,12 @@ def test_simulate_floors_the_check_count_at_the_column_weight(tmp_path, capsys):
     strict=True,
     reason="success does not yet imply equal keys: no error verification after decoding",
 )
-def test_successful_run_has_equal_keys(tmp_path, capsys):
-    # the decoder meets the 5-check syndrome with a wrong word after one sweep
+@pytest.mark.parametrize("protocol, seed", [("bb84", 0), ("sixstate", 5)])
+def test_successful_run_has_equal_keys(tmp_path, capsys, protocol, seed):
+    # the decoder meets the syndrome with a wrong word: 5 checks on 490 key
+    # bits for bb84, the 3 floored checks on 197 for sixstate
     cfg = tmp_path / "sparse.cfg"
-    cfg.write_text(SPARSE_SYNDROME_CONFIG.format(protocol="bb84", seed=0))
+    cfg.write_text(SPARSE_SYNDROME_CONFIG.format(protocol=protocol, seed=seed))
     assert main(["simulate", "--config", str(cfg)]) == 0
     report = _report_fields(capsys.readouterr().out)
     assert report["abort_reason"] != "none" or report["keys_equal"] == "true"

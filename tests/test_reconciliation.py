@@ -130,6 +130,69 @@ class TestSyndrome:
         assert np.array_equal(syndrome(code, x.astype(bool)), syndrome(code, x))
         assert np.array_equal(syndrome(code, x.astype(float)), syndrome(code, x))
 
+    @staticmethod
+    def _assert_dense(code, rng, draws=3):
+        dense = to_dense(code).astype(np.int64)
+        for _ in range(draws):
+            x = rng.integers(0, 2, code.n).astype(np.uint8)
+            got = syndrome(code, x)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, dense @ x % 2)
+
+    @pytest.mark.parametrize(
+        "n, m, groups", [(600, 300, 1), (4000, 1000, 1), (4500, 1500, 2), (7000, 2000, 3), (9000, 2000, 4)]
+    )
+    def test_matches_the_dense_product(self, n, m, groups, rng):
+        code = gen_parity_check(n, m, 3, seed=n)
+        assert len(code._layout.groups) == groups
+        self._assert_dense(code, rng)
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 4])
+    def test_empty_checks_in_several_groups(self, groups, rng, monkeypatch):
+        monkeypatch.setattr(reconciliation, "GROUP_EDGES", 1)
+        monkeypatch.setattr(reconciliation, "MAX_GROUPS", groups)
+        base = gen_parity_check(40, 20, 3, seed=groups)
+        supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
+        # empty checks at the start, in a run of three, spread over the
+        # groups, and as the last two checks, each the last of its group
+        for k in (0, 3, 4, 5, 11, 17):
+            supports.insert(k, [])
+        supports += [[], []]
+        code = _explicit_code(supports, n=40)
+        empty = np.flatnonzero(code.row_weights() == 0)
+        assert len(code._layout.groups) == groups
+        assert len(set(empty % groups)) == groups
+        assert code.m - 1 in empty
+        self._assert_dense(code, rng, draws=20)
+
+    def test_no_checks(self):
+        from qkdpost.reconciliation import ParityCheckMatrix
+
+        code = ParityCheckMatrix(5, 0, [0], [])
+        got = syndrome(code, np.ones(5, np.uint8))
+        assert got.shape == (0,) and got.dtype == np.uint8
+
+    @pytest.mark.parametrize("n, m", [(12, 6), (4500, 1500)])
+    def test_an_alist_code(self, n, m, rng, tmp_path):
+        path = tmp_path / "code.alist"
+        write_alist(gen_parity_check(n, m, 3, seed=3), path)
+        self._assert_dense(read_alist(path), rng)
+
+    @pytest.mark.parametrize("n, m", [(600, 300), (9000, 2000)])
+    def test_unchanged_by_a_decode_of_the_same_code(self, n, m, rng):
+        joint = bsc_joint(0.05)
+        x, y = sample_pair(joint, n, rng)
+        code = gen_parity_check(n, m, 3, seed=5)
+        before = syndrome(code, x)
+        layout = code._layout
+        sp_decode(code, before, priors_from_joint(joint, y), max_iter=3)
+        assert code._layout is layout
+        assert np.array_equal(syndrome(code, x), before)
+        # a fresh copy whose layout the decoder builds first
+        fresh = gen_parity_check(n, m, 3, seed=5)
+        sp_decode(fresh, before, priors_from_joint(joint, y), max_iter=3)
+        assert np.array_equal(syndrome(fresh, x), before)
+
 
 class TestMatrixValidation:
     @pytest.mark.parametrize(
@@ -266,6 +329,21 @@ class TestAlist:
         write_alist(code, path)
         back = read_alist(path)
         assert np.array_equal(to_dense(back), to_dense(code))
+
+
+class TestPriorsFromJoint:
+    def test_rows_are_the_helper_conditionals(self):
+        joint = damping_joint(0.3)
+        observed = [0, 1, 1, 0]
+        want = joint.conditional()[:, observed].T
+        for obs in (observed, np.array(observed, bool), np.array(observed, float)):
+            got = priors_from_joint(joint, obs)
+            assert got.shape == (4, 2) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("observed", [[0, 0.7], [1, -1], [0, 2]], ids=["fraction", "negative", "two"])
+    def test_entries_other_than_bits_rejected(self, observed):
+        with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
+            priors_from_joint(damping_joint(0.3), np.array(observed))
 
 
 class TestBruteForceMap:
@@ -682,14 +760,15 @@ class TestLayout:
                     own = code.chk_vars[code.chk_ptr[check] : code.chk_ptr[check + 1]]
                     assert np.array_equal(block[:, c], own)
                 seen.extend(checks.tolist())
-        assert sorted(seen + layout.empty.tolist()) == list(range(m))
+        assert sorted(seen + np.flatnonzero(weights == 0).tolist()) == list(range(m))
         if layout.edge_pos is not None:
             assert np.array_equal(layout.edge_vars[layout.edge_pos], code.chk_vars)
 
     def test_empty_checks_sit_in_no_bucket(self):
         code = _explicit_code([[0, 1], [], [1, 2, 3], [], [3]], n=4)
         layout = code._layout
-        assert layout.empty.tolist() == [1, 3]
+        # the empty checks first, then the others by weight
+        assert layout.checks.tolist() == [1, 3, 4, 0, 2]
         assert [b.shape for b in layout.groups[0]] == [(1, 1), (2, 1), (3, 1)]
 
 
