@@ -28,7 +28,8 @@ COL_WEIGHT = 3
 # sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
 # most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, and
 # two more per row weight in it, which a code of fewer than 2 * GROUP_EDGES
-# edges does not earn back in saved sweeps
+# edges does not earn back in saved sweeps; such a code runs one group, a
+# flooding sweep, on the same float32 body
 GROUP_EDGES = 6_000
 MAX_GROUPS = 4
 
@@ -57,15 +58,12 @@ class _Layout:
     in no bucket.  ``groups`` holds the buckets of each group that has
     edges (see :class:`_Bucket`), and ``edge_vars`` the variable of each
     layout edge, bucket by bucket, as intp, which gathers and scatters
-    faster than int32 under numpy 2.4.  A one-group code also keeps
-    ``edge_pos``, the layout position of each edge of ``chk_vars``, so that
-    the decoder sums its totals in the order flooding does.
+    faster than int32 under numpy 2.4.
     """
 
     checks: np.ndarray
     edge_vars: np.ndarray
     groups: tuple[tuple[_Bucket, ...], ...]
-    edge_pos: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class ParityCheckMatrix:
         order = np.argsort(key, kind="stable")
         sizes = np.bincount(key, minlength=count * span).tolist()
         edge_vars = np.empty(self.num_edges, np.intp)
-        edge_pos = np.empty(self.num_edges, np.intp) if count == 1 else None
         groups: dict[int, list[_Bucket]] = {}
         hi = stop = 0
         for b, k in enumerate(sizes):
@@ -150,10 +147,8 @@ class ParityCheckMatrix:
             # row j of a bucket holds the j-th variable of each of its checks
             edges = self.chk_ptr[order[lo:hi]] + np.arange(w)[:, None]
             edge_vars[start:stop] = self.chk_vars[edges].ravel()
-            if edge_pos is not None:
-                edge_pos[edges.ravel()] = np.arange(start, stop)
             groups.setdefault(g, []).append(_Bucket(slice(start, stop), slice(lo, hi), (w, k)))
-        return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()), edge_pos)
+        return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()))
 
 
 def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
@@ -297,21 +292,18 @@ def sp_decode(
     (w, k) block of edges whose column holds one check.  A check multiplies
     its factors tanh(v/2) down its column, times -1 when its syndrome bit
     is 1, and an edge's message divides its own factor back out; an exact
-    zero factor is floored far below any other (1e-300, or 2^-100 in
-    float32), which keeps that edge's message exact and sends about 0 to
-    the check's other edges.  Totals and messages are held as half LLRs,
-    which is exact, and messages in both directions are clamped to +/-15,
-    LLR_CLAMP in full LLRs.  A message whose factor product rounds to +/-1
-    takes the clamp; one below 1 sends its arctanh, clamped.
+    zero factor is floored far below any other (2^-100), which keeps that
+    edge's message exact and sends about 0 to the check's other edges.
 
-    A one-group code runs in float64 and sums its totals afresh each sweep
-    in the order of ``chk_vars``, so it decodes bit for bit as flooding.  A
-    grouped code runs totals and messages in float32, and each group adds
-    the change of its own messages to the totals.  In float32 tanh is
-    exactly +/-1 from |v/2| = 10 on, so the input clamp has no work, and
-    arctanh of the largest float below 1 is 8.66: a product of +/-1 steps
-    to that float, which keeps arctanh on its fast path, and its message is
-    then lifted to the clamp.
+    Totals and messages are float32 half LLRs (the halving is exact), and
+    each group adds the change of its own messages to the totals, in layout
+    order; at G = 1 that is a flooding sweep whose sums are rounded in
+    another order than a float64 flooding decoder's.  A check-to-variable
+    message is bounded by +/-15, LLR_CLAMP in full LLRs.  A
+    variable-to-check message needs no clamp, since tanh is exactly +/-1
+    in float32 from |v/2| = 10 on.  arctanh of the largest float below 1 is
+    8.66: a product that rounds to +/-1 steps to that float, which keeps
+    arctanh on its fast path, and its message is then lifted to the clamp.
 
     Success means the hard decision at the end of a sweep reproduced the
     syndrome before ``max_iter`` sweeps; ``iterations`` counts whole
@@ -332,22 +324,19 @@ def sp_decode(
     if not ((0.0 <= priors) & (priors <= 1.0)).all():
         raise ValueError("priors must be probabilities in [0, 1]")
     layout = matrix._layout
-    wide = layout.edge_pos is not None
-    dtype = np.float64 if wide else np.float32
-    half, tiny = dtype(0.5 * LLR_CLAMP), dtype(1e-300 if wide else 2.0**-100)
-    # in float32 a product of +/-1 steps down by ``eps`` to the float below
-    # 1, and its arctanh, 8.66, is then lifted by eps * lift to the clamp;
-    # both steps are exact
-    eps = dtype(np.finfo(dtype).epsneg)
+    half, tiny = np.float32(0.5 * LLR_CLAMP), np.float32(2.0**-100)
+    # a product of +/-1 steps down by ``eps`` to the float below 1, and its
+    # arctanh, 8.66, is then lifted by eps * lift to the clamp; both steps
+    # are exact
+    eps = np.float32(np.finfo(np.float32).epsneg)
     lift = (half - np.arctanh(np.full(1, 1 - eps))[0]) / eps
-    # llr > 0 means bit 0 is more likely.  The totals start as the prior's
-    # array: a one-group code sums them afresh from it each sweep, and a
-    # grouped code updates them in place and never reads the prior again
-    tot = prior = (0.5 * _prior_llrs(priors)).astype(dtype, copy=False)
+    # llr > 0 means bit 0 is more likely.  The totals start at the prior and
+    # each group updates them in place
+    tot = (0.5 * _prior_llrs(priors)).astype(np.float32)
     # an empty check has parity 0, so a 1 on one fails every syndrome test
     testable = not syn[matrix.row_weights() == 0].any()
     syn = syn[layout.checks]
-    sgn = (1.0 - 2.0 * syn).astype(dtype)
+    sgn = (1.0 - 2.0 * syn).astype(np.float32)
     want = syn.astype(bool)
     # edge-sized buffers, sliced per group.  A group's two value slices
     # trade roles every sweep: ``t`` gathers the totals and turns into the
@@ -356,12 +345,12 @@ def sp_decode(
     # messages and then their change.  take(mode="clip") writes ``out``
     # directly, where the default mode buffers it; every index is in range.
     edges = layout.edge_vars.shape[0]
-    values = np.zeros((2, edges), dtype)
-    spare = np.empty(edges, dtype)
+    values = np.zeros((2, edges), np.float32)
+    spare = np.empty(edges, np.float32)
     # the hard-decision bools reuse spare's bytes: the syndrome test runs
     # after a sweep's updates, the only users of spare
     neg = spare.view(bool)[:edges]
-    prod, par = np.empty(want.shape[0], dtype), np.empty(want.shape[0], bool)
+    prod, par = np.empty(want.shape[0], np.float32), np.empty(want.shape[0], bool)
     updates, syndrome_tests = [], []
     for buckets in layout.groups:
         span = slice(buckets[0].edges.start, buckets[-1].edges.stop)
@@ -379,8 +368,6 @@ def sp_decode(
             if g or it == 1:
                 np.take(tot, v, out=t, mode="clip")
             t -= c
-            if wide:
-                np.clip(t, -half, half, out=t)
             np.tanh(t, out=t)
             if not t.all():
                 t[t == 0.0] = tiny
@@ -389,25 +376,16 @@ def sp_decode(
             prod_g *= sgn_g
             for tb, pb in blocks:
                 np.divide(pb, tb, out=tb)
-            if wide:
-                # arctanh(1 - 1e-15) = 17.6, so every product from tanh(15)
-                # up is clamped to 15, and no exact +/-1 reaches arctanh
-                np.clip(t, -1 + 1e-15, 1 - 1e-15, out=t)
-                np.arctanh(t, out=t)
-                np.clip(t, -half, half, out=t)
-                np.take(t, layout.edge_pos, out=work, mode="clip")
-                tot = prior + np.bincount(matrix.chk_vars, weights=work, minlength=matrix.n)
-            else:
-                # no factor exceeds 1, so |t| <= 1, and trunc(t) is +/-1
-                # where the product rounds to +/-1 and 0 elsewhere
-                sat = np.trunc(t, out=work)
-                sat *= eps
-                t -= sat
-                np.arctanh(t, out=t)
-                sat *= lift
-                t += sat
-                np.subtract(t, c, out=c)
-                np.add.at(tot, v, c)
+            # no factor exceeds 1, so |t| <= 1, and trunc(t) is +/-1 where
+            # the product rounds to +/-1 and 0 elsewhere
+            sat = np.trunc(t, out=work)
+            sat *= eps
+            t -= sat
+            np.arctanh(t, out=t)
+            sat *= lift
+            t += sat
+            np.subtract(t, c, out=c)
+            np.add.at(tot, v, c)
             sides.reverse()
         # the hard decision is tested group by group, group 0 first, where
         # most failing sweeps already fail; its gather starts the next sweep

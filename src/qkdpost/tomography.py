@@ -286,7 +286,7 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
     """Euclidean-nearest omega with a nonempty feasible interval.
 
     Feasible inputs are returned unchanged (the same object).  The barrier
-    parameter runs from 1 down to 1e-9 by factors of 10; each stage takes
+    parameter runs from 1 down to 1e-9 by factors of 1000; each stage takes
     damped Newton steps until the Newton decrement ``-grad . step_dir`` is
     at most 1e-18 (Boyd & Vandenberghe, *Convex Optimization*, 9.5 and
     11.3), for at most 200 steps.  One batched product ``rho^-1 G_k`` gives
@@ -311,7 +311,7 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
 
     v = np.zeros(7)
     diag = np.arange(6)
-    for mu in 10.0 ** -np.arange(10):
+    for mu in 10.0 ** -np.arange(0, 10, 3):
         f0 = barrier_value(v, mu)
         for _ in range(200):
             rg = np.linalg.inv(_barrier_rho(v)) @ _BARRIER_G

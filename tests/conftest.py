@@ -16,9 +16,11 @@ from qkdpost.keyrate import key_bases, keyrate
 from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
+    _BARRIER_G,
     BB84_BASES,
     SIXSTATE_BASES,
     TallyTable,
+    _barrier_rho,
     estimate_rates_bb84,
     estimate_rates_sixstate,
     sample_tally,
@@ -357,8 +359,9 @@ def flooding_oracle(matrix, syn, priors, max_iter=100):
     """Sum-product decoding on the flooding schedule: the schedule oracle.
 
     Every check updates from the same variable totals in each sweep, and the
-    totals are summed afresh from the prior and all messages.  ``sp_decode``
-    must return exactly this on a code of one check group.
+    totals are summed afresh from the prior and all messages, in float64.
+    ``sp_decode`` runs this schedule on a code of one check group, in
+    float32.
     """
     syn = np.asarray(syn, dtype=np.uint8)
     n, chk_ptr = matrix.n, matrix.chk_ptr
@@ -549,6 +552,44 @@ def toeplitz_matrix(desc):
     for i in range(ell):
         t[i] = desc.generator[i : n + i][::-1]
     return t
+
+
+def barrier_projection_oracle(omega_raw):
+    """The six observed coordinates of ``project_omega_bb84``'s barrier
+    run with mu stepping from 1 down to 1e-9 by factors of 10: ten stages,
+    each ended as there, on the Newton decrement, a failed line search or
+    200 steps."""
+    target = omega_raw.as_array()
+
+    def value(vv, mu):
+        try:
+            chol = np.linalg.cholesky(_barrier_rho(vv))
+        except np.linalg.LinAlgError:
+            return None
+        return float(np.sum((vv[:6] - target) ** 2) - 2.0 * mu * np.log(np.diag(chol)).sum())
+
+    v = np.zeros(7)
+    for mu in 10.0 ** -np.arange(10):
+        f0 = value(v, mu)
+        for _ in range(200):
+            rg = np.linalg.inv(_barrier_rho(v)) @ _BARRIER_G
+            grad = -mu * np.trace(rg, axis1=1, axis2=2)
+            grad[:6] += 2.0 * (v[:6] - target)
+            hess = mu * np.einsum("kab,lba->kl", rg, rg) + 2.0 * np.diag([1.0] * 6 + [0.0])
+            step_dir = np.linalg.solve(hess, -grad)
+            slope = float(grad @ step_dir)
+            if -slope <= 1e-18:
+                break
+            step = 1.0
+            while step > 1e-6:
+                f1 = value(v + step * step_dir, mu)
+                if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            if step <= 1e-6:
+                break
+            v, f0 = v + step * step_dir, f1
+    return v[:6]
 
 
 def pool_tally(channel, seed=1001):
