@@ -358,42 +358,42 @@ def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
 def flooding_oracle(matrix, syn, priors, max_iter=100):
     """Sum-product decoding on the flooding schedule: the schedule oracle.
 
-    Every check updates from the same variable totals in each sweep, and the
-    totals are summed afresh from the prior and all messages, in float64.
-    ``sp_decode`` runs this schedule on a code of one check group, in
-    float32.
+    Every check updates from the same variable totals in each sweep.  The
+    arithmetic is ``sp_decode``'s: float32 half LLRs, an exact zero factor
+    floored at 2^-100, and the LLR_CLAMP half-LLR message where a product
+    rounds to +/-1.  Each sweep adds its message changes to the totals one
+    edge at a time, ordered by the row weight of the edge's check, then the
+    edge's place in its check, then the check: the order of ``sp_decode``'s
+    layout at one group.  A code of one check group therefore decodes here
+    bit for bit as in ``sp_decode``, failed decodes included.
     """
     syn = np.asarray(syn, dtype=np.uint8)
-    n, chk_ptr = matrix.n, matrix.chk_ptr
-    var = np.append(matrix.chk_vars, n)
-    row_weights = np.append(matrix.row_weights(), 1)
-    sgn_syn = np.append(1.0 - 2.0 * syn, 1.0)
-    prior = np.append(_prior_llrs(priors), 0.0)
-    th = prior[var]
-    cv = np.zeros(var.shape[0])
+    var, weights = matrix.chk_vars, matrix.row_weights()
+    chk = np.repeat(np.arange(matrix.m), weights)
+    place = np.arange(var.shape[0]) - matrix.chk_ptr[chk]
+    order = np.lexsort((chk, place, weights[chk]))
+    # reduceat from the first edge of each check that has one reduces
+    # exactly that check's edges; an empty check's parity stays 0
+    full = weights > 0
+    starts = matrix.chk_ptr[:-1][full]
+    half = np.float32(0.5 * LLR_CLAMP)
+    sgn = (1.0 - 2.0 * syn).astype(np.float32)
+    tot = (0.5 * _prior_llrs(priors)).astype(np.float32)
+    cv = np.zeros(var.shape[0], np.float32)
+    prod, par = np.zeros(matrix.m, np.float32), np.zeros(matrix.m, bool)
     for it in range(1, max_iter + 1):
-        th -= cv
-        np.clip(th, -LLR_CLAMP, LLR_CLAMP, out=th)
-        th *= 0.5
-        np.tanh(th, out=th)
-        th[th == 0.0] = 1e-300
-        prod = np.multiply.reduceat(th, chk_ptr) * sgn_syn
-        cv = np.repeat(prod, row_weights)
-        cv /= th
-        np.clip(cv, -1 + 1e-15, 1 - 1e-15, out=cv)
-        np.arctanh(cv, out=cv)
-        cv *= 2.0
-        np.clip(cv, -LLR_CLAMP, LLR_CLAMP, out=cv)
-        tot = prior + np.bincount(var, weights=cv, minlength=n + 1)
-        np.take(tot, var, out=th, mode="clip")
-        # reduceat over every pointer reduces each check's own edges and the
-        # sentinel's, which is dropped; an empty check would read its
-        # successor's first bit, so it is set to 0
-        par = np.logical_xor.reduceat(th < 0.0, chk_ptr)[:-1]
-        par[row_weights[:-1] == 0] = False
+        th = np.tanh(tot[var] - cv)
+        th[th == 0.0] = np.float32(2.0**-100)
+        prod[full] = np.multiply.reduceat(th, starts)
+        ratio = np.repeat(prod * sgn, weights) / th
+        with np.errstate(divide="ignore"):
+            new = np.where(np.abs(ratio) == 1.0, np.copysign(half, ratio), np.arctanh(ratio))
+        np.add.at(tot, var[order], (new - cv)[order])
+        cv = new
+        par[full] = np.logical_xor.reduceat(tot[var] < 0.0, starts)
         if np.array_equal(par, syn):
-            return DecodeResult((tot[:n] < 0.0).astype(np.uint8), True, it)
-    return DecodeResult((tot[:n] < 0.0).astype(np.uint8), False, max_iter)
+            return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
+    return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
 
 
 def to_dense(matrix):

@@ -654,9 +654,9 @@ class TestSumProductSegmentsInGroups(TestSumProductSegments):
 
 class TestFloodingOracle:
     """Below 2 * GROUP_EDGES edges a sweep is one group, a flooding sweep in
-    float32.  The oracle floods in float64 and sums its totals in check
-    order, so the two may part in the last bits of a sum; on these cases
-    they decode alike.  The benchmark's short-blocks pool (256 decodes, see
+    float32.  The oracle floods in the same arithmetic and adds to the
+    totals in the same order, so the two decode bit for bit.  The
+    benchmark's short-blocks pool (256 decodes, see
     ``test_decode_pools.py``) converged 215 times in 25.105 mean sweeps on
     the float32 body, against 217 and 24.609 for the float64 flooding body
     it replaced."""
