@@ -41,9 +41,7 @@ from .keyrate import (
 from .reconciliation import (
     ParityCheckMatrix,
     gen_parity_check,
-    priors_from_joint,
     read_alist,
-    required_syndrome_rate,
     sp_decode,
     syndrome,
 )

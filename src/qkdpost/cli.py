@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .channels import joint_distribution, load_channel_spec
 from .keyrate import DIRECTIONS, key_bases, key_joint
-from .reconciliation import priors_from_joint, read_alist, sp_decode
+from .reconciliation import read_alist, sp_decode
 from .simulate import load_config, run_protocol, sweep_rates
 from .tomography import (
     EstimationError,
@@ -157,8 +157,8 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"{args.observed} holds {observed.size} bits, the matrix has n={matrix.n}")
     ch = load_channel_spec(args.channel)
     d = args.direction
-    priors = priors_from_joint(key_joint(joint_distribution(ch, *key_bases(d)), d), observed)
-    result = sp_decode(matrix, syn, priors, args.max_iter)
+    joint = key_joint(joint_distribution(ch, *key_bases(d)), d)
+    result = sp_decode(matrix, syn, joint, observed, args.max_iter)
     print(f"converged={'true' if result.converged else 'false'}")
     print(f"iterations={result.iterations}")
     if args.out:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reconciliation import _bits
+
 
 @dataclass(frozen=True)
 class HashDescriptor:
@@ -28,7 +30,7 @@ class HashDescriptor:
     generator: np.ndarray
 
     def __post_init__(self):
-        gen = np.asarray(self.generator, dtype=np.uint8).copy()
+        gen = _bits(self.generator, "generator")
         if self.output_len > self.input_len:
             raise ValueError("output length exceeds input length")
         if self.output_len < 0 or self.input_len <= 0:
@@ -36,8 +38,6 @@ class HashDescriptor:
         expected = self.input_len + self.output_len - 1 if self.output_len else 0
         if gen.shape != (expected,):
             raise ValueError(f"generator must hold exactly {expected} bits, got {gen.shape}")
-        if ((gen != 0) & (gen != 1)).any():
-            raise ValueError("generator bits must be 0/1")
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
 
@@ -79,9 +79,10 @@ def apply_hash(desc: HashDescriptor, x: np.ndarray) -> np.ndarray:
     convolution of length n + ell - 1 or more leaves those entries free of
     wrap-around, so the transforms take the next power of two at or above
     that length.  The generator's transform is computed on the first call
-    for a descriptor and reused by every later one.
+    for a descriptor and reused by every later one.  ``x`` holds bits;
+    anything else raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=np.uint8)
+    x = _bits(x, "input")
     if x.shape != (desc.input_len,):
         raise ValueError(f"input length {x.shape} does not match descriptor n={desc.input_len}")
     ell = desc.output_len

@@ -6,10 +6,10 @@ by a posteriori decoding restricted to the coset ``{x' : M x' = t}``.  The
 decoder is sum-product message passing seeded with per-position source
 priors and with each check's sign set by its syndrome bit.
 
-Priors enter as an (n, 2) table: row j holds the probability of key bit 0
-and 1 at position j given the helper's observation, P(key | helper_j), read
-from the key pair's joint with rows indexing the key bit and columns the
-helper bit (see :func:`qkdpost.keyrate.key_joint`).
+The priors come from the key pair's 2x2 joint, rows indexing the key bit
+and columns the helper bit (see :func:`qkdpost.keyrate.key_joint`): the
+decoder takes two prior LLRs of P(key | helper), one per helper bit, and
+gives position j the one its observed helper bit selects.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import JointDistribution, cond_entropy
+from .entropy import JointDistribution
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
@@ -243,16 +243,6 @@ def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
     return syn
 
 
-def priors_from_joint(joint: JointDistribution, observed: np.ndarray) -> np.ndarray:
-    """Per-position pairs P(key | helper_j) of the (key, helper) joint.
-
-    They carry the key bit's own prior, which is non-uniform when the key
-    side is biased (this is what makes MAP differ from ML).  ``observed``
-    holds the helper's bits; anything else raises ``ValueError``.
-    """
-    return joint.conditional().T[_bits(observed, "observed")]
-
-
 def _prior_llrs(priors: np.ndarray) -> np.ndarray:
     logs = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
     return np.clip(logs[:, 0] - logs[:, 1], -LLR_CLAMP, LLR_CLAMP)
@@ -273,10 +263,16 @@ def _group_count(num_edges: int) -> int:
 def sp_decode(
     matrix: ParityCheckMatrix,
     syn: np.ndarray,
-    priors: np.ndarray,
+    joint: JointDistribution,
+    observed: np.ndarray,
     max_iter: int = 100,
 ) -> DecodeResult:
     """Sum-product decoding of the coset selected by ``syn``.
+
+    Position j starts from the prior P(key | helper = observed[j]) of the
+    (key, helper) ``joint``, which carries the key bit's own prior: it is
+    non-uniform when the key side is biased, and that makes MAP differ from
+    ML.  The two prior LLRs, one per helper bit, are computed once.
 
     Group-serial schedule: check i belongs to group i mod G, and a sweep
     updates the groups in turn, each from the variable totals the groups
@@ -308,21 +304,17 @@ def sp_decode(
     Success means the hard decision at the end of a sweep reproduced the
     syndrome before ``max_iter`` sweeps; ``iterations`` counts whole
     sweeps.  A False flag means the caller must abort or retry, the
-    returned bits are then only diagnostic.  ``syn`` holds bits and
-    ``priors`` are (n, 2) probabilities in [0, 1]; anything else raises
-    ``ValueError``.
+    returned bits are then only diagnostic.  ``syn`` holds m bits and
+    ``observed`` n bits; anything else raises ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     syn = _bits(syn, "syndrome")
     if syn.shape != (matrix.m,):
         raise ValueError(f"syndrome length {syn.shape} does not match m={matrix.m}")
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (matrix.n, 2):
-        raise ValueError(f"priors must have shape ({matrix.n}, 2), got {priors.shape}")
-    # NaN fails both comparisons
-    if not ((0.0 <= priors) & (priors <= 1.0)).all():
-        raise ValueError("priors must be probabilities in [0, 1]")
+    observed = _bits(observed, "observed")
+    if observed.shape != (matrix.n,):
+        raise ValueError(f"observed length {observed.shape} does not match n={matrix.n}")
     layout = matrix._layout
     half, tiny = np.float32(0.5 * LLR_CLAMP), np.float32(2.0**-100)
     # a product of +/-1 steps down by ``eps`` to the float below 1, and its
@@ -330,9 +322,9 @@ def sp_decode(
     # are exact
     eps = np.float32(np.finfo(np.float32).epsneg)
     lift = (half - np.arctanh(np.full(1, 1 - eps))[0]) / eps
-    # llr > 0 means bit 0 is more likely.  The totals start at the prior and
-    # each group updates them in place
-    tot = (0.5 * _prior_llrs(priors)).astype(np.float32)
+    # llr > 0 means bit 0 is more likely.  The totals start at the prior of
+    # each position's helper bit and each group updates them in place
+    tot = np.take((0.5 * _prior_llrs(joint.conditional().T)).astype(np.float32), observed)
     # an empty check has parity 0, so a 1 on one fails every syndrome test
     testable = not syn[matrix.row_weights() == 0].any()
     syn = syn[layout.checks]
@@ -400,14 +392,6 @@ def sp_decode(
             if testable:
                 return DecodeResult((tot < 0.0).astype(np.uint8), True, it)
     return DecodeResult((tot < 0.0).astype(np.uint8), False, max_iter)
-
-
-def required_syndrome_rate(joint: JointDistribution, margin: float) -> float:
-    """Syndrome rate m/n the reconciliation needs: H(key | helper) of the
-    (key, helper) joint, plus a finite-length margin."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    return cond_entropy(joint) + margin
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ from .keyrate import (
 from .reconciliation import (
     COL_WEIGHT,
     gen_parity_check,
-    priors_from_joint,
-    required_syndrome_rate,
     sp_decode,
     syndrome,
 )
@@ -97,8 +95,14 @@ class ProtocolConfig:
             raise ValueError("need at least 1000 signals for a meaningful run")
         if not 0.0 < self.margin < math.inf:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        # above 1 the syndrome would cover the whole block
+        if self.margin > 1.0:
+            raise ValueError(f"margin must be at most 1, got {self.margin}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        # above 1 no key is possible
+        if self.epsilon > 1.0:
+            raise ValueError(f"epsilon must be at most 1, got {self.epsilon}")
         for name in ("seed_channel", "seed_code", "seed_hash"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -312,7 +316,8 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     if rep.raw_rate <= 0.0:
         return report("nonpositive_rate")
 
-    m = int(np.ceil(n_key * required_syndrome_rate(joint, config.margin)))
+    # H(key | helper) plus the finite-length margin
+    m = int(np.ceil(n_key * (rep.cond_entropy + config.margin)))
     # a code needs COL_WEIGHT checks at least; the extra ones are disclosed too
     m = max(m, COL_WEIGHT)
     if m >= n_key:
@@ -330,8 +335,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
 
     t0 = time.perf_counter()
     syn = syndrome(code, source)
-    priors = priors_from_joint(joint, helper)
-    result = sp_decode(code, syn, priors)
+    result = sp_decode(code, syn, joint, helper)
     timings["decode_s"] = time.perf_counter() - t0
 
     if not result.converged:

@@ -13,7 +13,7 @@ from qkdpost.channels import (
 )
 from qkdpost.entropy import _plogp, binary_entropy
 from qkdpost.keyrate import key_bases, keyrate
-from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _prior_llrs
+from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _bits, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     _BARRIER_G,
@@ -353,6 +353,15 @@ def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
             errs.append(abs(rate - truth))
         medians.append(float(np.median(errs)))
     return medians
+
+
+def priors_from_joint(joint, observed):
+    """Per-position pairs P(key | helper_j) of the (key, helper) joint: the
+    n x 2 priors of ``flooding_oracle`` and ``map_decode_bruteforce``, which
+    ``sp_decode`` reads from ``(joint, observed)`` without building them.
+    ``observed`` holds the helper's bits; anything else raises ``ValueError``.
+    """
+    return joint.conditional().T[_bits(observed, "observed")]
 
 
 def flooding_oracle(matrix, syn, priors, max_iter=100):

@@ -16,8 +16,6 @@ from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
 from qkdpost.keyrate import choi_ambiguity, keyrate
 from qkdpost.reconciliation import (
     gen_parity_check,
-    priors_from_joint,
-    required_syndrome_rate,
     sp_decode,
     syndrome,
 )
@@ -35,6 +33,7 @@ from conftest import (
     closed_form_example_rates,
     completions_of_omega,
     map_decode_bruteforce,
+    priors_from_joint,
     random_cp_channel,
     rate_error_curve,
 )
@@ -197,14 +196,14 @@ def test_criterion_7_reconciliation():
     )
     hxy = cond_entropy(joint)
     n = 10_000
-    m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+    m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
     code = gen_parity_check(n, m, 3, seed=2024)
     rng = np.random.default_rng(4321)
     fails = 0
     for _ in range(50):
         flat = rng.choice(4, size=n, p=joint.table.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
-        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+        res = sp_decode(code, syndrome(code, x), joint, y)
         if not (res.converged and np.array_equal(res.bits, x)):
             fails += 1
     assert fails <= 5, f"frame error rate {fails}/50 above 10%"
@@ -221,7 +220,7 @@ def test_criterion_7_reconciliation():
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
         syn = syndrome(small, x)
         priors = priors_from_joint(joint, y)
-        res = sp_decode(small, syn, priors)
+        res = sp_decode(small, syn, joint, y)
         if not res.converged:
             continue
         conv += 1

@@ -3,13 +3,11 @@ import pytest
 
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
-from qkdpost.entropy import JointDistribution
+from qkdpost.entropy import JointDistribution, cond_entropy
 from qkdpost.reconciliation import (
     ParityCheckMatrix,
     _group_count,
     gen_parity_check,
-    priors_from_joint,
-    required_syndrome_rate,
     sp_decode,
     syndrome,
 )
@@ -151,7 +149,7 @@ def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
     decodes exactly as the library does."""
     n = 12_000
     joint = JointDistribution(joint_distribution(make_amplitude_damping(0.1), Basis.Z, Basis.Z))
-    m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+    m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
     base = gen_parity_check(n, m, 3, seed=23)
     rng = np.random.default_rng(6)
     # shuffled checks and columns leave no staircase in place
@@ -162,7 +160,7 @@ def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
     assert _group_count(code.num_edges) >= 2
     flat = rng.choice(4, size=n, p=joint.table.ravel())
     x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
-    want = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+    want = sp_decode(code, syndrome(code, x), joint, y)
     assert want.converged and np.array_equal(want.bits, x)
 
     mpath, spath, opath = tmp_path / "code.alist", tmp_path / "syn.bits", tmp_path / "obs.bits"
@@ -368,6 +366,12 @@ VALID_ALIST = "<valid alist>"
          "margin must be positive and finite, got inf"),
         (["simulate", "--config"], "protocol=bb84\nepsilon=inf\n",
          "epsilon must be nonnegative and finite, got inf"),
+        (["simulate", "--config"],
+         "protocol=bb84\nn_signals=20000\nchannel=kind=amplitude_damping p=0.05\nmargin=1e308\n",
+         "margin must be at most 1, got 1e+308"),
+        (["simulate", "--config"],
+         "protocol=bb84\nn_signals=20000\nchannel=kind=amplitude_damping p=0.05\nepsilon=1e308\n",
+         "epsilon must be at most 1, got 1e+308"),
         (["simulate", "--config"], "protocol=bb84\nseed_code=-1\n",
          "seed_code must be nonnegative, got -1"),
         (["simulate", "--config"],
@@ -388,7 +392,7 @@ VALID_ALIST = "<valid alist>"
          "truncated-alist", "alist-row-weights", "alist-repeated-check", "alist-negative-check",
          "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "syndrome-wrong-length", "config-int", "config-margin-inf",
-         "config-epsilon-inf", "config-seed-negative", "config-channel-not-physical",
+         "config-epsilon-inf", "config-margin-huge", "config-epsilon-huge", "config-seed-negative", "config-channel-not-physical",
          "config-channel-extra-key", "sixstate-tally-without-y", "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):

@@ -38,6 +38,11 @@ class TestDescriptor:
         with pytest.raises(ValueError):
             HashDescriptor(3, 5, np.ones(7, np.uint8))
 
+    @pytest.mark.parametrize("bad", [2, 257, 0.5, -1], ids=["two", "wraps-to-one", "fraction", "negative"])
+    def test_generator_entries_other_than_bits_rejected(self, bad):
+        with pytest.raises(ValueError, match="generator entries must be 0 or 1"):
+            HashDescriptor(3, 2, np.array([1, 0, bad, 1]))
+
     def test_sampling_deterministic(self):
         a = sample_hash(64, 256, seed=9)
         b = sample_hash(64, 256, seed=9)
@@ -74,6 +79,14 @@ class TestApplyHash:
         desc = sample_hash(8, 32, seed=3)
         with pytest.raises(ValueError):
             apply_hash(desc, np.zeros(31, np.uint8))
+
+    @pytest.mark.parametrize("bad", [2, 257, 1.5, -1], ids=["two", "wraps-to-one", "fraction", "negative"])
+    def test_input_entries_other_than_bits_rejected(self, bad):
+        desc = sample_hash(8, 32, seed=3)
+        x = np.zeros(32)
+        x[5] = bad
+        with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+            apply_hash(desc, x)
 
     def test_collision_rate_is_two_universal(self, rng):
         """Distinct fixed inputs collide with probability about 2^-ell over

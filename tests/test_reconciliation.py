@@ -11,9 +11,7 @@ from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
     _group_count,
     gen_parity_check,
-    priors_from_joint,
     read_alist,
-    required_syndrome_rate,
     sp_decode,
     syndrome,
 )
@@ -24,6 +22,7 @@ from conftest import (
     flooding_oracle,
     gf2_rank,
     map_decode_bruteforce,
+    priors_from_joint,
     to_dense,
     write_alist,
 )
@@ -35,6 +34,21 @@ def damping_joint(p):
 
 def bsc_joint(p):
     return JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+
+
+def weak_one_joint(q):
+    """Helper bit 0 gives the prior 0.9/0.1 toward key bit 0, helper bit 1
+    the prior q/(1 - q), with q = P(key = 0 | helper = 1)."""
+    return JointDistribution([[0.45, 0.5 * q], [0.05, 0.5 * (1 - q)]])
+
+
+def half_every_seventh(rng):
+    """(x, observed) of 60 bits for ``weak_one_joint(0.5)``: every seventh
+    bit is random under an exact 1/2 prior, the others are 0 under 0.9/0.1."""
+    x, observed = np.zeros(60, np.uint8), np.zeros(60, np.uint8)
+    x[::7] = rng.integers(0, 2, 9)
+    observed[::7] = 1
+    return x, observed
 
 
 def sample_pair(joint, n, rng):
@@ -185,12 +199,12 @@ class TestSyndrome:
         code = gen_parity_check(n, m, 3, seed=5)
         before = syndrome(code, x)
         layout = code._layout
-        sp_decode(code, before, priors_from_joint(joint, y), max_iter=3)
+        sp_decode(code, before, joint, y, max_iter=3)
         assert code._layout is layout
         assert np.array_equal(syndrome(code, x), before)
         # a fresh copy whose layout the decoder builds first
         fresh = gen_parity_check(n, m, 3, seed=5)
-        sp_decode(fresh, before, priors_from_joint(joint, y), max_iter=3)
+        sp_decode(fresh, before, joint, y, max_iter=3)
         assert np.array_equal(syndrome(fresh, x), before)
 
 
@@ -331,19 +345,26 @@ class TestAlist:
         assert np.array_equal(to_dense(back), to_dense(code))
 
 
-class TestPriorsFromJoint:
-    def test_rows_are_the_helper_conditionals(self):
-        joint = damping_joint(0.3)
-        observed = [0, 1, 1, 0]
-        want = joint.conditional()[:, observed].T
-        for obs in (observed, np.array(observed, bool), np.array(observed, float)):
-            got = priors_from_joint(joint, obs)
-            assert got.shape == (4, 2) and np.array_equal(got, want)
+class TestObserved:
+    """``sp_decode`` gives position j the prior P(key | helper = observed[j])
+    of the joint; the helper's bits may come in any dtype or as a list."""
 
-    @pytest.mark.parametrize("observed", [[0, 0.7], [1, -1], [0, 2]], ids=["fraction", "negative", "two"])
-    def test_entries_other_than_bits_rejected(self, observed):
-        with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
-            priors_from_joint(damping_joint(0.3), np.array(observed))
+    def test_positions_start_from_their_helper_conditional(self, rng):
+        joint = damping_joint(0.3)
+        code = gen_parity_check(60, 40, 3, seed=4)
+        x, y = sample_pair(joint, 60, rng)
+        syn = syndrome(code, x)
+        want = flooding_oracle(code, syn, joint.conditional()[:, y].T, max_iter=5)
+        for obs in (y, y.tolist(), y.astype(bool), y.astype(float)):
+            got = sp_decode(code, syn, joint, obs, max_iter=5)
+            assert np.array_equal(got.bits, want.bits)
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+
+    @pytest.mark.parametrize("shape", [59, 61, (60, 1)], ids=["short", "long", "two-axes"])
+    def test_observed_of_another_shape_rejected(self, shape):
+        code = gen_parity_check(60, 30, 3, seed=4)
+        with pytest.raises(ValueError, match="observed length"):
+            sp_decode(code, np.zeros(30, np.uint8), bsc_joint(0.1), np.zeros(shape, np.uint8))
 
 
 class TestBruteForceMap:
@@ -404,46 +425,39 @@ class TestSumProduct:
     def test_delta_priors_converge_immediately(self, rng):
         code = gen_parity_check(60, 30, 3, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
-        syn = syndrome(code, x)
-        priors = np.where(x[:, None] == 0, [1.0, 0.0], [0.0, 1.0])
-        res = sp_decode(code, syn, priors)
+        res = sp_decode(code, syndrome(code, x), bsc_joint(0.0), x)
         assert res.converged and res.iterations == 1
         assert np.array_equal(res.bits, x)
 
-    def test_priors_as_a_list_of_pairs(self, rng):
-        code = gen_parity_check(60, 30, 3, seed=4)
-        x = rng.integers(0, 2, 60).astype(np.uint8)
-        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-        got = sp_decode(code, syndrome(code, x), priors.tolist())
-        want = sp_decode(code, syndrome(code, x), priors)
-        assert got.converged and np.array_equal(got.bits, want.bits)
-
     @pytest.mark.parametrize(
-        "bad", [np.nan, np.inf, -0.1, 1.5], ids=["nan", "inf", "negative", "above-one"]
+        "bad",
+        [np.nan, np.inf, -0.1, 1.5, 0.7, -1, 2],
+        ids=["nan", "inf", "negative", "above-one", "fraction", "minus-one", "two"],
     )
-    def test_priors_outside_zero_one_rejected(self, rng, bad):
+    def test_observed_entries_other_than_bits_rejected(self, rng, bad):
         code = gen_parity_check(60, 30, 3, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
-        priors = np.full((60, 2), 0.5)
-        priors[7, 1] = bad
-        with pytest.raises(ValueError, match="priors"):
-            sp_decode(code, syndrome(code, x), priors)
-        with pytest.raises(ValueError, match="priors"):
-            sp_decode(code, syndrome(code, x), np.full((60, 2), bad))
+        observed = x.astype(float)
+        observed[7] = bad
+        with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
+            sp_decode(code, syndrome(code, x), bsc_joint(0.1), observed)
+        with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
+            sp_decode(code, syndrome(code, x), bsc_joint(0.1), np.full(60, bad))
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_a_product_of_ones_sends_the_clamp(self, groups, monkeypatch):
         # variables 0 and 1 are certain, so check 0's product for variable 2
         # is 1 (exactly 1 in float32), and its message must outweigh the
-        # wrong half-LLR -12 there; arctanh of the float32 below 1 is 8.66
+        # wrong half-LLR -12 there; arctanh of the float32 below 1 is 8.66.
+        # Helper bit 0 makes key bit 0 certain, helper bit 1 gives LLR -24
         if groups > 1:
             monkeypatch.setattr(reconciliation, "GROUP_EDGES", 1)
             monkeypatch.setattr(reconciliation, "MAX_GROUPS", groups)
         code = _explicit_code([[0, 1, 2], [3, 4]], n=5)
         assert _group_count(code.num_edges) == groups
-        priors = np.array([[1.0, 0.0]] * 5)
-        priors[2] = [1 / (1 + np.exp(24.0)), 1 - 1 / (1 + np.exp(24.0))]
-        res = sp_decode(code, np.zeros(2, np.uint8), priors)
+        s = 1 / (1 + np.exp(24.0))
+        joint = JointDistribution([[0.5, 0.5 * s], [0.0, 0.5 * (1 - s)]])
+        res = sp_decode(code, np.zeros(2, np.uint8), joint, [0, 0, 1, 0, 0])
         assert res.converged and res.iterations == 1
         assert not res.bits.any()
 
@@ -453,33 +467,32 @@ class TestSumProduct:
         syn = np.zeros(30)
         syn[3] = bad
         with pytest.raises(ValueError, match="0 or 1"):
-            sp_decode(code, syn, np.full((60, 2), 0.5))
+            sp_decode(code, syn, bsc_joint(0.5), np.zeros(60, np.uint8))
 
     def test_rejects_fewer_than_one_iteration(self, rng):
         code = gen_parity_check(60, 30, 3, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
-        priors = np.full((60, 2), 0.5)
         with pytest.raises(ValueError, match="max_iter"):
-            sp_decode(code, syndrome(code, x), priors, max_iter=0)
+            sp_decode(code, syndrome(code, x), bsc_joint(0.5), x, max_iter=0)
 
     def test_converged_output_satisfies_syndrome(self, rng):
         joint = damping_joint(0.3)
         code = gen_parity_check(600, 370, 3, seed=6)
         for _ in range(10):
             x, y = sample_pair(joint, 600, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+            res = sp_decode(code, syndrome(code, x), joint, y)
             if res.converged:
                 assert np.array_equal(syndrome(code, res.bits), syndrome(code, x))
 
     def test_frame_errors_rare_at_working_margin(self, rng):
         joint = damping_joint(0.3)
         n = 4000
-        m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+        m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
         code = gen_parity_check(n, m, 3, seed=7)
         fails = 0
         for _ in range(10):
             x, y = sample_pair(joint, n, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+            res = sp_decode(code, syndrome(code, x), joint, y)
             if not (res.converged and np.array_equal(res.bits, x)):
                 fails += 1
         assert fails <= 2
@@ -487,12 +500,12 @@ class TestSumProduct:
     def test_frame_errors_rare_on_a_symmetric_channel(self, rng):
         joint = JointDistribution([[0.47, 0.03], [0.03, 0.47]])
         n = 12_000
-        m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+        m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
         code = gen_parity_check(n, m, 3, seed=8)
         fails = 0
         for _ in range(20):
             x, y = sample_pair(joint, n, rng)
-            res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+            res = sp_decode(code, syndrome(code, x), joint, y)
             if not (res.converged and np.array_equal(res.bits, x)):
                 fails += 1
         assert fails <= 3
@@ -509,7 +522,7 @@ class TestSumProduct:
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
-            res = sp_decode(code, syn, priors)
+            res = sp_decode(code, syn, joint, y)
             if not res.converged:
                 continue
             conv += 1
@@ -528,7 +541,7 @@ class TestSumProduct:
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
-            res = sp_decode(code, syn, priors)
+            res = sp_decode(code, syn, joint, y)
             if not res.converged:
                 continue
             checked += 1
@@ -552,15 +565,12 @@ class TestSumProductSegments:
 
     def _decode_with_weak_last_bit(self, syn_of_empty):
         code = _explicit_code(self.SUPPORTS, n=8)
-        x = np.array([1, 0, 1, 1, 0, 0, 1, 1], np.uint8)
+        x = np.array([0, 0, 0, 0, 0, 0, 0, 1], np.uint8)
         syn = syndrome(code, x)
         syn[[1, 3, 5]] = syn_of_empty
         # strong priors toward x, except a weak wrong one on variable 7
-        y = x.copy()
-        y[7] ^= 1
-        priors = np.where(y[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-        priors[7] = [0.4, 0.6] if y[7] else [0.6, 0.4]
-        return code, x, syn, sp_decode(code, syn, priors, max_iter=20)
+        observed = np.eye(8, dtype=np.uint8)[7]
+        return code, x, syn, sp_decode(code, syn, weak_one_joint(0.6), observed, max_iter=20)
 
     def test_empty_checks_with_zero_syndrome_converge(self):
         code, x, syn, res = self._decode_with_weak_last_bit([0, 0, 0])
@@ -577,24 +587,23 @@ class TestSumProductSegments:
     def test_one_check_over_every_variable(self, rng):
         n, p = 2000, 0.03
         joint = JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
-        m = int(np.ceil(n * required_syndrome_rate(joint, 0.2)))
+        m = int(np.ceil(n * (cond_entropy(joint) + 0.2)))
         base = gen_parity_check(n, m, 3, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         code = _explicit_code(supports + [range(n)], n)
         x, y = sample_pair(joint, n, rng)
-        res = sp_decode(code, syndrome(code, x), priors_from_joint(joint, y))
+        res = sp_decode(code, syndrome(code, x), joint, y)
         assert res.converged and np.array_equal(res.bits, x)
 
     def test_exact_half_priors_converge(self, rng):
         code = gen_parity_check(60, 30, 3, seed=4)
-        x = rng.integers(0, 2, 60).astype(np.uint8)
-        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-        priors[::7] = 0.5
-        res = sp_decode(code, syndrome(code, x), priors)
+        x, observed = half_every_seventh(rng)
+        res = sp_decode(code, syndrome(code, x), weak_one_joint(0.5), observed)
         assert res.converged and np.array_equal(res.bits, x)
 
     def test_exact_half_priors_agree_with_map_on_tiny_codes(self, rng):
-        joint = damping_joint(0.3)
+        # helper bit 1, one bit in 7, leaves the key bit at exactly 1/2
+        joint = JointDistribution([[0.774, 0.07], [0.086, 0.07]])
         agree = conv = 0
         for _ in range(40):
             n = int(rng.integers(10, 17))
@@ -602,8 +611,7 @@ class TestSumProductSegments:
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
-            priors[::7] = 0.5
-            res = sp_decode(code, syn, priors)
+            res = sp_decode(code, syn, joint, y)
             if not res.converged:
                 continue
             # agreement means a word of the MAP score: with exact 1/2 priors,
@@ -637,15 +645,14 @@ class TestSumProductSegmentsInGroups(TestSumProductSegments):
         supports[0], supports[1], supports[groups + 1] = [4, 5, 6, 7], [0, 1, 2], [2, 3, 4]
         code = _explicit_code(supports, n=8)
         assert code.num_edges == 10 and _group_count(code.num_edges) == groups
-        x = np.array([1, 0, 1, 1, 0, 0, 1, 0], np.uint8)
+        x = np.zeros(8, np.uint8)
         syn = syndrome(code, x)
         syn[groups] = syn_of_empty
         # strong priors toward x, except a weak one toward 1 on variable 7: a
         # check 0 product that missed bit 7 would, divided by its negative
         # factor, push bit 7 further toward 1
-        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-        priors[7] = [0.4, 0.6]
-        res = sp_decode(code, syn, priors, max_iter=20)
+        observed = np.eye(8, dtype=np.uint8)[7]
+        res = sp_decode(code, syn, weak_one_joint(0.4), observed, max_iter=20)
         if syn_of_empty:
             assert not res.converged and res.iterations == 20
         else:
@@ -662,10 +669,10 @@ class TestFloodingOracle:
     it replaced."""
 
     @staticmethod
-    def _assert_flooding(code, syn, priors, max_iter=100):
+    def _assert_flooding(code, syn, joint, observed, max_iter=100):
         assert _group_count(code.num_edges) == 1
-        got = sp_decode(code, syn, priors, max_iter)
-        want = flooding_oracle(code, syn, priors, max_iter)
+        got = sp_decode(code, syn, joint, observed, max_iter)
+        want = flooding_oracle(code, syn, priors_from_joint(joint, observed), max_iter)
         assert np.array_equal(got.bits, want.bits)
         assert (got.converged, got.iterations) == (want.converged, want.iterations)
         return got
@@ -674,36 +681,34 @@ class TestFloodingOracle:
     def test_random_codes_decode_as_flooding(self, joint, rng):
         converged = []
         for n, margin in ((200, 0.02), (1000, 0.03), (2000, 0.1), (3500, 0.05)):
-            m = int(np.ceil(n * required_syndrome_rate(joint, margin)))
+            m = int(np.ceil(n * (cond_entropy(joint) + margin)))
             code = gen_parity_check(n, m, 3, seed=n)
             for _ in range(3):
                 x, y = sample_pair(joint, n, rng)
-                res = self._assert_flooding(code, syndrome(code, x), priors_from_joint(joint, y))
+                res = self._assert_flooding(code, syndrome(code, x), joint, y)
                 converged.append(res.converged)
         # failing decodes, whose bits are only diagnostic, are compared too
         assert any(converged) and not all(converged)
 
     def test_segment_codes_decode_as_flooding(self, rng):
         code = _explicit_code(TestSumProductSegments.SUPPORTS, n=8)
+        observed = np.eye(8, dtype=np.uint8)[7]
         for bit7, empty in product((0, 1), ([0, 0, 0], [0, 1, 0])):
-            x = np.array([1, 0, 1, 1, 0, 0, 1, bit7], np.uint8)
+            x = np.array([0, 0, 0, 0, 0, 0, 0, bit7], np.uint8)
             # strong priors toward x, except a weak wrong one on variable 7
-            priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-            priors[7] = [0.6, 0.4] if bit7 else [0.4, 0.6]
+            joint = weak_one_joint(0.6 if bit7 else 0.4)
             syn = syndrome(code, x)
             syn[[1, 3, 5]] = empty
-            self._assert_flooding(code, syn, priors, max_iter=20)
+            self._assert_flooding(code, syn, joint, observed, max_iter=20)
         joint = bsc_joint(0.03)
         base = gen_parity_check(2000, 800, 3, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         code = _explicit_code(supports + [range(2000)], 2000)
         x, y = sample_pair(joint, 2000, rng)
-        self._assert_flooding(code, syndrome(code, x), priors_from_joint(joint, y))
+        self._assert_flooding(code, syndrome(code, x), joint, y)
         code = gen_parity_check(60, 30, 3, seed=4)
-        x = rng.integers(0, 2, 60).astype(np.uint8)
-        priors = np.where(x[:, None] == 0, [0.9, 0.1], [0.1, 0.9])
-        priors[::7] = 0.5
-        self._assert_flooding(code, syndrome(code, x), priors)
+        x, observed = half_every_seventh(rng)
+        self._assert_flooding(code, syndrome(code, x), weak_one_joint(0.5), observed)
 
 
 class TestGroupSchedule:
@@ -715,14 +720,14 @@ class TestGroupSchedule:
         joints = [bsc_joint(0.03), bsc_joint(0.05), bsc_joint(0.08), damping_joint(0.3)]
         decoded, sweeps = np.zeros(2, int), np.zeros(2, int)
         for k, joint in enumerate(joints):
-            m = int(np.ceil(n * required_syndrome_rate(joint, 0.1)))
+            m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
             code = gen_parity_check(n, m, 3, seed=30 + k)
             assert _group_count(code.num_edges) == reconciliation.MAX_GROUPS
             for _ in range(3):
                 x, y = sample_pair(joint, n, rng)
                 syn, priors = syndrome(code, x), priors_from_joint(joint, y)
                 for side, res in enumerate(
-                    (sp_decode(code, syn, priors), flooding_oracle(code, syn, priors))
+                    (sp_decode(code, syn, joint, y), flooding_oracle(code, syn, priors))
                 ):
                     decoded[side] += res.converged and np.array_equal(res.bits, x)
                     sweeps[side] += res.iterations
@@ -764,25 +769,6 @@ class TestLayout:
         assert [b.shape for b in layout.groups[0]] == [(1, 1), (2, 1), (3, 1)]
 
 
-class TestSyndromeRate:
-    def test_noiseless_needs_only_margin(self):
-        ident = JointDistribution(np.diag([0.5, 0.5]))
-        assert required_syndrome_rate(ident, 0.05) == pytest.approx(0.05)
-
-    def test_damping_value(self):
-        got = required_syndrome_rate(damping_joint(0.5), 0.1)
-        assert got == pytest.approx(0.6887218755408671 + 0.1, abs=1e-12)
-
-    def test_symmetric_crossover(self):
-        joint = JointDistribution([[0.375, 0.125], [0.125, 0.375]])  # crossover 0.25
-        got = required_syndrome_rate(joint, 0.02)
-        assert got == pytest.approx(binary_entropy(0.25) + 0.02, abs=1e-12)
-
-    def test_margin_must_be_positive(self):
-        with pytest.raises(ValueError):
-            required_syndrome_rate(damping_joint(0.3), 0.0)
-
-
 class TestConventionalFloorSeparation:
     def test_decoding_succeeds_below_the_error_syndrome_floor(self, rng):
         """The error-difference method needs m/n > H(W); source-side priors
@@ -799,9 +785,7 @@ class TestConventionalFloorSeparation:
         wins = 0
         for _ in range(6):
             x, y = sample_pair(joint, n, rng)
-            res = sp_decode(
-                code, syndrome(code, x), priors_from_joint(joint, y), max_iter=200
-            )
+            res = sp_decode(code, syndrome(code, x), joint, y, max_iter=200)
             wins += res.converged and np.array_equal(res.bits, x)
         assert wins >= 5
 

@@ -77,7 +77,11 @@ class TestConfig:
         [
             ("margin", 0.0),
             ("margin", -0.1),
+            ("margin", 1.5),
+            ("margin", 1e308),
             ("epsilon", -0.1),
+            ("epsilon", 1.5),
+            ("epsilon", 1e308),
             ("seed_channel", -1),
             ("seed_code", -1),
             ("seed_hash", -2),
@@ -292,6 +296,17 @@ class TestRunProtocol:
         assert rep.abort_reason in ("nonpositive_rate", "syndrome_rate_full")
         assert rep.key_length == 0
         assert not rep.keys_equal
+
+    @pytest.mark.parametrize(
+        "channel, margin",
+        [(make_identity(), 0.05), (make_amplitude_damping(0.3), 0.1), (make_rotation(0.8), 0.02)],
+        ids=["noiseless", "damping", "rotation"],
+    )
+    def test_syndrome_rate_is_the_decided_entropy_plus_margin(self, channel, margin):
+        cfg = ProtocolConfig(protocol="sixstate", channel=channel, n_signals=20_000, margin=margin)
+        rep = run_protocol(cfg)
+        m = math.ceil(rep.n_key * (rep.decided_cond_entropy + margin))
+        assert rep.syndrome_rate == m / rep.n_key
 
     def test_keys_equal_implies_decode_success(self):
         for seed in range(4):
