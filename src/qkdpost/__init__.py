@@ -28,9 +28,7 @@ from .entropy import (
 )
 from .hashing import HashDescriptor, apply_hash, key_length, sample_hash
 from .keyrate import (
-    ErrorRates,
     RateReport,
-    error_rates,
     key_bases,
     key_joint,
     key_party,

@@ -52,10 +52,6 @@ class JointDistribution:
         cols[:, py <= ZERO_CUTOFF] = 0.5
         return cols
 
-    def error_probability(self) -> float:
-        """P(x != y)."""
-        return float(self.table[0, 1] + self.table[1, 0])
-
 
 def cond_entropy(dist: JointDistribution) -> float:
     """H(row | column) of a joint table; transpose the table for the other."""

@@ -21,6 +21,16 @@ import numpy as np
 from .reconciliation import _bits
 
 
+def _generator_len(output_len: int, input_len: int) -> int:
+    """n + ell - 1 generator bits for an ell-by-n matrix, none for ell = 0;
+    raises ValueError for lengths no descriptor can have."""
+    if output_len > input_len:
+        raise ValueError("output length exceeds input length")
+    if output_len < 0 or input_len <= 0:
+        raise ValueError("lengths must be positive")
+    return input_len + output_len - 1 if output_len else 0
+
+
 @dataclass(frozen=True)
 class HashDescriptor:
     """Everything needed to reproduce one hash choice."""
@@ -31,11 +41,7 @@ class HashDescriptor:
 
     def __post_init__(self):
         gen = _bits(self.generator, "generator")
-        if self.output_len > self.input_len:
-            raise ValueError("output length exceeds input length")
-        if self.output_len < 0 or self.input_len <= 0:
-            raise ValueError("lengths must be positive")
-        expected = self.input_len + self.output_len - 1 if self.output_len else 0
+        expected = _generator_len(self.output_len, self.input_len)
         if gen.shape != (expected,):
             raise ValueError(f"generator must hold exactly {expected} bits, got {gen.shape}")
         gen.setflags(write=False)
@@ -51,18 +57,20 @@ def key_length(n: int, m: int, ambiguity: float, epsilon: float) -> int:
     """Secure key length floor(n*ambiguity - m - n*epsilon), clamped at 0.
 
     ``m`` syndrome bits went over the public channel, ``epsilon`` is the
-    security margin per signal.
+    security margin per signal.  Negative arguments, and a budget
+    ``n*ambiguity - m - n*epsilon`` that is not finite, raise ValueError.
     """
     if n < 0 or m < 0 or epsilon < 0:
         raise ValueError("arguments must be nonnegative")
-    return max(0, math.floor(n * ambiguity - m - n * epsilon))
+    budget = n * ambiguity - m - n * epsilon
+    if not math.isfinite(budget):
+        raise ValueError(f"key budget {budget} not finite: ambiguity={ambiguity}, epsilon={epsilon}")
+    return max(0, math.floor(budget))
 
 
 def sample_hash(output_len: int, input_len: int, seed: int) -> HashDescriptor:
-    if output_len > input_len:
-        raise ValueError("output length exceeds input length")
+    nbits = _generator_len(output_len, input_len)
     rng = np.random.default_rng(seed)
-    nbits = input_len + output_len - 1 if output_len else 0
     gen = rng.integers(0, 2, size=nbits, dtype=np.uint8)
     return HashDescriptor(input_len, output_len, gen)
 

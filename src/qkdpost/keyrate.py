@@ -15,6 +15,13 @@ reconciliation needs, H(K|helper) for the other party's bit as helper.
 key pair is measured in and the key party.  Every other layer reads it
 through :func:`key_bases` and :func:`key_party`, and takes the key pair's
 joint as P(key, helper) from :func:`key_joint`.
+
+The conventional baselines (Shor & Preskill, *PRL* 85, 441, 2000; Lo,
+*QIC* 1, 81, 2001) read only the matched contraction factors r_aa, whose
+flip probabilities are p_a = (1 - r_aa)/2.  BB84's is 1 - h(p_x) - h(p_z);
+six-state's is 1 - H(q) of the Pauli weights q of (r_zz, r_xx, r_yy), the
+direct rate of the Bell-diagonal channel with those factors, which is the
+worst case consistent with the three error rates.
 """
 
 from __future__ import annotations
@@ -27,10 +34,7 @@ from .channels import (
     Basis,
     ChoiMatrix,
     affine_from_choi,
-    choi_coefficients,
-    choi_from_coefficients,
     joint_distribution,
-    pauli_diagonal,
     pauli_weights,
 )
 from .entropy import (
@@ -49,15 +53,6 @@ _DIRECTION_TABLE = {
 }
 DIRECTIONS = tuple(_DIRECTION_TABLE)
 _KEY_BLOCKS = ("kakb->kab", "akbk->kab")
-
-@dataclass(frozen=True)
-class ErrorRates:
-    """Per-basis bit flip probabilities, averaged over the two inputs."""
-
-    p_z: float
-    p_x: float
-    p_y: float
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -102,13 +97,6 @@ def choi_ambiguity(c: np.ndarray, direction: str = "direct", tol: float = 1e-9) 
     return key_entropy(c, direction) - _plogp(ev)
 
 
-def error_rates(choi: ChoiMatrix) -> ErrorRates:
-    """Matched-basis flip probabilities; equal to (1 - r_aa)/2 per axis."""
-    ch = affine_from_choi(choi, tol=1e-6)
-    d = np.diag(ch.r)
-    return ErrorRates(*(float(0.5 * (1.0 - v)) for v in d))
-
-
 def _direction_row(direction: str) -> tuple[Basis, Basis, int]:
     row = _DIRECTION_TABLE.get(direction)
     if row is None:
@@ -150,28 +138,16 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def bell_diagonal_probs(choi: ChoiMatrix) -> np.ndarray:
-    """Diagonal of the Choi matrix in the Bell basis, ordered (I, Z, X, Y): the
-    Pauli weights of (r_zz, r_xx, r_yy), the Choi coefficients 0, 4 and 8."""
-    return pauli_weights(choi_coefficients(choi.matrix)[0:9:4])
+def keyrate_conventional_bb84(r_zz: float, r_xx: float) -> float:
+    """BB84 rate 1 - h(p_x) - h(p_z), p_a = (1 - r_aa)/2 clamped to [0, 1];
+    a negative value is returned as is."""
+    p_z, p_x = (min(max(0.5 * (1.0 - r), 0.0), 1.0) for r in (r_zz, r_xx))
+    return 1.0 - binary_entropy(p_x) - binary_entropy(p_z)
 
 
-def twirl(choi: ChoiMatrix) -> ChoiMatrix:
-    """Project onto the Bell-diagonal (Pauli channel) subspace."""
-    q = np.clip(bell_diagonal_probs(choi), 0.0, None)
-    theta = np.zeros(12)
-    theta[0:9:4] = pauli_diagonal(q / q.sum())
-    return ChoiMatrix(choi_from_coefficients(theta))
-
-
-def keyrate_conventional_bb84(choi: ChoiMatrix) -> float:
-    """Matched-statistics-only baseline 1 - h(p_x) - h(p_z), unclamped."""
-    er = error_rates(choi)
-    return 1.0 - binary_entropy(er.p_x) - binary_entropy(er.p_z)
-
-
-def keyrate_conventional_sixstate(choi: ChoiMatrix) -> float:
-    """Direct rate of the twirled channel, the worst case consistent with the
-    three matched error rates; unclamped."""
-    rep = keyrate(twirl(choi), "direct")
-    return rep.raw_rate
+def keyrate_conventional_sixstate(r_diag: np.ndarray) -> float:
+    """Six-state rate 1 - H(q) of the Pauli weights q of ``r_diag`` =
+    (r_zz, r_xx, r_yy), clipped at 0 and renormalised; a negative value is
+    returned as is."""
+    q = np.clip(pauli_weights(np.asarray(r_diag, dtype=float)), 0.0, None)
+    return 1.0 - _plogp(q / q.sum())

@@ -93,16 +93,12 @@ class ProtocolConfig:
             raise ValueError("estimation fraction must be inside (0, 1)")
         if self.n_signals < 1000:
             raise ValueError("need at least 1000 signals for a meaningful run")
-        if not 0.0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
         # above 1 the syndrome would cover the whole block
-        if self.margin > 1.0:
-            raise ValueError(f"margin must be at most 1, got {self.margin}")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not 0.0 < self.margin <= 1.0:
+            raise ValueError(f"margin must be inside (0, 1], got {self.margin}")
         # above 1 no key is possible
-        if self.epsilon > 1.0:
-            raise ValueError(f"epsilon must be at most 1, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must be inside [0, 1], got {self.epsilon}")
         for name in ("seed_channel", "seed_code", "seed_hash"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -398,8 +394,8 @@ def sweep_row(ch: AffineChannel) -> dict[str, float]:
         "bb84_direct": bb84["direct"],
         "bb84_reverse": bb84["reverse"],
         "mismatched": mismatched.raw_rate,
-        "conventional_bb84": keyrate_conventional_bb84(choi),
-        "conventional_sixstate": keyrate_conventional_sixstate(choi),
+        "conventional_bb84": keyrate_conventional_bb84(ch.r[0, 0], ch.r[1, 1]),
+        "conventional_sixstate": keyrate_conventional_sixstate(np.diag(ch.r)),
     }
 
 

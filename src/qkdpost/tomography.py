@@ -29,7 +29,7 @@ from .channels import (
     joint_distribution,
     joint_tables,
 )
-from .entropy import JointDistribution, binary_entropy, cond_entropy
+from .entropy import JointDistribution, cond_entropy
 from .keyrate import (
     RateReport,
     key_bases,
@@ -377,13 +377,14 @@ def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
     projected = raw_choi.min_eigenvalue() < -PSD_TOL
     choi = nearest_choi(raw_choi.matrix) if projected else raw_choi
     channel = affine_from_choi(choi, tol=1e-6)
+    r_diag = np.diag(channel.r)
     return SixStateEstimate(
         channel=channel,
         choi=choi,
         direct=keyrate(choi, "direct"),
         reverse=keyrate(choi, "reverse"),
-        conventional_bb84=keyrate_conventional_bb84(choi),
-        conventional_sixstate=keyrate_conventional_sixstate(choi),
+        conventional_bb84=keyrate_conventional_bb84(r_diag[0], r_diag[1]),
+        conventional_sixstate=keyrate_conventional_sixstate(r_diag),
         projected=projected,
     )
 
@@ -406,13 +407,11 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     def report(direction: str, joint: JointDistribution) -> RateReport:
         return RateReport.build(direction, ambiguity[key_party(direction)], cond_entropy(joint))
 
-    p_z = key_joint(zz, "direct").error_probability()
-    p_x = 0.5 * (1.0 - omega.r_xx)
     return BB84Estimate(
         omega=omega,
         direct=report("direct", key_joint(zz, "direct")),
         reverse=report("reverse", key_joint(zz, "reverse")),
         mismatched=report("mismatched", empirical_key_joint(tally, "mismatched")),
-        conventional_bb84=1.0 - binary_entropy(min(max(p_x, 0.0), 1.0)) - binary_entropy(p_z),
+        conventional_bb84=keyrate_conventional_bb84(omega.r_zz, omega.r_xx),
         projected=projected,
     )

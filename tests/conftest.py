@@ -355,6 +355,12 @@ def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
     return medians
 
 
+def error_probability(joint):
+    """P(x != y) of a joint table, the flip rate the error-syndrome floor
+    h(P(x != y)) reads."""
+    return float(joint.table[0, 1] + joint.table[1, 0])
+
+
 def priors_from_joint(joint, observed):
     """Per-position pairs P(key | helper_j) of the (key, helper) joint: the
     n x 2 priors of ``flooding_oracle`` and ``map_decode_bruteforce``, which

@@ -32,6 +32,7 @@ from qkdpost.channels import Basis, joint_distribution
 from conftest import (
     closed_form_example_rates,
     completions_of_omega,
+    error_probability,
     map_decode_bruteforce,
     priors_from_joint,
     random_cp_channel,
@@ -234,7 +235,7 @@ def test_criterion_7_reconciliation():
         table = rng.dirichlet(np.ones(4)).reshape(2, 2)
         j = JointDistribution(table)
         hx = cond_entropy(j)
-        hw = binary_entropy(j.error_probability())
+        hw = binary_entropy(error_probability(j))
         assert hx <= hw + 1e-12
         cond = j.conditional()
         if abs(cond[0, 0] - cond[1, 1]) > 1e-6:

@@ -3,7 +3,7 @@ import pytest
 
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
-from qkdpost.entropy import JointDistribution, cond_entropy
+from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
 from qkdpost.reconciliation import (
     ParityCheckMatrix,
     _group_count,
@@ -11,7 +11,12 @@ from qkdpost.reconciliation import (
     sp_decode,
     syndrome,
 )
-from qkdpost.tomography import SIXSTATE_BASES
+from qkdpost.tomography import (
+    BB84_BASES,
+    SIXSTATE_BASES,
+    estimate_rates_sixstate,
+    sample_tally,
+)
 
 from conftest import exact_tally, write_alist, write_tally
 
@@ -53,14 +58,54 @@ def test_bound_command(tmp_path, capsys):
     assert "worst_case_direct=" in out
 
 
+def _printed(out):
+    """``key=value`` lines of command output as a dict of strings."""
+    return dict(line.split("=", 1) for line in out.splitlines() if line.count("=") == 1)
+
+
+def _bb84_closed_form(r_zz, r_xx):
+    return 1.0 - binary_entropy((1.0 - r_xx) / 2) - binary_entropy((1.0 - r_zz) / 2)
+
+
+def _sixstate_closed_form(r_zz, r_xx, r_yy):
+    q = np.array(
+        [1 + r_zz + r_xx + r_yy, 1 + r_zz - r_xx - r_yy, 1 - r_zz + r_xx - r_yy, 1 - r_zz - r_xx + r_yy]
+    )
+    q = np.clip(q, 0.0, None)
+    q = q[q > 0] / q.sum()
+    return 1.0 + float((q * np.log2(q)).sum())
+
+
 def test_estimate_command(tmp_path, capsys):
-    tally = exact_tally(make_amplitude_damping(0.2), SIXSTATE_BASES)
+    # the baselines printed are the closed forms of the estimated channel's
+    # matched contraction factors
+    tally = sample_tally(make_amplitude_damping(0.2), SIXSTATE_BASES, 3000, np.random.default_rng(7))
     path = tmp_path / "tally.csv"
     write_tally(tally, path)
     assert main(["estimate", "--tally", str(path)]) == 0
     out = capsys.readouterr().out
     assert "direct: ambiguity=" in out
-    assert "conventional_sixstate=" in out
+    printed = _printed(out)
+    r_zz, r_xx, r_yy = np.diag(estimate_rates_sixstate(tally).channel.r)
+    assert float(printed["conventional_bb84"]) == pytest.approx(
+        _bb84_closed_form(r_zz, r_xx), abs=1e-12
+    )
+    assert float(printed["conventional_sixstate"]) == pytest.approx(
+        _sixstate_closed_form(r_zz, r_xx, r_yy), abs=1e-12
+    )
+
+
+def test_estimate_bb84_prints_the_closed_form_of_its_omega(tmp_path, capsys):
+    tally = sample_tally(make_rotation(0.7), BB84_BASES, 3000, np.random.default_rng(8))
+    path = tmp_path / "tally.csv"
+    write_tally(tally, path)
+    assert main(["estimate", "--tally", str(path)]) == 0
+    printed = _printed(capsys.readouterr().out)
+    r_zz, _, _, r_xx, _, _ = (float(v) for v in printed["omega"].split())
+    assert float(printed["conventional_bb84"]) == pytest.approx(
+        _bb84_closed_form(r_zz, r_xx), abs=1e-12
+    )
+    assert "conventional_sixstate" not in printed
 
 
 def test_estimate_bb84_from_sixstate_tally(tmp_path, capsys):
@@ -363,15 +408,15 @@ VALID_ALIST = "<valid alist>"
         (["simulate", "--config"], "protocol=bb84\nn_signals=abc\n",
          "config line 2, key 'n_signals'"),
         (["simulate", "--config"], "protocol=bb84\nmargin=inf\n",
-         "margin must be positive and finite, got inf"),
+         "margin must be inside (0, 1], got inf"),
         (["simulate", "--config"], "protocol=bb84\nepsilon=inf\n",
-         "epsilon must be nonnegative and finite, got inf"),
+         "epsilon must be inside [0, 1], got inf"),
         (["simulate", "--config"],
          "protocol=bb84\nn_signals=20000\nchannel=kind=amplitude_damping p=0.05\nmargin=1e308\n",
-         "margin must be at most 1, got 1e+308"),
+         "margin must be inside (0, 1], got 1e+308"),
         (["simulate", "--config"],
          "protocol=bb84\nn_signals=20000\nchannel=kind=amplitude_damping p=0.05\nepsilon=1e308\n",
-         "epsilon must be at most 1, got 1e+308"),
+         "epsilon must be inside [0, 1], got 1e+308"),
         (["simulate", "--config"], "protocol=bb84\nseed_code=-1\n",
          "seed_code must be nonnegative, got -1"),
         (["simulate", "--config"],

@@ -21,6 +21,15 @@ class TestKeyLength:
         with pytest.raises(ValueError):
             key_length(-1, 0, 0.5, 0.01)
 
+    @pytest.mark.parametrize(
+        "ambiguity, epsilon",
+        [(0.9, 1e308), (float("inf"), 0.01), (float("nan"), 0.01)],
+        ids=["epsilon-overflows", "infinite-ambiguity", "nan-ambiguity"],
+    )
+    def test_rejects_a_budget_that_is_not_finite(self, ambiguity, epsilon):
+        with pytest.raises(ValueError, match="ambiguity=.*epsilon="):
+            key_length(1000, 0, ambiguity, epsilon)
+
 
 class TestDescriptor:
     def test_hand_matrix(self):
@@ -42,6 +51,14 @@ class TestDescriptor:
     def test_generator_entries_other_than_bits_rejected(self, bad):
         with pytest.raises(ValueError, match="generator entries must be 0 or 1"):
             HashDescriptor(3, 2, np.array([1, 0, bad, 1]))
+
+    @pytest.mark.parametrize("ell, n", [(11, 10), (-1, 10)], ids=["longer-than-input", "negative"])
+    def test_sampling_rejects_lengths_a_descriptor_rejects(self, ell, n):
+        with pytest.raises(ValueError) as sampled:
+            sample_hash(ell, n, seed=0)
+        with pytest.raises(ValueError) as built:
+            HashDescriptor(n, ell, np.zeros(max(n + ell - 1, 0), np.uint8))
+        assert str(sampled.value) == str(built.value)
 
     def test_sampling_deterministic(self):
         a = sample_hash(64, 256, seed=9)

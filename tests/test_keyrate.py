@@ -5,6 +5,7 @@ import pytest
 
 from qkdpost.channels import (
     AffineChannel,
+    ChoiMatrix,
     PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
@@ -13,13 +14,10 @@ from qkdpost.channels import (
 )
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import (
-    bell_diagonal_probs,
     choi_ambiguity,
-    error_rates,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
-    twirl,
 )
 
 from conftest import (
@@ -177,76 +175,62 @@ class TestKeyrate:
             assert rep.raw_rate == pytest.approx(rep.ambiguity - rep.cond_entropy)
 
 
-class TestErrorRates:
-    def test_identity(self):
-        er = error_rates(choi_of(make_identity()))
-        assert (er.p_z, er.p_x, er.p_y) == (0.0, 0.0, 0.0)
-
-    def test_rotation(self):
-        theta = 1.1
-        er = error_rates(choi_of(make_rotation(theta)))
-        flip = math.sin(theta / 2) ** 2
-        assert er.p_z == pytest.approx(flip, abs=1e-12)
-        assert er.p_x == pytest.approx(flip, abs=1e-12)
-        assert er.p_y == pytest.approx(0.0, abs=1e-12)
-
-    def test_damping(self):
-        p = 0.4
-        er = error_rates(choi_of(make_amplitude_damping(p)))
-        assert er.p_z == pytest.approx(p / 2, abs=1e-12)
-        assert er.p_x == pytest.approx((1 - math.sqrt(1 - p)) / 2, abs=1e-12)
+def conventional_rates(ch):
+    """(BB84, six-state) baselines of a channel's matched contraction factors."""
+    d = np.diag(ch.r)
+    return keyrate_conventional_bb84(d[0], d[1]), keyrate_conventional_sixstate(d)
 
 
 class TestConventionalBaselines:
     def test_identity(self):
-        choi = choi_of(make_identity())
-        assert keyrate_conventional_bb84(choi) == pytest.approx(1.0)
-        assert keyrate_conventional_sixstate(choi) == pytest.approx(1.0, abs=1e-12)
+        bb84, sixstate = conventional_rates(make_identity())
+        assert bb84 == pytest.approx(1.0)
+        assert sixstate == pytest.approx(1.0, abs=1e-12)
+        # factors a rounding step beyond +/-1 clamp to no flips and to all flips
+        assert keyrate_conventional_bb84(1.0 + 1e-9, -1.0 - 1e-9) == 1.0
 
     def test_rotation_matches_two_entropy_form(self):
         for theta in (0.3, 0.8, 1.2):
-            choi = choi_of(make_rotation(theta))
+            bb84, _ = conventional_rates(make_rotation(theta))
             want = 1 - 2 * binary_entropy(math.sin(theta / 2) ** 2)
-            assert keyrate_conventional_bb84(choi) == pytest.approx(want, abs=1e-12)
+            assert bb84 == pytest.approx(want, abs=1e-12)
+
+    def test_damping_matches_flip_probabilities(self):
+        p = 0.4
+        bb84, _ = conventional_rates(make_amplitude_damping(p))
+        want = 1 - binary_entropy(p / 2) - binary_entropy((1 - math.sqrt(1 - p)) / 2)
+        assert bb84 == pytest.approx(want, abs=1e-12)
 
     def test_sixstate_baseline_equals_bell_spectrum_form(self, rng):
         for _ in range(20):
-            choi = choi_of(random_cp_channel(rng))
-            q = bell_diagonal_probs(choi)
+            ch = random_cp_channel(rng)
+            q = bell_diagonal_oracle(choi_of(ch).matrix)
             q = np.clip(q, 0, None)
             q = q / q.sum()
             q = q[q > 1e-15]
             want = 1 + (q * np.log2(q)).sum()
-            assert keyrate_conventional_sixstate(choi) == pytest.approx(want, abs=1e-9)
+            assert conventional_rates(ch)[1] == pytest.approx(want, abs=1e-9)
 
-    def test_bell_diagonal_and_twirl_match_the_bell_vectors(self, rng):
+    def test_sixstate_baseline_is_the_twirled_direct_rate(self, rng):
+        # the baseline's definition: the direct rate of the Bell-diagonal
+        # channel with the same matched error rates
         for _ in range(300):
-            choi = choi_of(random_cp_channel(rng))
-            want = bell_diagonal_oracle(choi.matrix)
-            assert np.abs(bell_diagonal_probs(choi) - want).max() < 1e-14
-            assert np.abs(twirl(choi).matrix - twirl_oracle(choi.matrix)).max() < 1e-14
-
-    def test_twirl_preserves_error_rates(self, rng):
-        for _ in range(20):
-            choi = choi_of(random_cp_channel(rng))
-            before = error_rates(choi)
-            after = error_rates(twirl(choi))
-            assert before.p_z == pytest.approx(after.p_z, abs=1e-9)
-            assert before.p_x == pytest.approx(after.p_x, abs=1e-9)
-            assert before.p_y == pytest.approx(after.p_y, abs=1e-9)
+            ch = random_cp_channel(rng)
+            want = keyrate(ChoiMatrix(twirl_oracle(choi_of(ch).matrix)), "direct").raw_rate
+            assert abs(conventional_rates(ch)[1] - want) < 1e-12
 
     def test_damping_proposed_beats_conventional(self):
-        choi = choi_of(make_amplitude_damping(0.2))
-        proposed = keyrate(choi, "direct").raw_rate
-        assert proposed > keyrate_conventional_sixstate(choi) + 1e-6
-        assert proposed > keyrate_conventional_bb84(choi) + 1e-6
+        ch = make_amplitude_damping(0.2)
+        proposed = keyrate(choi_of(ch), "direct").raw_rate
+        for baseline in conventional_rates(ch):
+            assert proposed > baseline + 1e-6
 
     def test_proposed_at_least_conventional_on_random_channels(self, rng):
         for _ in range(100):
-            choi = choi_of(random_cp_channel(rng))
-            proposed = keyrate(choi, "direct").raw_rate
-            assert proposed >= keyrate_conventional_sixstate(choi) - 1e-9
-            assert proposed >= keyrate_conventional_bb84(choi) - 1e-9
+            ch = random_cp_channel(rng)
+            proposed = keyrate(choi_of(ch), "direct").raw_rate
+            for baseline in conventional_rates(ch):
+                assert proposed >= baseline - 1e-9
 
 
 class TestUnitalClosedForm:

@@ -19,6 +19,7 @@ from qkdpost.reconciliation import (
 from conftest import (
     alist_oracle,
     col_weights,
+    error_probability,
     flooding_oracle,
     gf2_rank,
     map_decode_bruteforce,
@@ -776,7 +777,7 @@ class TestConventionalFloorSeparation:
         p = 0.5
         joint = damping_joint(p)
         hxy = cond_entropy(joint)
-        hw = binary_entropy(joint.error_probability())
+        hw = binary_entropy(error_probability(joint))
         assert hw == pytest.approx(binary_entropy(p / 2), abs=1e-12)
         rate = 0.805
         assert hxy + 0.05 < rate < hw

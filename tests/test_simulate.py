@@ -79,9 +79,11 @@ class TestConfig:
             ("margin", -0.1),
             ("margin", 1.5),
             ("margin", 1e308),
+            ("margin", float("nan")),
             ("epsilon", -0.1),
             ("epsilon", 1.5),
             ("epsilon", 1e308),
+            ("epsilon", float("nan")),
             ("seed_channel", -1),
             ("seed_code", -1),
             ("seed_hash", -2),
