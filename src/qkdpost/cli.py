@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -125,17 +126,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    for name in ("seed_channel", "seed_code", "seed_hash"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    report = run_protocol(config)
+    seeds = {k: v for k, v in vars(args).items() if k.startswith("seed_") and v is not None}
+    report = run_protocol(replace(load_config(args.config), **seeds))
     text = report.canonical_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -120,8 +120,8 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> ProtocolConfig:
-    """Key = value lines; the channel value is a one-line channel spec."""
-    kwargs = {}
+    """Key = value lines, each key once; the channel value is a one-line spec."""
+    kwargs, key_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -134,6 +134,8 @@ def parse_config(text: str) -> ProtocolConfig:
         parse = parse_channel_spec if key == "channel" else _CONFIG_KEYS.get(key)
         if parse is None:
             raise ValueError(f"config line {lineno}: unknown config key {key!r}")
+        if (first := key_line.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {first}")
         try:
             kwargs[key] = parse(value)
         except ValueError as exc:
@@ -219,10 +221,12 @@ def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
 class RunReport:
     """Outcome of one protocol run.
 
-    ``abort_reason`` is "none" on success; aborts carry zero key length and
-    one of nonpositive_rate, syndrome_rate_full, decode_failure,
-    zero_key_length.  ``timings`` holds wall-clock seconds per stage and is
-    excluded from :meth:`canonical_text` so reports stay reproducible.
+    The fields after ``decided_rate`` default to their abort values, and
+    ``abort_reason`` to "none", a key.  nonpositive_rate and
+    syndrome_rate_full set none of them, decode_failure ``syndrome_rate``,
+    zero_key_length also ``decode_success`` and ``decode_iterations``, and a
+    key all.  ``timings`` holds wall-clock seconds per stage and is excluded
+    from :meth:`canonical_text` so reports stay reproducible.
     """
 
     protocol: str
@@ -233,13 +237,13 @@ class RunReport:
     decided_ambiguity: float
     decided_cond_entropy: float
     decided_rate: float
-    syndrome_rate: float
-    decode_success: bool
-    decode_iterations: int
-    key_length: int
-    keys_equal: bool
-    empirical_key_rate: float
-    abort_reason: str
+    syndrome_rate: float = 0.0
+    decode_success: bool = False
+    decode_iterations: int = 0
+    key_length: int = 0
+    keys_equal: bool = False
+    empirical_key_rate: float = 0.0
+    abort_reason: str = "none"
     timings: dict = field(default_factory=dict, compare=False)
 
     def canonical_text(self) -> str:
@@ -287,38 +291,21 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     rep, joint, estimate_text = _estimate_for_run(config, exchange.tally)
     timings["estimate_s"] = time.perf_counter() - t0
 
-    def report(reason: str, **over) -> RunReport:
-        base = dict(
-            protocol=config.protocol,
-            direction=config.direction,
-            n_signals=config.n_signals,
-            n_key=n_key,
-            channel_estimate=estimate_text,
-            decided_ambiguity=rep.ambiguity,
-            decided_cond_entropy=rep.cond_entropy,
-            decided_rate=rep.key_rate,
-            syndrome_rate=0.0,
-            decode_success=False,
-            decode_iterations=0,
-            key_length=0,
-            keys_equal=False,
-            empirical_key_rate=0.0,
-            abort_reason=reason,
-            timings=timings,
-        )
-        base.update(over)
-        return RunReport(**base)
-
+    report = RunReport(
+        protocol=config.protocol, direction=config.direction, n_signals=config.n_signals,
+        n_key=n_key, channel_estimate=estimate_text, decided_ambiguity=rep.ambiguity,
+        decided_cond_entropy=rep.cond_entropy, decided_rate=rep.key_rate, timings=timings,
+    )
     if rep.raw_rate <= 0.0:
-        return report("nonpositive_rate")
+        return replace(report, abort_reason="nonpositive_rate")
 
     # H(key | helper) plus the finite-length margin
     m = int(np.ceil(n_key * (rep.cond_entropy + config.margin)))
     # a code needs COL_WEIGHT checks at least; the extra ones are disclosed too
     m = max(m, COL_WEIGHT)
     if m >= n_key:
-        return report("syndrome_rate_full")
-    syn_rate = m / n_key
+        return replace(report, abort_reason="syndrome_rate_full")
+    report = replace(report, syndrome_rate=m / n_key)
 
     # source holds the key party's sequence, the key's origin; the helper decodes
     party = key_party(config.direction)
@@ -335,16 +322,12 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     timings["decode_s"] = time.perf_counter() - t0
 
     if not result.converged:
-        return report("decode_failure", syndrome_rate=syn_rate)
+        return replace(report, abort_reason="decode_failure")
+    report = replace(report, decode_success=True, decode_iterations=result.iterations)
 
     ell = key_length(n_key, m, rep.ambiguity, config.epsilon)
     if ell == 0:
-        return report(
-            "zero_key_length",
-            syndrome_rate=syn_rate,
-            decode_success=True,
-            decode_iterations=result.iterations,
-        )
+        return replace(report, abort_reason="zero_key_length")
 
     t0 = time.perf_counter()
     desc = sample_hash(ell, n_key, config.seed_hash)
@@ -352,11 +335,8 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     key_helper = apply_hash(desc, result.bits)
     timings["hash_s"] = time.perf_counter() - t0
 
-    return report(
-        "none",
-        syndrome_rate=syn_rate,
-        decode_success=True,
-        decode_iterations=result.iterations,
+    return replace(
+        report,
         key_length=ell,
         keys_equal=bool(np.array_equal(key_source, key_helper)),
         empirical_key_rate=ell / n_key,

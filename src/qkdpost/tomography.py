@@ -14,6 +14,7 @@ a log-det barrier interior-point method over the joint (omega, r_yy) set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,17 @@ class TallyTable:
 
     def __post_init__(self):
         nb = len(self.bases)
-        c = np.asarray(self.counts, dtype=np.int64).reshape(nb, nb, 2, 2).copy()
-        if (c < 0).any():
+        values = np.asarray(self.counts).reshape(nb, nb, 2, 2).ravel().tolist()
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError("non-finite counts")
+        if any(v != int(v) for v in values):
+            raise ValueError("non-integral counts")
+        if min(values) < 0:
             raise ValueError("negative counts")
+        # linear_inversion sums the counts in int64
+        if sum(int(v) for v in values) >= 2**63:
+            raise ValueError("counts total 2^63 or more")
+        c = np.array(values, np.int64).reshape(nb, nb, 2, 2)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -165,7 +174,6 @@ class RawEstimate:
 
     r: np.ndarray
     t: np.ndarray
-    bases: tuple[Basis, ...]
 
     def to_omega(self) -> ObservableParams:
         return ObservableParams(
@@ -204,7 +212,7 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
     r[np.ix_(axes, axes)] = 0.5 * (q[..., 0] + q[..., 1]).T
     t = np.full(3, np.nan)
     t[axes] = (0.5 * (q[..., 0] - q[..., 1])).mean(axis=0)
-    return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0), bases)
+    return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qkdpost import cli
 from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
@@ -19,6 +24,20 @@ from qkdpost.tomography import (
 )
 
 from conftest import exact_tally, write_alist, write_tally
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    """Every `qkdpost ...` line of README's CLI block parses with today's
+    flags, and together they show every subcommand; nothing is run."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.M | re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert commands and all(c.startswith("qkdpost ") for c in commands)
+    parser = cli.build_parser()
+    shown = {parser.parse_args(shlex.split(c)[1:]).func.__name__ for c in commands}
+    assert shown == {name for name in dir(cli) if name.startswith("_cmd_")}
 
 
 def test_rates_writes_csv(tmp_path, capsys):
@@ -424,6 +443,8 @@ VALID_ALIST = "<valid alist>"
          "channel is not completely positive"),
         (["simulate", "--config"], "protocol=bb84\nchannel=kind=rotation theta=0.3 p=0.2\n",
          "config line 2, key 'channel': rotation channel spec: unexpected token 'p=0.2'"),
+        (["simulate", "--config"], "protocol=bb84\nmargin = 0.1\n# again\nMargin=0.9\n",
+         "config line 4: key 'margin' repeats line 2"),
         (["estimate", "--protocol", "sixstate", "--tally"],
          "a,b,x,y,count\nz,z,0,0,5\nz,x,0,1,5\nx,z,1,0,5\nx,x,1,1,5\n",
          "six-state estimation needs tallies in all three bases"),
@@ -438,7 +459,7 @@ VALID_ALIST = "<valid alist>"
          "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "syndrome-wrong-length", "config-int", "config-margin-inf",
          "config-epsilon-inf", "config-margin-huge", "config-epsilon-huge", "config-seed-negative", "config-channel-not-physical",
-         "config-channel-extra-key", "sixstate-tally-without-y", "rates-nan"],
+         "config-channel-extra-key", "config-repeated-key", "sixstate-tally-without-y", "rates-nan"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

@@ -346,6 +346,33 @@ def test_canonical_report_matches_pinned_text(name):
     assert run_protocol(cfg).canonical_text() == PINNED_REPORTS[name]
 
 
+ABORT_REPORTS = json.loads((ROOT / "tests" / "data" / "abort_reports.json").read_text())
+ABORT_CONFIGS = {
+    "nonpositive_rate": dict(channel=make_amplitude_damping(0.6), n_signals=20_000),
+    "syndrome_rate_full": dict(protocol="bb84", n_signals=1000, estimation_fraction=0.99),
+    "decode_failure": dict(
+        protocol="bb84",
+        channel=make_pauli(PauliProbs(0.94, 0.02, 0.02, 0.02)),
+        n_signals=20_000,
+        seed_channel=1004,
+        seed_code=1454402538,
+    ),
+    "zero_key_length": dict(
+        protocol="bb84", channel=make_amplitude_damping(0.1), n_signals=20_000, epsilon=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(ABORT_CONFIGS))
+def test_abort_report_matches_pinned_text(reason):
+    """One run per abort reason, pinned as text: the fields each abort leaves
+    at their defaults, and the ones it has already filled, stay as they were."""
+    assert sorted(ABORT_REPORTS) == sorted(ABORT_CONFIGS)
+    rep = run_protocol(ProtocolConfig(**ABORT_CONFIGS[reason]))
+    assert rep.abort_reason == reason
+    assert rep.canonical_text() == ABORT_REPORTS[reason]
+
+
 def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location(
         "blockbench_tracing", ROOT / "blockbench" / "tracing.py"

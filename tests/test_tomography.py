@@ -60,8 +60,36 @@ class TestTallyTable:
     def test_negative_counts_rejected(self):
         counts = np.zeros((2, 2, 2, 2), np.int64)
         counts[0, 0, 0, 0] = -1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative counts"):
             TallyTable(counts, BB84_BASES)
+
+    def test_non_integral_counts_rejected(self):
+        counts = np.ones((2, 2, 2, 2))
+        counts[1, 0, 1, 0] = 1.5
+        with pytest.raises(ValueError, match="non-integral counts"):
+            TallyTable(counts, BB84_BASES)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        counts = np.ones((2, 2, 2, 2))
+        counts[0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite counts"):
+            TallyTable(counts, BB84_BASES)
+
+    @pytest.mark.parametrize(
+        "big", [[2**70], [2.0**70], [2**62, 2**62], [2**63 - 1, 1]],
+        ids=["int-2^70", "float-2^70", "two-2^62", "total-2^63"],
+    )
+    def test_counts_totalling_2_63_rejected(self, big):
+        # each of these overflows the int64 sums of linear_inversion
+        counts = [1] * (16 - len(big)) + big
+        with pytest.raises(ValueError, match=r"counts total 2\^63 or more"):
+            TallyTable(counts, BB84_BASES)
+
+    def test_whole_float_counts_are_kept_exactly(self):
+        tally = TallyTable(np.full(16, 2.0**52), BB84_BASES)
+        assert tally.counts.dtype == np.int64
+        assert (tally.counts == 2**52).all()
 
 
 class TestLinearInversion:
