@@ -53,7 +53,6 @@ from .simulate import (
 from .tomography import (
     EstimationError,
     ProjectionError,
-    RawEstimate,
     TallyTable,
     estimate_rates_bb84,
     estimate_rates_sixstate,

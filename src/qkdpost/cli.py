@@ -37,6 +37,12 @@ from .worstcase import ObservableParams, worst_case_ambiguity, worst_case_lower_
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled in full: ``--step`` is not ``--steps``; subcommand
+    # parsers are made with this class, so the default reaches them too
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)
@@ -215,7 +221,7 @@ def main(argv=None) -> int:
     except (EstimationError, ProjectionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

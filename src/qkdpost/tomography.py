@@ -69,8 +69,9 @@ PSD_TOL = 1e-9
 class TallyTable:
     """Counts indexed by (Alice basis, Bob basis, sent bit, received bit).
 
-    ``counts[ia, ib, x, y]`` with ia/ib indexing ``bases``.  BB84 tallies use
-    the (Z, X) basis pair set, six-state tallies use (Z, X, Y).
+    ``counts[ia, ib, x, y]`` with ia/ib indexing ``bases``.  The bases are
+    distinct and, in any order, exactly BB84's {Z, X} or six-state's
+    {Z, X, Y}; any other tuple raises ValueError.
     """
 
     counts: np.ndarray
@@ -78,6 +79,9 @@ class TallyTable:
 
     def __post_init__(self):
         nb = len(self.bases)
+        if nb != len(set(self.bases)) or set(self.bases) not in ({*BB84_BASES}, {*SIXSTATE_BASES}):
+            names = ", ".join(getattr(b, "name", repr(b)) for b in self.bases)
+            raise ValueError(f"bases ({names}) are neither (Z, X) nor (Z, X, Y)")
         values = np.asarray(self.counts).reshape(nb, nb, 2, 2).ravel().tolist()
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ValueError("non-finite counts")
@@ -165,37 +169,16 @@ def empirical_key_joint(tally: TallyTable, direction: str) -> JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RawEstimate:
-    """Affine parameters straight from the bias relations, before projection.
-
-    Entries not determined by the tally (the y row/column for BB84) are NaN.
-    """
-
-    r: np.ndarray
-    t: np.ndarray
-
-    def to_omega(self) -> ObservableParams:
-        return ObservableParams(
-            self.r[0, 0], self.r[0, 1], self.r[1, 0], self.r[1, 1], self.t[0], self.t[1]
-        )
-
-    def to_channel(self) -> AffineChannel:
-        if np.isnan(self.r).any() or np.isnan(self.t).any():
-            raise EstimationError("estimate has undetermined entries; BB84 data only")
-        return AffineChannel(self.r, self.t)
-
-    def to_choi(self) -> ChoiMatrix:
-        return choi_from_affine(self.to_channel())
-
-
-def linear_inversion(tally: TallyTable) -> RawEstimate:
-    """Invert output biases into affine parameters.
+def linear_inversion(tally: TallyTable) -> AffineChannel:
+    """Invert output biases into the raw affine parameters, before projection.
 
     For each basis pair the bias of the outputs given input bit 0 and given
     input bit 1 yields one r entry and one estimate of the translation
     component; the translation estimates from different input bases are
-    averaged with equal weight.
+    averaged with equal weight.  A six-state tally determines all twelve
+    parameters; a BB84 tally determines only omega
+    (:meth:`ObservableParams.from_channel`), and the y row and column of r
+    and t_y stay NaN.  The result is rarely completely positive.
     """
     bases, counts = tally.bases, tally.counts
     n_x = counts.sum(-1)
@@ -212,7 +195,7 @@ def linear_inversion(tally: TallyTable) -> RawEstimate:
     r[np.ix_(axes, axes)] = 0.5 * (q[..., 0] + q[..., 1]).T
     t = np.full(3, np.nan)
     t[axes] = (0.5 * (q[..., 0] - q[..., 1])).mean(axis=0)
-    return RawEstimate(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0))
+    return AffineChannel(np.clip(r, -1.0, 1.0), np.clip(t, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +214,21 @@ def _project_psd(m: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def nearest_choi(matrix: np.ndarray) -> ChoiMatrix:
+def nearest_choi(choi: ChoiMatrix) -> ChoiMatrix:
     """Frobenius-nearest valid Choi matrix, by Dykstra's alternating projections.
 
-    Inputs valid to within ``PSD_TOL`` are returned unchanged.  Raises
-    ProjectionError when the iteration has not stabilized to 1e-10 after
-    10,000 rounds.
+    Inputs valid to within ``PSD_TOL`` are returned unchanged (the same
+    object).  Raises ProjectionError when the iteration has not stabilized
+    to 1e-10 after 10,000 rounds.
     """
-    matrix = np.asarray(matrix, dtype=complex).reshape(4, 4)
-    candidate = ChoiMatrix(matrix)
     try:
-        candidate.validate(PSD_TOL)
-        already_psd = candidate.min_eigenvalue() >= -PSD_TOL
+        choi.validate(PSD_TOL)
+        if choi.min_eigenvalue() >= -PSD_TOL:
+            return choi
     except ValueError:
-        already_psd = False
-    if already_psd:
-        return candidate
+        pass
 
-    x = matrix.copy()
+    x = choi.matrix.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(10_000):
@@ -380,10 +360,8 @@ def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
     """Linear inversion, nearest-Choi projection, exact-channel key rates."""
     if tally.protocol != "sixstate":
         raise EstimationError("six-state estimation needs tallies in all three bases")
-    raw = linear_inversion(tally)
-    raw_choi = raw.to_choi()
-    projected = raw_choi.min_eigenvalue() < -PSD_TOL
-    choi = nearest_choi(raw_choi.matrix) if projected else raw_choi
+    raw = choi_from_affine(linear_inversion(tally))
+    choi = nearest_choi(raw)
     channel = affine_from_choi(choi, tol=1e-6)
     r_diag = np.diag(channel.r)
     return SixStateEstimate(
@@ -393,7 +371,7 @@ def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
         reverse=keyrate(choi, "reverse"),
         conventional_bb84=keyrate_conventional_bb84(r_diag[0], r_diag[1]),
         conventional_sixstate=keyrate_conventional_sixstate(r_diag),
-        projected=projected,
+        projected=choi is not raw,
     )
 
 
@@ -405,10 +383,8 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     off the z-sent / x-measured tally cell, the distribution that variant
     actually reconciles against.  The worst-case ambiguity is one per key party.
     """
-    raw = linear_inversion(tally)
-    omega_raw = raw.to_omega()
-    omega = project_omega_bb84(omega_raw)
-    projected = omega is not omega_raw
+    raw = ObservableParams.from_channel(linear_inversion(tally))
+    omega = project_omega_bb84(raw)
     zz = joint_distribution(omega.complete(0.0), Basis.Z, Basis.Z)
     ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
 
@@ -421,5 +397,5 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
         reverse=report("reverse", key_joint(zz, "reverse")),
         mismatched=report("mismatched", empirical_key_joint(tally, "mismatched")),
         conventional_bb84=keyrate_conventional_bb84(omega.r_zz, omega.r_xx),
-        projected=projected,
+        projected=omega is not raw,
     )

@@ -607,9 +607,9 @@ def barrier_projection_oracle(omega_raw):
     return v[:6]
 
 
-def pool_tally(channel, seed=1001):
-    """BB84 estimation tally of a 20,000-signal block at a channel seed."""
-    config = ProtocolConfig(protocol="bb84", channel=channel, n_signals=20_000, seed_channel=seed)
+def pool_tally(channel, seed=1001, protocol="bb84"):
+    """Estimation tally of a 20,000-signal block at a channel seed."""
+    config = ProtocolConfig(protocol=protocol, channel=channel, n_signals=20_000, seed_channel=seed)
     return simulate_exchange(config).tally
 
 

@@ -348,6 +348,24 @@ def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", "--channel-family", "rotation", "--from", "0", "--to", "1", "--step", "3"],
+         "the following arguments are required: --steps"),
+        (["simulate", "--config", "run.cfg", "--seed-co", "5"],
+         "unrecognized arguments: --seed-co 5"),
+    ],
+    ids=["rates-step", "simulate-seed-co"],
+)
+def test_abbreviated_flags_are_usage_errors(capsys, argv, message):
+    # argparse would read --step as --steps and --seed-co as --seed-code by
+    # default; the one error line is followed by a usage line
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"error: {message}" and err.count("error: ") == 1
+
+
 def test_negative_security_parameter_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("protocol=sixstate\nchannel=kind=rotation theta=0.3\nepsilon=-0.1\n")
@@ -450,6 +468,11 @@ VALID_ALIST = "<valid alist>"
          "six-state estimation needs tallies in all three bases"),
         (["rates", "--channel-family", "rotation", "--from", "0", "--to", "nan", "--steps", "3",
           "--out"], "", "sweep range 0.0..nan is not finite"),
+        # sizes numpy refuses before it touches memory (10^15 elements)
+        (["simulate", "--config"], "protocol=bb84\nn_signals=1000000000000000\n",
+         "Unable to allocate"),
+        (["rates", "--channel-family", "rotation", "--from", "0", "--to", "1",
+          "--steps", "1000000000000000", "--out"], "", "Unable to allocate"),
     ],
     ids=["spec-without-p", "spec-nan", "spec-inf", "spec-not-physical", "spec-repeated-kind",
          "spec-other-kinds-key", "spec-extra-key-and-number", "spec-number-after-named-kind",
@@ -459,7 +482,8 @@ VALID_ALIST = "<valid alist>"
          "hex-two-fields", "hex-more-bits-than-digits",
          "hex-negative-bits", "syndrome-wrong-length", "config-int", "config-margin-inf",
          "config-epsilon-inf", "config-margin-huge", "config-epsilon-huge", "config-seed-negative", "config-channel-not-physical",
-         "config-channel-extra-key", "config-repeated-key", "sixstate-tally-without-y", "rates-nan"],
+         "config-channel-extra-key", "config-repeated-key", "sixstate-tally-without-y", "rates-nan",
+         "config-n-signals-huge", "rates-steps-huge"],
 )
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body, message):
     path = tmp_path / "input"

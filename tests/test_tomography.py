@@ -6,6 +6,8 @@ import pytest
 import qkdpost.tomography as tomography
 import qkdpost.worstcase as worstcase
 from qkdpost.channels import (
+    Basis,
+    ChoiMatrix,
     PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
@@ -28,6 +30,7 @@ from qkdpost.tomography import (
 from qkdpost.worstcase import ObservableParams, feasible_interval, worst_case_ambiguity
 
 from conftest import (
+    POOL_CHANNELS,
     affine_projection_oracle,
     barrier_projection_oracle,
     closed_form_example_rates,
@@ -86,6 +89,23 @@ class TestTallyTable:
         with pytest.raises(ValueError, match=r"counts total 2\^63 or more"):
             TallyTable(counts, BB84_BASES)
 
+    @pytest.mark.parametrize(
+        "bases",
+        [(Basis.Z, Basis.Y), (Basis.Z,), (Basis.Z, Basis.Z)],
+        ids=["z-y", "z-only", "z-twice"],
+    )
+    def test_bases_of_no_protocol_rejected(self, bases):
+        # inversion of any of these leaves NaN in omega, where BB84 estimation
+        # would end in a LinAlgError
+        nb = len(bases)
+        with pytest.raises(ValueError, match=r"neither \(Z, X\) nor \(Z, X, Y\)"):
+            TallyTable(np.full((nb, nb, 2, 2), 5), bases)
+
+    def test_bases_in_either_order_estimate_alike(self):
+        tally = pool_tally(make_amplitude_damping(0.1))
+        swapped = TallyTable(tally.counts[::-1, ::-1], (Basis.X, Basis.Z))
+        assert repr(estimate_rates_bb84(swapped)) == repr(estimate_rates_bb84(tally))
+
     def test_whole_float_counts_are_kept_exactly(self):
         tally = TallyTable(np.full(16, 2.0**52), BB84_BASES)
         assert tally.counts.dtype == np.int64
@@ -110,10 +130,8 @@ class TestLinearInversion:
         assert np.isnan(raw.r[2, 2])
         assert np.isnan(raw.r[0, 2])
         assert np.isnan(raw.t[2])
-        om = raw.to_omega()
+        om = ObservableParams.from_channel(raw)
         assert om.r_zz == pytest.approx(math.cos(0.5), abs=1e-9)
-        with pytest.raises(EstimationError):
-            raw.to_channel()
 
     def test_empty_cell_is_named(self):
         counts = np.zeros((2, 2, 2, 2), np.int64)
@@ -140,14 +158,13 @@ class TestNearestChoi:
 
     def test_valid_input_unchanged(self):
         choi = choi_from_affine(make_amplitude_damping(0.4))
-        out = nearest_choi(choi.matrix)
-        assert np.array_equal(out.matrix, choi.matrix)
+        assert nearest_choi(choi) is choi
 
     def test_diagonal_perturbation_projected_back(self, rng):
         choi = choi_from_affine(make_amplitude_damping(0.3))
         pert = np.diag(rng.normal(0, 0.05, 4))
         raw = choi.matrix + pert
-        out = nearest_choi(raw)
+        out = nearest_choi(ChoiMatrix(raw))
         assert out.min_eigenvalue() >= -1e-9
         out.validate(1e-8)
         # nonexpansive: no farther from the raw point than the valid start
@@ -156,13 +173,13 @@ class TestNearestChoi:
     def test_idempotent(self, rng):
         choi = choi_from_affine(random_cp_channel(rng))
         noisy = choi.matrix + rng.normal(0, 0.03, (4, 4))
-        once = nearest_choi(noisy)
-        twice = nearest_choi(once.matrix)
+        once = nearest_choi(ChoiMatrix(noisy))
+        twice = nearest_choi(once)
         assert np.abs(twice.matrix - once.matrix).max() < 1e-10
 
     def test_projection_from_tally(self, rng):
         tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, 2000, rng)
-        out = nearest_choi(linear_inversion(tally).to_choi().matrix)
+        out = nearest_choi(choi_from_affine(linear_inversion(tally)))
         out.validate(1e-8)
         assert out.min_eigenvalue() >= -1e-9
 
@@ -173,7 +190,7 @@ class TestNearestChoi:
             dists = []
             for _ in range(10):
                 tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, size, rng)
-                est = nearest_choi(linear_inversion(tally).to_choi().matrix)
+                est = nearest_choi(choi_from_affine(linear_inversion(tally)))
                 dists.append(np.linalg.norm(est.matrix - truth))
             errors.append(np.median(dists))
         assert errors[1] < errors[0]
@@ -213,7 +230,8 @@ class TestOmegaProjection:
         # on these tallies rounding keeps a gradient-norm test at 1e-9 from
         # ever passing, so a stage that waits for it creeps on by tiny steps
         # for thousands of barrier evaluations
-        omega = linear_inversion(pool_tally(make_amplitude_damping(p), seed)).to_omega()
+        tally = pool_tally(make_amplitude_damping(p), seed)
+        omega = ObservableParams.from_channel(linear_inversion(tally))
         calls = 0
         original = tomography._barrier_rho
 
@@ -241,7 +259,7 @@ class TestOmegaProjection:
 
         monkeypatch.setattr(tomography, "_barrier_rho", counted)
         for tally in pool_tallies:
-            project_omega_bb84(linear_inversion(tally).to_omega())
+            project_omega_bb84(ObservableParams.from_channel(linear_inversion(tally)))
         assert 0 < calls <= 6_633
 
     def test_four_stages_reach_the_ten_stage_point_on_the_pool(self, pool_tallies):
@@ -249,7 +267,7 @@ class TestOmegaProjection:
         within 1e-9 of the ten-stage run's (5.6e-11 measured)."""
         projected = 0
         for tally in pool_tallies:
-            raw = linear_inversion(tally).to_omega()
+            raw = ObservableParams.from_channel(linear_inversion(tally))
             out = project_omega_bb84(raw)
             if out is raw:
                 continue
@@ -262,7 +280,7 @@ class TestOmegaProjection:
         """Each barrier matrix feeds one Cholesky (a value) or one inverse (a
         Newton step), so forming it anywhere but ``_barrier_rho`` breaks the
         balance even where the other site still calls it."""
-        raws = [linear_inversion(tally).to_omega() for tally in pool_tallies]
+        raws = [ObservableParams.from_channel(linear_inversion(t)) for t in pool_tallies]
         calls = {"rho": 0, "cholesky": 0, "inv": 0}
 
         def counted(name, fn):
@@ -285,7 +303,7 @@ class TestOmegaProjection:
         gaps = []
         for size in sizes:
             tally = sample_tally(make_rotation(0.5), BB84_BASES, size, rng)
-            om_raw = linear_inversion(tally).to_omega()
+            om_raw = ObservableParams.from_channel(linear_inversion(tally))
             om = project_omega_bb84(om_raw)
             assert feasible_interval(om) is not None
             gaps.append(abs(worst_case_ambiguity(om) - 1.0))
@@ -316,6 +334,24 @@ class TestPipelines:
         monkeypatch.setattr(tomography, "feasible_interval", counted)
         assert estimate_rates_bb84(tally).projected == projected
         assert len(calls) == intervals
+
+    def test_sixstate_projects_exactly_the_non_psd_raw_estimates(self):
+        """The six-state pipeline projects when, and only when, the raw Choi
+        matrix has an eigenvalue below -PSD_TOL; nearest_choi makes that test."""
+        flags = []
+        for ch in POOL_CHANNELS:
+            for seed in range(1000, 1016):
+                tally = pool_tally(ch, seed, protocol="sixstate")
+                raw = choi_from_affine(linear_inversion(tally))
+                projected = estimate_rates_sixstate(tally).projected
+                assert projected == (raw.min_eigenvalue() < -tomography.PSD_TOL)
+                flags.append(projected)
+        assert any(flags) and not all(flags)
+
+    def test_sixstate_estimation_of_a_bb84_tally_is_an_estimation_error(self):
+        # the guard between the NaN y entries of a BB84 inversion and a Choi matrix
+        with pytest.raises(EstimationError, match="all three bases"):
+            estimate_rates_sixstate(pool_tally(make_amplitude_damping(0.1)))
 
     def test_identity_tally_gives_unit_rates(self):
         est = estimate_rates_sixstate(exact_tally(make_identity(), SIXSTATE_BASES))

@@ -103,7 +103,7 @@ class TestFeasibleInterval:
         nones = 0
         for ch in POOL_CHANNELS:
             for seed in (1000, 1001, 1002, 1003):
-                raw = linear_inversion(pool_tally(ch, seed)).to_omega()
+                raw = ObservableParams.from_channel(linear_inversion(pool_tally(ch, seed)))
                 for om in (raw, project_omega_bb84(raw)):
                     iv = feasible_interval(om)
                     if iv is None:
@@ -154,7 +154,7 @@ class TestPencil:
         the worst case is never above it where the search reads the interval."""
         checked = 0
         for tally in pool_tallies:
-            raw = linear_inversion(tally).to_omega()
+            raw = ObservableParams.from_channel(linear_inversion(tally))
             for om in {raw, project_omega_bb84(raw)}:
                 iv = om.interval
                 if iv is None:
