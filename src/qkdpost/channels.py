@@ -110,6 +110,12 @@ def partial_trace_output(m: np.ndarray) -> np.ndarray:
     return np.einsum("iojo->ij", np.asarray(m).reshape(2, 2, 2, 2))
 
 
+# A Choi matrix counts as PSD when its lowest eigenvalue is above -PSD_TOL;
+# affine_from_choi reads one whose other conditions hold to AFFINE_TOL.
+PSD_TOL = 1e-9
+AFFINE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     """4x4 Hermitian unit-trace matrix of (id (x) channel) on a Bell pair."""
@@ -192,9 +198,9 @@ def choi_from_affine(ch: AffineChannel) -> ChoiMatrix:
     return ChoiMatrix(choi_from_coefficients(np.concatenate([ch.r.reshape(9), ch.t])))
 
 
-def affine_from_choi(choi: ChoiMatrix, tol: float = 1e-9) -> AffineChannel:
-    """Invert :func:`choi_from_affine` after :meth:`ChoiMatrix.validate`."""
-    choi.validate(tol)
+def affine_from_choi(choi: ChoiMatrix) -> AffineChannel:
+    """Invert :func:`choi_from_affine` after :meth:`ChoiMatrix.validate` to AFFINE_TOL."""
+    choi.validate(AFFINE_TOL)
     theta = choi_coefficients(choi.matrix)
     return AffineChannel(theta[:9], theta[9:])
 

@@ -22,8 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channels import joint_distribution, load_channel_spec
-from .keyrate import DIRECTIONS, key_bases, key_joint
+from .channels import load_channel_spec
+from .keyrate import DIRECTIONS, channel_key_joint
 from .reconciliation import read_alist, sp_decode
 from .simulate import load_config, run_protocol, sweep_rates
 from .tomography import (
@@ -153,9 +153,7 @@ def _cmd_decode(args) -> int:
     observed = read_bits(args.observed)
     if observed.shape != (matrix.n,):
         raise ValueError(f"{args.observed} holds {observed.size} bits, the matrix has n={matrix.n}")
-    ch = load_channel_spec(args.channel)
-    d = args.direction
-    joint = key_joint(joint_distribution(ch, *key_bases(d)), d)
+    joint = channel_key_joint(load_channel_spec(args.channel), args.direction)
     result = sp_decode(matrix, syn, joint, observed, args.max_iter)
     print(f"converged={'true' if result.converged else 'false'}")
     print(f"iterations={result.iterations}")

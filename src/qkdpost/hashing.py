@@ -22,13 +22,13 @@ from .reconciliation import _bits
 
 
 def _generator_len(output_len: int, input_len: int) -> int:
-    """n + ell - 1 generator bits for an ell-by-n matrix, none for ell = 0;
-    raises ValueError for lengths no descriptor can have."""
+    """n + ell - 1 generator bits for an ell-by-n matrix; raises ValueError for
+    lengths no descriptor can have, ell = 0 too: a zero-length key is an abort."""
     if output_len > input_len:
         raise ValueError("output length exceeds input length")
-    if output_len < 0 or input_len <= 0:
-        raise ValueError("lengths must be positive")
-    return input_len + output_len - 1 if output_len else 0
+    if output_len < 1:
+        raise ValueError(f"output length must be at least 1, got {output_len}")
+    return input_len + output_len - 1
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,9 @@ def apply_hash(desc: HashDescriptor, x: np.ndarray) -> np.ndarray:
     x = _bits(x, "input")
     if x.shape != (desc.input_len,):
         raise ValueError(f"input length {x.shape} does not match descriptor n={desc.input_len}")
-    ell = desc.output_len
-    if ell == 0:
-        return np.zeros(0, np.uint8)
     # FFT convolution gives exact counts: they are bounded by n, far inside
     # float64 integer accuracy at these sizes.
-    n = desc.input_len
+    n, ell = desc.input_len, desc.output_len
     size = _fft_size(desc.generator.shape[0])
     fx = np.fft.rfft(x.astype(np.float64), size)
     conv = np.fft.irfft(fx * desc._generator_spectrum, size)[n - 1 : n - 1 + ell]

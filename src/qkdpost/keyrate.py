@@ -14,7 +14,7 @@ reconciliation needs, H(K|helper) for the other party's bit as helper.
 ``_DIRECTION_TABLE`` is the one place a direction is decided: the bases the
 key pair is measured in and the key party.  Every other layer reads it
 through :func:`key_bases` and :func:`key_party`, and takes the key pair's
-joint as P(key, helper) from :func:`key_joint`.
+joint as P(key, helper) from :func:`key_joint` or :func:`channel_key_joint`.
 
 The conventional baselines (Shor & Preskill, *PRL* 85, 441, 2000; Lo,
 *QIC* 1, 81, 2001) read only the matched contraction factors r_aa, whose
@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PSD_TOL,
+    AffineChannel,
     Basis,
     ChoiMatrix,
     affine_from_choi,
@@ -86,13 +88,13 @@ def key_entropy(c: np.ndarray, direction: str = "direct") -> float:
     return _plogp(np.linalg.eigvalsh(blocks))
 
 
-def choi_ambiguity(c: np.ndarray, direction: str = "direct", tol: float = 1e-9) -> float:
+def choi_ambiguity(c: np.ndarray, direction: str = "direct") -> float:
     """H(K|E) = H(KE) - S(C) in bits for a real or complex 4x4 Choi matrix.
 
-    Raises ValueError when the lowest eigenvalue of ``c`` is below ``-tol``.
+    Raises ValueError when the lowest eigenvalue of ``c`` is below ``-PSD_TOL``.
     """
     ev = np.linalg.eigvalsh(c)
-    if ev[0] < -tol:
+    if ev[0] < -PSD_TOL:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
     return key_entropy(c, direction) - _plogp(ev)
 
@@ -121,6 +123,11 @@ def key_joint(table: np.ndarray, direction: str) -> JointDistribution:
     return JointDistribution(table.T if key_party(direction) else table)
 
 
+def channel_key_joint(ch: AffineChannel, direction: str) -> JointDistribution:
+    """The key pair's exact joint under channel ``ch``, as P(key, helper)."""
+    return key_joint(joint_distribution(ch, *key_bases(direction)), direction)
+
+
 def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     """Secret-key rate of the tomography-based processing, one direction.
 
@@ -128,8 +135,7 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     reverse:     H(Y|E) - H(Y|X)   (key from Bob's z-basis bits)
     mismatched:  H(X|E) - H(X|Y')  (Bob measured in the x basis)
     """
-    ch = affine_from_choi(choi, tol=1e-6)
-    joint = key_joint(joint_distribution(ch, *key_bases(direction)), direction)
+    joint = channel_key_joint(affine_from_choi(choi), direction)
     return RateReport.build(direction, choi_ambiguity(choi.matrix, direction), cond_entropy(joint))
 
 

@@ -23,7 +23,7 @@ from .entropy import JointDistribution
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
-# column weight of gen_parity_check's codes unless a caller asks for another
+# column weight of gen_parity_check's information columns
 COL_WEIGHT = 3
 # sp_decode runs E // GROUP_EDGES check groups per sweep, at least 1 and at
 # most MAX_GROUPS: each group pays about fifteen numpy calls a sweep, and
@@ -151,29 +151,26 @@ class ParityCheckMatrix:
         return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()))
 
 
-def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0) -> ParityCheckMatrix:
+def gen_parity_check(n: int, m: int, seed: int = 0) -> ParityCheckMatrix:
     """Random parity-check matrix ``H = [A | T]`` of rank m by construction.
 
-    A holds the first n - m columns, each of weight ``col_weight``, dealt
+    A holds the first n - m columns, each of weight ``COL_WEIGHT``, dealt
     from a shuffled pool with every row equally often; a row drawn twice in
     one column is redrawn until the column has distinct rows.  T is the
     m x m parity part: column j holds rows j and j + 1 (the dual-diagonal
-    accumulator of IRA codes), and row i holds ``col_weight - 2`` more
-    entries in columns drawn from the ``max(col_weight, m // 4)`` columns
-    before column i - 1, dropping draws before column 0 and repeats.  T is
-    unit lower-triangular, hence invertible over GF(2).  Drawing the band
-    per row rather than per column keeps the row weights of H even and
-    leaves T columns of weight 2 or more; it decodes with fewer frame errors
-    than a per-column band or a random column-regular code.  Deterministic
-    for a given seed.
+    accumulator of IRA codes), and row i holds one more entry in a column
+    drawn from the ``max(COL_WEIGHT, m // 4)`` columns before column i - 1,
+    dropped when it falls before column 0.  T is unit lower-triangular,
+    hence invertible over GF(2).  Drawing the band per row rather than per
+    column keeps the row weights of H even and leaves T columns of weight 2
+    or more; it decodes with fewer frame errors than a per-column band or a
+    random column-regular code.  Deterministic for a given seed.
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m} n={n}")
-    if col_weight < 2:
-        raise ValueError("column weight below 2 cannot give a useful code")
-    if col_weight > m:
-        raise ValueError(f"column weight {col_weight} exceeds the row count {m}")
-    w, k = col_weight, n - m
+    if COL_WEIGHT > m:
+        raise ValueError(f"column weight {COL_WEIGHT} exceeds the row count {m}")
+    w, k = COL_WEIGHT, n - m
     rng = np.random.default_rng(seed)
     base, extra = divmod(k * w, m)
     pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
@@ -187,18 +184,18 @@ def gen_parity_check(n: int, m: int, col_weight: int = COL_WEIGHT, seed: int = 0
             break
         a_rows[repeat] = rng.integers(m, size=int(repeat.sum()))
     diag = np.arange(m)
-    band = diag[:, None] - rng.integers(2, max(w, m // 4) + 2, size=(m, w - 2))
-    t_rows = np.concatenate([diag, diag[1:], np.repeat(diag, w - 2)])
-    t_cols = np.concatenate([diag, diag[:-1], band.ravel()])
+    band = diag - rng.integers(2, max(w, m // 4) + 2, size=m)
+    t_rows = np.concatenate([diag, diag[1:], diag])
+    t_cols = np.concatenate([diag, diag[:-1], band])
     inside = t_cols >= 0
-    # one sort groups the edges by check with variables ascending; equal
-    # neighbours are band draws that repeat within a row of T
+    # one sort groups the edges by check with variables ascending; no key
+    # repeats, since A's columns hold distinct rows and row i's band entry
+    # lies before T's columns i - 1 and i
     key = np.sort(
         np.concatenate(
             [a_rows.ravel() * n + np.repeat(np.arange(k), w), t_rows[inside] * n + k + t_cols[inside]]
         )
     )
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
     chk, chk_vars = np.divmod(key, n)
     chk_ptr = np.searchsorted(chk, np.arange(m + 1))
     return ParityCheckMatrix(n, m, chk_ptr, chk_vars)
@@ -416,8 +413,9 @@ def _column_checks(tokens: list[str], m: int) -> list[int]:
 def read_alist(path) -> ParityCheckMatrix:
     """Parse an alist file; malformed input raises ValueError naming the line.
 
-    The column lines are parsed and checked as one array; a bad file is then
-    read line by line with :func:`_column_checks` to name its first bad line.
+    The column lines are parsed as one array and validated once, by
+    :class:`ParityCheckMatrix`; a file it rejects is read again line by line
+    with :func:`_column_checks` to name its first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().split("\n")
@@ -438,28 +436,25 @@ def read_alist(path) -> ParityCheckMatrix:
         col_linenos = nonblank[4 : 4 + n]
         columns = [lines[k - 1] for k in col_linenos]
         try:
+            # a token int() rejects, or one beyond int64, raises here
             ids = np.array(" ".join(columns).split(), dtype=np.int64)
-        except (ValueError, OverflowError):
-            first = 0  # a token int() rejects, or one beyond int64
-        else:
             per_line = [len(line.split()) for line in columns]
             # 0 pads a column to the maximum weight
             col = np.repeat(np.arange(len(columns)), per_line)[ids != 0]
             row = ids[ids != 0] - 1
-            # a stable sort by check keeps each check's columns ascending, so a
-            # check repeated in one column lands on adjacent edges
+            # a stable sort by check keeps each check's columns ascending; a
+            # check out of range or repeated in one column fails validation
             order = np.argsort(row, kind="stable")
-            col, row = col[order], row[order]
-            wrong = (row < 0) | (row >= m)
-            wrong[1:] |= (row[1:] == row[:-1]) & (col[1:] == col[:-1])
-            # every line before the first wrong edge's passes the line check
-            first = int(col[wrong].min()) if wrong.any() else len(columns)
-        for lineno, line in zip(col_linenos[first:], columns[first:]):
-            _column_checks(line.split(), m)
+            chk_ptr = np.searchsorted(row[order], np.arange(m + 1))
+            matrix = ParityCheckMatrix(n, m, chk_ptr, col[order])
+        except (ValueError, OverflowError):
+            for lineno, line in zip(col_linenos, columns):
+                _column_checks(line.split(), m)
+            raise
     except ValueError as exc:
         raise ValueError(f"alist line {lineno}: {exc}") from None
     if len(columns) < n:
         raise ValueError(
             f"alist ends at line {nonblank[-1]}, before column {len(columns) + 1} of {n}"
         )
-    return ParityCheckMatrix(n, m, np.searchsorted(row, np.arange(m + 1)), col)
+    return matrix

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channels import (
+    PSD_TOL,
     AffineChannel,
     Basis,
     choi_from_affine,
     format_channel_spec,
-    joint_distribution,
     joint_tables,
     make_amplitude_damping,
     make_rotation,
@@ -35,8 +35,8 @@ from .entropy import cond_entropy
 from .hashing import apply_hash, key_length, sample_hash
 from .keyrate import (
     RateReport,
+    channel_key_joint,
     key_bases,
-    key_joint,
     key_party,
     keyrate,
     keyrate_conventional_bb84,
@@ -50,7 +50,6 @@ from .reconciliation import (
 )
 from .tomography import (
     BB84_BASES,
-    PSD_TOL,
     SIXSTATE_BASES,
     TallyTable,
     empirical_key_joint,
@@ -363,9 +362,8 @@ def sweep_row(ch: AffineChannel) -> dict[str, float]:
     reverse = keyrate(choi, "reverse")
     mismatched = keyrate(choi, "mismatched")
     omega = ObservableParams.from_channel(ch)
-    zz = joint_distribution(ch, Basis.Z, Basis.Z)
     bb84 = {
-        d: worst_case_ambiguity(omega, d) - cond_entropy(key_joint(zz, d))
+        d: worst_case_ambiguity(omega, d) - cond_entropy(channel_key_joint(ch, d))
         for d in ("direct", "reverse")
     }
     return {

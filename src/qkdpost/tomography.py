@@ -8,8 +8,8 @@ and evaluation of the key-rate machinery on the projected estimate.
 Six-state tallies determine all twelve parameters, and the projection is a
 Frobenius-nearest valid Choi matrix computed with Dykstra's alternating
 projections.  BB84 tallies determine only the six observable parameters, and
-the projection is a Euclidean-nearest feasible parameter vector computed with
-a log-det barrier interior-point method over the joint (omega, r_yy) set.
+the projection is the mu = 1e-9 point of a log-det barrier for the
+Euclidean-nearest feasible parameter vector over the joint (omega, r_yy) set.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PSD_TOL,
     AffineChannel,
     Basis,
     ChoiMatrix,
@@ -27,12 +28,12 @@ from .channels import (
     choi_coefficients,
     choi_from_affine,
     choi_from_coefficients,
-    joint_distribution,
     joint_tables,
 )
 from .entropy import JointDistribution, cond_entropy
 from .keyrate import (
     RateReport,
+    channel_key_joint,
     key_bases,
     key_joint,
     key_party,
@@ -54,10 +55,6 @@ class EstimationError(ValueError):
 
 class ProjectionError(RuntimeError):
     """Raised when an iterative projection fails to converge."""
-
-
-# A Choi matrix counts as PSD when its lowest eigenvalue is above -PSD_TOL.
-PSD_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def _barrier_rho(v: np.ndarray) -> np.ndarray:
 
 
 def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
-    """Euclidean-nearest omega with a nonempty feasible interval.
+    """Feasible omega near the nearest one: the barrier point at mu = 1e-9.
 
     Feasible inputs are returned unchanged (the same object).  The barrier
     parameter runs from 1 down to 1e-9 by factors of 1000; each stage takes
@@ -362,7 +359,7 @@ def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
         raise EstimationError("six-state estimation needs tallies in all three bases")
     raw = choi_from_affine(linear_inversion(tally))
     choi = nearest_choi(raw)
-    channel = affine_from_choi(choi, tol=1e-6)
+    channel = affine_from_choi(choi)
     r_diag = np.diag(channel.r)
     return SixStateEstimate(
         channel=channel,
@@ -385,7 +382,7 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     """
     raw = ObservableParams.from_channel(linear_inversion(tally))
     omega = project_omega_bb84(raw)
-    zz = joint_distribution(omega.complete(0.0), Basis.Z, Basis.Z)
+    completion = omega.complete(0.0)
     ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
 
     def report(direction: str, joint: JointDistribution) -> RateReport:
@@ -393,8 +390,8 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
 
     return BB84Estimate(
         omega=omega,
-        direct=report("direct", key_joint(zz, "direct")),
-        reverse=report("reverse", key_joint(zz, "reverse")),
+        direct=report("direct", channel_key_joint(completion, "direct")),
+        reverse=report("reverse", channel_key_joint(completion, "reverse")),
         mismatched=report("mismatched", empirical_key_joint(tally, "mismatched")),
         conventional_bb84=keyrate_conventional_bb84(omega.r_zz, omega.r_xx),
         projected=omega is not raw,

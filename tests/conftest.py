@@ -13,7 +13,7 @@ from qkdpost.channels import (
 )
 from qkdpost.entropy import _plogp, binary_entropy
 from qkdpost.keyrate import key_bases, keyrate
-from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, _bits, _prior_llrs
+from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, ParityCheckMatrix, _bits, _prior_llrs
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     _BARRIER_G,
@@ -443,6 +443,30 @@ def write_alist(matrix, path):
             f.writelines(
                 (" ".join(words[a:b]) or "0") + "\n" for a, b in zip(bounds[:-1], bounds[1:])
             )
+
+
+def weight_two_code(n, m, seed):
+    """``[A | T]`` with information columns of weight 2 and T the bare dual
+    diagonal, dealt from ``seed`` as ``gen_parity_check`` deals its weight-3
+    columns: the small codes of the brute-force and alist tests."""
+    k = n - m
+    rng = np.random.default_rng(seed)
+    base, extra = divmod(2 * k, m)
+    pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
+    rng.shuffle(pool)
+    a_rows = pool.reshape(k, 2)
+    while True:
+        a_rows.sort(axis=1)
+        repeat = a_rows[:, 0] == a_rows[:, 1]
+        if not repeat.any():
+            break
+        a_rows[repeat, 1] = rng.integers(m, size=int(repeat.sum()))
+    dense = np.zeros((m, n), np.uint8)
+    dense[a_rows.ravel(), np.repeat(np.arange(k), 2)] = 1
+    dense[np.arange(m), k + np.arange(m)] = 1
+    dense[np.arange(1, m), k + np.arange(m - 1)] = 1
+    rows, cols = np.nonzero(dense)
+    return ParityCheckMatrix(n, m, np.searchsorted(rows, np.arange(m + 1)), cols)
 
 
 BRUTE_FORCE_MAX_N = 24

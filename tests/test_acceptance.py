@@ -161,7 +161,7 @@ def test_criterion_5_convexity_and_full_completions():
         iv = feasible_interval(om)
         f = worst_case_ambiguity(om)
         for comp in completions_of_omega(ch, iv, rng, 50):
-            amb = choi_ambiguity(choi_from_affine(comp).matrix, "direct", tol=1e-8)
+            amb = choi_ambiguity(choi_from_affine(comp).matrix, "direct")
             undercut = max(undercut, f - amb)
             assert amb >= f - 1e-6
     print(
@@ -198,7 +198,7 @@ def test_criterion_7_reconciliation():
     hxy = cond_entropy(joint)
     n = 10_000
     m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
-    code = gen_parity_check(n, m, 3, seed=2024)
+    code = gen_parity_check(n, m, seed=2024)
     rng = np.random.default_rng(4321)
     fails = 0
     for _ in range(50):
@@ -216,7 +216,7 @@ def test_criterion_7_reconciliation():
     for _ in range(500):
         nn = int(rng.integers(10, 17))
         mm = int(np.ceil(nn * (hxy + 0.2)))
-        small = gen_parity_check(nn, mm, 3, seed=int(rng.integers(1e9)))
+        small = gen_parity_check(nn, mm, seed=int(rng.integers(1e9)))
         flat = rng.choice(4, size=nn, p=joint.table.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
         syn = syndrome(small, x)

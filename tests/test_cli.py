@@ -169,7 +169,7 @@ def test_simulate_seed_override_changes_report(tmp_path):
 
 def test_decode_command(tmp_path, capsys):
     joint = JointDistribution(joint_distribution(make_amplitude_damping(0.3), Basis.Z, Basis.Z))
-    code = gen_parity_check(1200, 740, 3, seed=21)
+    code = gen_parity_check(1200, 740, seed=21)
     rng = np.random.default_rng(5)
     flat = rng.choice(4, size=1200, p=joint.table.ravel())
     x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
@@ -214,7 +214,7 @@ def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
     n = 12_000
     joint = JointDistribution(joint_distribution(make_amplitude_damping(0.1), Basis.Z, Basis.Z))
     m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
-    base = gen_parity_check(n, m, 3, seed=23)
+    base = gen_parity_check(n, m, seed=23)
     rng = np.random.default_rng(6)
     # shuffled checks and columns leave no staircase in place
     rows = rng.permutation(m)[np.repeat(np.arange(m), base.row_weights())]
@@ -334,7 +334,7 @@ def test_an_empty_estimation_sample_is_a_numerical_failure(tmp_path, capsys):
 
 def test_decode_names_an_observed_file_of_the_wrong_length(tmp_path, capsys):
     mpath, spath, opath, cpath = (tmp_path / f for f in ("code.alist", "syn", "obs", "ch"))
-    write_alist(gen_parity_check(12, 6, 3, seed=1), mpath)
+    write_alist(gen_parity_check(12, 6, seed=1), mpath)
     write_bits(spath, np.zeros(6, np.uint8))
     write_bits(opath, np.zeros(8, np.uint8))
     cpath.write_text("kind=amplitude_damping p=0.1\n")
@@ -387,13 +387,13 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def _truncated_alist(path):
-    write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+    write_alist(gen_parity_check(12, 6, seed=1), path)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:9]))
 
 
 def _alist_declaring_a_million_rows(path):
     # line 4 still lists the 6 row weights of the written code
-    write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+    write_alist(gen_parity_check(12, 6, seed=1), path)
     path.write_text(path.read_text().replace("12 6\n", "12 1000000\n", 1))
 
 
@@ -493,7 +493,7 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv, body,
         path.write_text(body)
     if VALID_ALIST in argv:
         alist = tmp_path / "code.alist"
-        write_alist(gen_parity_check(12, 6, 3, seed=1), alist)
+        write_alist(gen_parity_check(12, 6, seed=1), alist)
         argv = [str(alist) if a == VALID_ALIST else a for a in argv]
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err

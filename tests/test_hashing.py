@@ -88,9 +88,12 @@ class TestApplyHash:
             lhs = apply_hash(desc, a) ^ apply_hash(desc, b)
             assert np.array_equal(lhs, apply_hash(desc, a ^ b))
 
-    def test_empty_output(self):
-        desc = HashDescriptor(10, 0, np.zeros(0, np.uint8))
-        assert apply_hash(desc, np.ones(10, np.uint8)).size == 0
+    def test_zero_output_length_rejected(self):
+        # a zero-length key is an abort, never hashed
+        with pytest.raises(ValueError, match="output length must be at least 1, got 0"):
+            HashDescriptor(10, 0, np.zeros(0, np.uint8))
+        with pytest.raises(ValueError, match="output length must be at least 1, got 0"):
+            sample_hash(0, 10, seed=0)
 
     def test_length_mismatch(self):
         desc = sample_hash(8, 32, seed=3)

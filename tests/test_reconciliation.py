@@ -9,6 +9,7 @@ from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
 from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
 from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
+    COL_WEIGHT,
     _group_count,
     gen_parity_check,
     read_alist,
@@ -25,6 +26,7 @@ from conftest import (
     map_decode_bruteforce,
     priors_from_joint,
     to_dense,
+    weight_two_code,
     write_alist,
 )
 
@@ -60,15 +62,15 @@ def sample_pair(joint, n, rng):
 
 class TestConstruction:
     def test_small_example_full_rank_and_reproducible(self):
-        a = gen_parity_check(6, 3, 2, seed=9)
-        b = gen_parity_check(6, 3, 2, seed=9)
+        a = gen_parity_check(6, 3, seed=9)
+        b = gen_parity_check(6, 3, seed=9)
         assert np.array_equal(a.chk_vars, b.chk_vars)
         assert np.array_equal(a.chk_ptr, b.chk_ptr)
         assert gf2_rank(to_dense(a)) == 3
 
     def test_column_regular_when_unrepaired(self):
-        n, m, w = 400, 200, 3
-        code = gen_parity_check(n, m, w, seed=13)
+        n, m, w = 400, 200, COL_WEIGHT
+        code = gen_parity_check(n, m, seed=13)
         dense = to_dense(code)
         assert gf2_rank(dense) == m
         assert (col_weights(code)[: n - m] == w).all()
@@ -77,26 +79,23 @@ class TestConstruction:
         assert (np.diagonal(t, offset=-1) == 1).all()
 
     def test_full_rank_across_seeds(self):
-        sizes = [(60, 30, 3), (60, 30, 2), (60, 30, 4), (60, 30, 5), (30, 3, 3), (100, 4, 4), (50, 2, 2)]
-        for n, m, w in sizes:
+        for n, m in [(60, 30), (30, 3), (100, 4), (7, 6), (200, 150)]:
             for seed in range(20):
-                code = gen_parity_check(n, m, w, seed=seed)
+                code = gen_parity_check(n, m, seed=seed)
                 assert gf2_rank(to_dense(code)) == m
-                assert (col_weights(code)[: n - m] == w).all()
+                assert (col_weights(code)[: n - m] == COL_WEIGHT).all()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            gen_parity_check(10, 10, 3)
-        with pytest.raises(ValueError):
-            gen_parity_check(10, 5, 1)
-        with pytest.raises(ValueError):
-            gen_parity_check(10, 2, 3)
+            gen_parity_check(10, 10)
+        with pytest.raises(ValueError, match="column weight 3 exceeds the row count 2"):
+            gen_parity_check(10, 2)
 
     def test_large_build_under_a_second(self):
         import time
 
         t0 = time.perf_counter()
-        m = gen_parity_check(10_000, 5_000, 3, seed=42)
+        m = gen_parity_check(10_000, 5_000, seed=42)
         assert time.perf_counter() - t0 < 1.0
         assert m.n == 10_000 and m.m == 5_000
 
@@ -105,7 +104,7 @@ class TestConstruction:
 
         n, m = 1_000_000, 341_724
         t0 = time.perf_counter()
-        code = gen_parity_check(n, m, 3, seed=42)
+        code = gen_parity_check(n, m, seed=42)
         assert time.perf_counter() - t0 < 1.0
         assert code.m == m and (col_weights(code)[: n - m] == 3).all()
 
@@ -117,11 +116,11 @@ class TestSyndrome:
         assert got.tolist() == [1, 1]
 
     def test_zero_vector(self):
-        code = gen_parity_check(20, 8, 3, seed=1)
+        code = gen_parity_check(20, 8, seed=1)
         assert syndrome(code, np.zeros(20, np.uint8)).tolist() == [0] * 8
 
     def test_linearity(self, rng):
-        code = gen_parity_check(40, 16, 3, seed=2)
+        code = gen_parity_check(40, 16, seed=2)
         for _ in range(20):
             a = rng.integers(0, 2, 40).astype(np.uint8)
             b = rng.integers(0, 2, 40).astype(np.uint8)
@@ -129,18 +128,18 @@ class TestSyndrome:
             assert np.array_equal(lhs, syndrome(code, a ^ b))
 
     def test_length_mismatch(self):
-        code = gen_parity_check(20, 8, 3, seed=1)
+        code = gen_parity_check(20, 8, seed=1)
         with pytest.raises(ValueError):
             syndrome(code, np.zeros(19, np.uint8))
 
     @pytest.mark.parametrize("x", [np.full(12, 2), np.full(12, 0.7), np.full(12, -1)])
     def test_entries_other_than_bits_rejected(self, x):
-        code = gen_parity_check(12, 6, 3, seed=1)
+        code = gen_parity_check(12, 6, seed=1)
         with pytest.raises(ValueError, match="0 or 1"):
             syndrome(code, x)
 
     def test_bool_and_float_bits_accepted(self, rng):
-        code = gen_parity_check(12, 6, 3, seed=1)
+        code = gen_parity_check(12, 6, seed=1)
         x = rng.integers(0, 2, 12).astype(np.uint8)
         assert np.array_equal(syndrome(code, x.astype(bool)), syndrome(code, x))
         assert np.array_equal(syndrome(code, x.astype(float)), syndrome(code, x))
@@ -158,7 +157,7 @@ class TestSyndrome:
         "n, m, groups", [(600, 300, 1), (4000, 1000, 1), (4500, 1500, 2), (7000, 2000, 3), (9000, 2000, 4)]
     )
     def test_matches_the_dense_product(self, n, m, groups, rng):
-        code = gen_parity_check(n, m, 3, seed=n)
+        code = gen_parity_check(n, m, seed=n)
         assert len(code._layout.groups) == groups
         self._assert_dense(code, rng)
 
@@ -166,7 +165,7 @@ class TestSyndrome:
     def test_empty_checks_in_several_groups(self, groups, rng, monkeypatch):
         monkeypatch.setattr(reconciliation, "GROUP_EDGES", 1)
         monkeypatch.setattr(reconciliation, "MAX_GROUPS", groups)
-        base = gen_parity_check(40, 20, 3, seed=groups)
+        base = gen_parity_check(40, 20, seed=groups)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         # empty checks at the start, in a run of three, spread over the
         # groups, and as the last two checks, each the last of its group
@@ -190,21 +189,21 @@ class TestSyndrome:
     @pytest.mark.parametrize("n, m", [(12, 6), (4500, 1500)])
     def test_an_alist_code(self, n, m, rng, tmp_path):
         path = tmp_path / "code.alist"
-        write_alist(gen_parity_check(n, m, 3, seed=3), path)
+        write_alist(gen_parity_check(n, m, seed=3), path)
         self._assert_dense(read_alist(path), rng)
 
     @pytest.mark.parametrize("n, m", [(600, 300), (9000, 2000)])
     def test_unchanged_by_a_decode_of_the_same_code(self, n, m, rng):
         joint = bsc_joint(0.05)
         x, y = sample_pair(joint, n, rng)
-        code = gen_parity_check(n, m, 3, seed=5)
+        code = gen_parity_check(n, m, seed=5)
         before = syndrome(code, x)
         layout = code._layout
         sp_decode(code, before, joint, y, max_iter=3)
         assert code._layout is layout
         assert np.array_equal(syndrome(code, x), before)
         # a fresh copy whose layout the decoder builds first
-        fresh = gen_parity_check(n, m, 3, seed=5)
+        fresh = gen_parity_check(n, m, seed=5)
         sp_decode(fresh, before, joint, y, max_iter=3)
         assert np.array_equal(syndrome(fresh, x), before)
 
@@ -253,7 +252,7 @@ def _explicit_code(row_supports, n):
     return ParityCheckMatrix(n, len(row_supports), chk_ptr, np.concatenate(parts))
 
 
-# alist text of gen_parity_check(12, 6, 3, seed=1), pinned byte for byte:
+# alist text of gen_parity_check(12, 6, seed=1), pinned byte for byte:
 # each column's checks and each check's variables ascending, 1-based
 SMALL_ALIST = (
     "12 6\n"
@@ -283,19 +282,19 @@ SMALL_ALIST = (
 
 class TestAlist:
     def test_round_trip(self, rng, tmp_path):
-        code = gen_parity_check(50, 25, 3, seed=3)
+        code = gen_parity_check(50, 25, seed=3)
         path = tmp_path / "code.alist"
         write_alist(code, path)
         back = read_alist(path)
         assert back.n == code.n and back.m == code.m
         assert np.array_equal(back.chk_ptr, code.chk_ptr)
         assert np.array_equal(back.chk_vars, code.chk_vars)
-        write_alist(gen_parity_check(12, 6, 3, seed=1), path)
+        write_alist(gen_parity_check(12, 6, seed=1), path)
         assert path.read_text() == SMALL_ALIST
 
     def test_round_trip_at_scale(self, tmp_path):
         # 10^5 columns, 2.96 * 10^5 edges: the reader parses columns as one array
-        code = gen_parity_check(100_000, 20_000, 3, seed=4)
+        code = gen_parity_check(100_000, 20_000, seed=4)
         path = tmp_path / "code.alist"
         write_alist(code, path)
         back = read_alist(path)
@@ -314,7 +313,7 @@ class TestAlist:
         outcomes = set()
         for trial in range(100):
             m = rng.randint(2, 5)
-            write_alist(gen_parity_check(m + rng.randint(1, 5), m, 2, seed=trial), path)
+            write_alist(weight_two_code(m + rng.randint(1, 5), m, trial), path)
             chars = list(path.read_text())
             for _ in range(rng.randint(0, 3)):
                 k = rng.randrange(len(chars))
@@ -352,7 +351,7 @@ class TestObserved:
 
     def test_positions_start_from_their_helper_conditional(self, rng):
         joint = damping_joint(0.3)
-        code = gen_parity_check(60, 40, 3, seed=4)
+        code = gen_parity_check(60, 40, seed=4)
         x, y = sample_pair(joint, 60, rng)
         syn = syndrome(code, x)
         want = flooding_oracle(code, syn, joint.conditional()[:, y].T, max_iter=5)
@@ -363,14 +362,14 @@ class TestObserved:
 
     @pytest.mark.parametrize("shape", [59, 61, (60, 1)], ids=["short", "long", "two-axes"])
     def test_observed_of_another_shape_rejected(self, shape):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         with pytest.raises(ValueError, match="observed length"):
             sp_decode(code, np.zeros(30, np.uint8), bsc_joint(0.1), np.zeros(shape, np.uint8))
 
 
 class TestBruteForceMap:
     def test_deterministic_priors_pick_the_pinned_member(self, rng):
-        code = gen_parity_check(8, 4, 2, seed=5)
+        code = weight_two_code(8, 4, seed=5)
         x = rng.integers(0, 2, 8).astype(np.uint8)
         syn = syndrome(code, x)
         priors = np.where(x[:, None] == 0, [1.0, 0.0], [0.0, 1.0])
@@ -379,7 +378,7 @@ class TestBruteForceMap:
     def test_matches_exhaustive_scan_n6(self, rng):
         joint = damping_joint(0.3)
         for seed in range(30):
-            code = gen_parity_check(6, 3, 2, seed=seed)
+            code = weight_two_code(6, 3, seed)
             x, y = sample_pair(joint, 6, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
@@ -388,7 +387,7 @@ class TestBruteForceMap:
             assert np.array_equal(got, want)
 
     def test_uniform_priors_give_lexicographic_minimum(self):
-        code = gen_parity_check(10, 5, 2, seed=11)
+        code = weight_two_code(10, 5, seed=11)
         syn = syndrome(code, np.ones(10, np.uint8))
         priors = np.full((10, 2), 0.5)
         got = map_decode_bruteforce(code, syn, priors)
@@ -397,7 +396,7 @@ class TestBruteForceMap:
         assert tuple(got) == want
 
     def test_size_cap(self):
-        code = gen_parity_check(30, 12, 3, seed=1)
+        code = gen_parity_check(30, 12, seed=1)
         with pytest.raises(ValueError):
             map_decode_bruteforce(code, np.zeros(12, np.uint8), np.full((30, 2), 0.5))
 
@@ -424,7 +423,7 @@ def _scan_all(code, syn, priors):
 
 class TestSumProduct:
     def test_delta_priors_converge_immediately(self, rng):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
         res = sp_decode(code, syndrome(code, x), bsc_joint(0.0), x)
         assert res.converged and res.iterations == 1
@@ -436,7 +435,7 @@ class TestSumProduct:
         ids=["nan", "inf", "negative", "above-one", "fraction", "minus-one", "two"],
     )
     def test_observed_entries_other_than_bits_rejected(self, rng, bad):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
         observed = x.astype(float)
         observed[7] = bad
@@ -464,21 +463,21 @@ class TestSumProduct:
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     def test_syndrome_entries_other_than_bits_rejected(self, bad):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         syn = np.zeros(30)
         syn[3] = bad
         with pytest.raises(ValueError, match="0 or 1"):
             sp_decode(code, syn, bsc_joint(0.5), np.zeros(60, np.uint8))
 
     def test_rejects_fewer_than_one_iteration(self, rng):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         x = rng.integers(0, 2, 60).astype(np.uint8)
         with pytest.raises(ValueError, match="max_iter"):
             sp_decode(code, syndrome(code, x), bsc_joint(0.5), x, max_iter=0)
 
     def test_converged_output_satisfies_syndrome(self, rng):
         joint = damping_joint(0.3)
-        code = gen_parity_check(600, 370, 3, seed=6)
+        code = gen_parity_check(600, 370, seed=6)
         for _ in range(10):
             x, y = sample_pair(joint, 600, rng)
             res = sp_decode(code, syndrome(code, x), joint, y)
@@ -489,7 +488,7 @@ class TestSumProduct:
         joint = damping_joint(0.3)
         n = 4000
         m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
-        code = gen_parity_check(n, m, 3, seed=7)
+        code = gen_parity_check(n, m, seed=7)
         fails = 0
         for _ in range(10):
             x, y = sample_pair(joint, n, rng)
@@ -502,7 +501,7 @@ class TestSumProduct:
         joint = JointDistribution([[0.47, 0.03], [0.03, 0.47]])
         n = 12_000
         m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
-        code = gen_parity_check(n, m, 3, seed=8)
+        code = gen_parity_check(n, m, seed=8)
         fails = 0
         for _ in range(20):
             x, y = sample_pair(joint, n, rng)
@@ -519,7 +518,7 @@ class TestSumProduct:
         for _ in range(trials):
             n = int(rng.integers(10, 17))
             m = int(np.ceil(n * (hxy + 0.2)))
-            code = gen_parity_check(n, m, 3, seed=int(rng.integers(1e9)))
+            code = gen_parity_check(n, m, seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
@@ -538,7 +537,7 @@ class TestSumProduct:
         for _ in range(100):
             n = int(rng.integers(10, 15))
             m = int(np.ceil(n * 0.7))
-            code = gen_parity_check(n, m, 3, seed=int(rng.integers(1e9)))
+            code = gen_parity_check(n, m, seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
@@ -589,7 +588,7 @@ class TestSumProductSegments:
         n, p = 2000, 0.03
         joint = JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
         m = int(np.ceil(n * (cond_entropy(joint) + 0.2)))
-        base = gen_parity_check(n, m, 3, seed=9)
+        base = gen_parity_check(n, m, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         code = _explicit_code(supports + [range(n)], n)
         x, y = sample_pair(joint, n, rng)
@@ -597,7 +596,7 @@ class TestSumProductSegments:
         assert res.converged and np.array_equal(res.bits, x)
 
     def test_exact_half_priors_converge(self, rng):
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         x, observed = half_every_seventh(rng)
         res = sp_decode(code, syndrome(code, x), weak_one_joint(0.5), observed)
         assert res.converged and np.array_equal(res.bits, x)
@@ -608,7 +607,7 @@ class TestSumProductSegments:
         agree = conv = 0
         for _ in range(40):
             n = int(rng.integers(10, 17))
-            code = gen_parity_check(n, int(np.ceil(n * 0.8)), 3, seed=int(rng.integers(1e9)))
+            code = gen_parity_check(n, int(np.ceil(n * 0.8)), seed=int(rng.integers(1e9)))
             x, y = sample_pair(joint, n, rng)
             syn = syndrome(code, x)
             priors = priors_from_joint(joint, y)
@@ -683,7 +682,7 @@ class TestFloodingOracle:
         converged = []
         for n, margin in ((200, 0.02), (1000, 0.03), (2000, 0.1), (3500, 0.05)):
             m = int(np.ceil(n * (cond_entropy(joint) + margin)))
-            code = gen_parity_check(n, m, 3, seed=n)
+            code = gen_parity_check(n, m, seed=n)
             for _ in range(3):
                 x, y = sample_pair(joint, n, rng)
                 res = self._assert_flooding(code, syndrome(code, x), joint, y)
@@ -702,12 +701,12 @@ class TestFloodingOracle:
             syn[[1, 3, 5]] = empty
             self._assert_flooding(code, syn, joint, observed, max_iter=20)
         joint = bsc_joint(0.03)
-        base = gen_parity_check(2000, 800, 3, seed=9)
+        base = gen_parity_check(2000, 800, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
         code = _explicit_code(supports + [range(2000)], 2000)
         x, y = sample_pair(joint, 2000, rng)
         self._assert_flooding(code, syndrome(code, x), joint, y)
-        code = gen_parity_check(60, 30, 3, seed=4)
+        code = gen_parity_check(60, 30, seed=4)
         x, observed = half_every_seventh(rng)
         self._assert_flooding(code, syndrome(code, x), weak_one_joint(0.5), observed)
 
@@ -722,7 +721,7 @@ class TestGroupSchedule:
         decoded, sweeps = np.zeros(2, int), np.zeros(2, int)
         for k, joint in enumerate(joints):
             m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
-            code = gen_parity_check(n, m, 3, seed=30 + k)
+            code = gen_parity_check(n, m, seed=30 + k)
             assert _group_count(code.num_edges) == reconciliation.MAX_GROUPS
             for _ in range(3):
                 x, y = sample_pair(joint, n, rng)
@@ -742,7 +741,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("n, m, seed", [(12_000, 4_000, 1), (2_000, 800, 2), (300, 200, 3)])
     def test_buckets_cover_every_check_once(self, n, m, seed):
-        code = gen_parity_check(n, m, 3, seed=seed)
+        code = gen_parity_check(n, m, seed=seed)
         layout = code._layout
         assert code._layout is layout
         count = _group_count(code.num_edges)
@@ -782,7 +781,7 @@ class TestConventionalFloorSeparation:
         rate = 0.805
         assert hxy + 0.05 < rate < hw
         n = 30_000
-        code = gen_parity_check(n, int(np.ceil(n * rate)), 3, seed=99)
+        code = gen_parity_check(n, int(np.ceil(n * rate)), seed=99)
         wins = 0
         for _ in range(6):
             x, y = sample_pair(joint, n, rng)
@@ -796,7 +795,8 @@ class TestReverseMapVsMl:
         """Reverse reconciliation: the decoded side has a non-uniform prior,
         so weighting by it changes the argmax on this frozen instance."""
         joint = JointDistribution(np.array([[0.45, 0.05], [0.15, 0.35]]))
-        code = gen_parity_check(8, 4, 2, seed=653866010)
+        # weight_two_code(8, 4, seed=653866010)
+        code = _explicit_code([[0, 2, 4], [0, 1, 4, 5], [2, 3, 5, 6], [1, 3, 6, 7]], n=8)
         x = np.array([0, 0, 1, 1, 0, 1, 0, 1], np.uint8)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 0], np.uint8)
         syn = syndrome(code, y)

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -406,6 +408,19 @@ def test_benchmark_trace_reads_every_per_layer_count():
     assert {m["name"] for m in per_layer} - {"trace.overhead_s"} <= set(metrics)
     # a run must still call every wrapped name, not merely resolve it
     assert {t[2] for t in tracing.SPAN_TARGETS} <= {span.name for span in tracer.spans}
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks (metric units, output check, key mismatch)
+    # run on this tree's src/, so a change that breaks them fails here
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "blockbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_readme_library_example_prints_three_rates(capsys):

@@ -4,6 +4,9 @@ Every name ``qkdpost`` exports, and every public method and property of an
 exported class, must be used outside its own definition: by a module of the
 package other than ``__init__``, by the benchmark in ``blockbench/``, or by
 the README.  A member that only tests reach belongs in ``tests/conftest.py``.
+Likewise every parameter with a default of an exported function or method
+must be passed by one of those callers: a value only tests set is a knob
+nobody else can use.
 """
 
 import ast
@@ -60,10 +63,61 @@ def public_surface():
     return surface
 
 
-def test_every_public_member_is_used_outside_the_tests():
+def caller_sources():
+    """The package's modules other than ``__init__``, and the benchmark's."""
     sources = [p for p in (ROOT / "src" / "qkdpost").glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "blockbench").glob("*.py"))
-    used = set().union(*map(code_identifiers, sources))
+    return sources + sorted((ROOT / "blockbench").glob("*.py"))
+
+
+def test_every_public_member_is_used_outside_the_tests():
+    used = set().union(*map(code_identifiers, caller_sources()))
     used.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     unused = [name for name in public_surface() if name.rsplit(".", 1)[-1] not in used]
     assert not unused, f"public members only tests reach: {unused}"
+
+
+def call_sites(tree):
+    """(called name, positional count, keyword names) of every call in an AST;
+    ``*args`` counts as every position and ``**kwargs`` as every keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield name, float("inf") if starred else len(node.args), keywords
+
+
+def defaulted_parameters():
+    """(name, parameter, position) of every defaulted parameter of an exported
+    function or public method; the position omits ``self`` and ``cls``, and
+    is None for a keyword-only parameter.  Dataclass fields, set through the
+    generated ``__init__``, are not parameters here."""
+    for name in public_surface():
+        owner, _, member = name.rpartition(".")
+        value = vars(getattr(qkdpost, owner))[member] if owner else getattr(qkdpost, name)
+        skip = 1 if owner and not isinstance(value, staticmethod) else 0
+        func = getattr(value, "__func__", value)
+        if not inspect.isfunction(func):
+            continue
+        for pos, p in enumerate(list(inspect.signature(func).parameters.values())[skip:]):
+            if p.default is not inspect.Parameter.empty:
+                keyword_only = p.kind is inspect.Parameter.KEYWORD_ONLY
+                yield member, p.name, None if keyword_only else pos
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in caller_sources()]
+    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    calls = [call for tree in trees for call in call_sites(tree)]
+    unpassed = [
+        f"{name}({param})"
+        for name, param, pos in defaulted_parameters()
+        if not any(
+            called == name
+            and (param in keywords or None in keywords or (pos is not None and count > pos))
+            for called, count, keywords in calls
+        )
+    ]
+    assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"

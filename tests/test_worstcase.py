@@ -163,7 +163,7 @@ class TestPencil:
                 worst = {d: worst_case_ambiguity(om, d) for d in ("direct", "reverse")}
                 for r in (iv.lo, iv.hi, iv.anchor, iv.lo + 0.3 * iv.width):
                     for direction in ("direct", "reverse"):
-                        got = choi_ambiguity(base + r * step, direction, tol=1e-6)
+                        got = choi_ambiguity(base + r * step, direction)
                         want = purification_ambiguity(base + r * step, direction)
                         assert abs(got - want) <= 1e-9
                         if iv.width > DEGENERATE_WIDTH:
@@ -256,7 +256,7 @@ class TestWorstCaseAmbiguity:
                 assert np.allclose(back.as_array(), om.as_array(), atol=1e-12)
                 if np.abs(comp.r[2, :2]).max() > 1e-6 or np.abs(comp.r[:2, 2]).max() > 1e-6:
                     hidden_seen += 1
-                assert choi_ambiguity(choi.matrix, "direct", tol=1e-8) >= f - 1e-6
+                assert choi_ambiguity(choi.matrix, "direct") >= f - 1e-6
             assert hidden_seen > 10  # the sample really explored hidden parameters
 
     def test_continuity_under_small_shifts(self, rng):
@@ -276,9 +276,7 @@ class TestWorstCaseAmbiguity:
             iv = feasible_interval(om)
             if iv is None or iv.width < 1e-3:
                 continue
-            amb = lambda r: choi_ambiguity(
-                choi_from_affine(om.complete(r)).matrix, "direct", tol=1e-6
-            )
+            amb = lambda r: choi_ambiguity(choi_from_affine(om.complete(r)).matrix, "direct")
             lo, hi = iv.lo + 1e-6, iv.hi - 1e-6
             for lam in (0.25, 0.5, 0.75):
                 mid = lo + lam * (hi - lo)
