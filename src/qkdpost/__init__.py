@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .channels import (
     AffineChannel,
     Basis,
-    ChoiMatrix,
     PauliProbs,
     affine_from_choi,
+    check_choi,
     choi_from_affine,
     joint_distribution,
     make_amplitude_damping,

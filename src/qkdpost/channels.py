@@ -2,10 +2,10 @@
 
 A channel is stored in the Stokes (affine) picture: a real 3x3 matrix ``r``
 and a translation 3-vector ``t`` acting on Bloch vectors ordered (z, x, y).
-The equivalent Choi matrix is the 4x4 Hermitian unit-trace matrix of the
-two-qubit state obtained by sending half of a maximally entangled pair
-through the channel; it is positive semidefinite exactly when the channel is
-completely positive.
+The equivalent Choi matrix, a read-only complex 4x4 array, is the Hermitian
+unit-trace matrix of the two-qubit state obtained by sending half of a
+maximally entangled pair through the channel; it is positive semidefinite
+exactly when the channel is completely positive.
 
 Axis order (z, x, y) is used everywhere, matching the index order of
 :class:`Basis`.  With Pauli matrices ``s`` in that order and
@@ -116,31 +116,15 @@ PSD_TOL = 1e-9
 AFFINE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """4x4 Hermitian unit-trace matrix of (id (x) channel) on a Bell pair."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).reshape(4, 4).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def validate(self, tol: float = 1e-9) -> None:
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
-            raise ValueError("Choi matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol:
-            raise ValueError("Choi matrix trace differs from 1")
-        if np.abs(partial_trace_output(m) - np.eye(2) / 2).max() > tol:
-            raise ValueError("partial trace over the output system is not I/2")
+def check_choi(m: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless the 4x4 ``m`` is Hermitian with unit trace and
+    output partial trace I/2, each to ``tol``; positivity is not tested."""
+    if np.abs(m - m.conj().T).max() > tol:
+        raise ValueError("Choi matrix is not Hermitian")
+    if abs(np.trace(m).real - 1.0) > tol:
+        raise ValueError("Choi matrix trace differs from 1")
+    if np.abs(partial_trace_output(m) - np.eye(2) / 2).max() > tol:
+        raise ValueError("partial trace over the output system is not I/2")
 
 
 @dataclass(frozen=True)
@@ -193,15 +177,18 @@ def make_pauli(q: PauliProbs) -> AffineChannel:
 # ---------------------------------------------------------------------------
 
 
-def choi_from_affine(ch: AffineChannel) -> ChoiMatrix:
-    """Choi matrix of the twelve affine parameters (layout in the module docstring)."""
-    return ChoiMatrix(choi_from_coefficients(np.concatenate([ch.r.reshape(9), ch.t])))
+def choi_from_affine(ch: AffineChannel) -> np.ndarray:
+    """Read-only complex 4x4 Choi matrix of the twelve affine parameters
+    (layout in the module docstring)."""
+    m = choi_from_coefficients(np.concatenate([ch.r.reshape(9), ch.t]))
+    m.setflags(write=False)
+    return m
 
 
-def affine_from_choi(choi: ChoiMatrix) -> AffineChannel:
-    """Invert :func:`choi_from_affine` after :meth:`ChoiMatrix.validate` to AFFINE_TOL."""
-    choi.validate(AFFINE_TOL)
-    theta = choi_coefficients(choi.matrix)
+def affine_from_choi(choi: np.ndarray) -> AffineChannel:
+    """Invert :func:`choi_from_affine` after :func:`check_choi` to AFFINE_TOL."""
+    check_choi(choi, AFFINE_TOL)
+    theta = choi_coefficients(choi)
     return AffineChannel(theta[:9], theta[9:])
 
 

@@ -34,7 +34,6 @@ from .channels import (
     PSD_TOL,
     AffineChannel,
     Basis,
-    ChoiMatrix,
     affine_from_choi,
     joint_distribution,
     pauli_weights,
@@ -76,7 +75,7 @@ class RateReport:
         return cls(direction, ambiguity, ce, raw, max(0.0, raw))
 
 
-def key_entropy(c: np.ndarray, direction: str = "direct") -> float:
+def key_entropy(c: np.ndarray, direction: str) -> float:
     """H(KE) in bits: the entropy of the two 2x2 blocks of ``c`` at fixed key bit.
 
     ``c`` is a real or complex 4x4 Choi matrix indexed (input, output).  The
@@ -88,7 +87,7 @@ def key_entropy(c: np.ndarray, direction: str = "direct") -> float:
     return _plogp(np.linalg.eigvalsh(blocks))
 
 
-def choi_ambiguity(c: np.ndarray, direction: str = "direct") -> float:
+def choi_ambiguity(c: np.ndarray, direction: str) -> float:
     """H(K|E) = H(KE) - S(C) in bits for a real or complex 4x4 Choi matrix.
 
     Raises ValueError when the lowest eigenvalue of ``c`` is below ``-PSD_TOL``.
@@ -128,7 +127,7 @@ def channel_key_joint(ch: AffineChannel, direction: str) -> JointDistribution:
     return key_joint(joint_distribution(ch, *key_bases(direction)), direction)
 
 
-def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
+def keyrate(choi: np.ndarray, direction: str) -> RateReport:
     """Secret-key rate of the tomography-based processing, one direction.
 
     direct:      H(X|E) - H(X|Y)   (key from Alice's z-basis bits)
@@ -136,7 +135,7 @@ def keyrate(choi: ChoiMatrix, direction: str = "direct") -> RateReport:
     mismatched:  H(X|E) - H(X|Y')  (Bob measured in the x basis)
     """
     joint = channel_key_joint(affine_from_choi(choi), direction)
-    return RateReport.build(direction, choi_ambiguity(choi.matrix, direction), cond_entropy(joint))
+    return RateReport.build(direction, choi_ambiguity(choi, direction), cond_entropy(joint))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ class ParityCheckMatrix:
         return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()))
 
 
-def gen_parity_check(n: int, m: int, seed: int = 0) -> ParityCheckMatrix:
+def gen_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
     """Random parity-check matrix ``H = [A | T]`` of rank m by construction.
 
     A holds the first n - m columns, each of weight ``COL_WEIGHT``, dealt

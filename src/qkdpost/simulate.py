@@ -102,7 +102,7 @@ class ProtocolConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         # the exchange would silently clip a non-physical channel's probabilities
-        if (ev := choi_from_affine(self.channel).min_eigenvalue()) < -PSD_TOL:
+        if (ev := np.linalg.eigvalsh(choi_from_affine(self.channel))[0]) < -PSD_TOL:
             raise ValueError(f"channel is not completely positive (Choi min eigenvalue {ev:.3e})")
 
     @property
@@ -377,7 +377,7 @@ def sweep_row(ch: AffineChannel) -> dict[str, float]:
     }
 
 
-def sweep_rates(family: str, start: float, stop: float, steps: int, out_path=None) -> str:
+def sweep_rates(family: str, start: float, stop: float, steps: int, out_path) -> str:
     """CSV of analytic rates over an inclusive parameter grid."""
     if steps < 2:
         raise ValueError("need at least 2 grid points")

@@ -23,8 +23,8 @@ from .channels import (
     PSD_TOL,
     AffineChannel,
     Basis,
-    ChoiMatrix,
     affine_from_choi,
+    check_choi,
     choi_coefficients,
     choi_from_affine,
     choi_from_coefficients,
@@ -211,21 +211,21 @@ def _project_psd(m: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def nearest_choi(choi: ChoiMatrix) -> ChoiMatrix:
+def nearest_choi(choi: np.ndarray) -> np.ndarray:
     """Frobenius-nearest valid Choi matrix, by Dykstra's alternating projections.
 
     Inputs valid to within ``PSD_TOL`` are returned unchanged (the same
-    object).  Raises ProjectionError when the iteration has not stabilized
-    to 1e-10 after 10,000 rounds.
+    object); a projected result is read-only.  Raises ProjectionError when
+    the iteration has not stabilized to 1e-10 after 10,000 rounds.
     """
     try:
-        choi.validate(PSD_TOL)
-        if choi.min_eigenvalue() >= -PSD_TOL:
+        check_choi(choi, PSD_TOL)
+        if np.linalg.eigvalsh(choi)[0] >= -PSD_TOL:
             return choi
     except ValueError:
         pass
 
-    x = choi.matrix.copy()
+    x = choi.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(10_000):
@@ -234,10 +234,10 @@ def nearest_choi(choi: ChoiMatrix) -> ChoiMatrix:
         x_new = _project_affine_constraints(y + q)
         q = y + q - x_new
         if np.linalg.norm(x_new - x) < 1e-10:
-            out = ChoiMatrix(x_new)
-            if out.min_eigenvalue() < -PSD_TOL:
+            if np.linalg.eigvalsh(x_new)[0] < -PSD_TOL:
                 raise ProjectionError("converged iterate violates positivity")
-            return out
+            x_new.setflags(write=False)
+            return x_new
         x = x_new
     raise ProjectionError("Dykstra projection did not converge in 10000 iterations")
 
@@ -256,7 +256,7 @@ _BARRIER_RHO0 = np.eye(4) / 4.0
 # G_k = Choi(e_k) - I/4 for the unit vectors e_k of (omega, r_yy)
 _BARRIER_G = np.array(
     [
-        choi_from_affine(ObservableParams(*e[:6]).complete(e[6])).matrix.real - _BARRIER_RHO0
+        choi_from_affine(ObservableParams(*e[:6]).complete(e[6])).real - _BARRIER_RHO0
         for e in np.eye(7)
     ]
 )
@@ -335,7 +335,7 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
 @dataclass(frozen=True)
 class SixStateEstimate:
     channel: AffineChannel
-    choi: ChoiMatrix
+    choi: np.ndarray
     direct: RateReport
     reverse: RateReport
     conventional_bb84: float

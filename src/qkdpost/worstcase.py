@@ -45,7 +45,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-7):
+def golden_section_min(f, a: float, b: float, tol: float):
     """Minimize a unimodal function on [a, b]; returns (argmin, min)."""
     width = b - a
     if width <= tol:
@@ -100,8 +100,8 @@ class ObservableParams:
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Real ``(base, step)`` with ``Choi(complete(r)) = base + r * step``."""
-        base = choi_from_affine(self.complete(0.0)).matrix.real
-        step = choi_from_affine(self.complete(1.0)).matrix.real - base
+        base = choi_from_affine(self.complete(0.0)).real
+        step = choi_from_affine(self.complete(1.0)).real - base
         return base, step
 
     @cached_property
@@ -187,7 +187,7 @@ def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> 
     return key_entropy(omega.pencil[0], direction) - omega.max_entropy
 
 
-def worst_case_lower_bound(omega: ObservableParams, direction: str = "direct") -> float:
+def worst_case_lower_bound(omega: ObservableParams, direction: str) -> float:
     """Closed-form lower bound on the worst-case ambiguity.
 
     Uses the two singular values of the z-x block plus the norm of the block

@@ -178,7 +178,7 @@ KETS = {
 
 def is_completely_positive(ch, tol=1e-9):
     """True when the Choi matrix is PSD up to ``-tol`` on the lowest eigenvalue."""
-    return choi_from_affine(ch).min_eigenvalue() >= -tol
+    return np.linalg.eigvalsh(choi_from_affine(ch))[0] >= -tol
 
 
 def singular_values_zx(ch):
@@ -198,7 +198,7 @@ def unital_ambiguity_closed_form(ch, direction="direct"):
     if np.abs(ch.t).max() > 1e-9:
         raise ValueError("closed form requires a unital channel (t = 0)")
     choi = choi_from_affine(ch)
-    spec = np.clip(choi.eigenvalues(), 0.0, None)
+    spec = np.clip(np.linalg.eigvalsh(choi), 0.0, None)
     vec = ch.r[:, 0] if direction == "direct" else ch.r[0, :]
     rnorm = min(float(np.linalg.norm(vec)), 1.0)
     return 1.0 - _plogp(spec) + binary_entropy(0.5 * (1.0 + rnorm))

@@ -5,7 +5,6 @@ import pytest
 
 from qkdpost.channels import (
     AffineChannel,
-    ChoiMatrix,
     PauliProbs,
     choi_from_affine,
     make_amplitude_damping,
@@ -37,46 +36,46 @@ def choi_of(ch):
 
 class TestAmbiguityDirect:
     def test_identity(self):
-        assert choi_ambiguity(choi_of(make_identity()).matrix, "direct") == pytest.approx(
+        assert choi_ambiguity(choi_of(make_identity()), "direct") == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_depolarizing(self):
         depol = AffineChannel(np.zeros((3, 3)), np.zeros(3))
-        assert choi_ambiguity(choi_of(depol).matrix, "direct") == pytest.approx(0.0, abs=1e-12)
+        assert choi_ambiguity(choi_of(depol), "direct") == pytest.approx(0.0, abs=1e-12)
 
     def test_damping_half(self):
-        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)).matrix, "direct")
+        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)), "direct")
         want = 1 + 0.5 * binary_entropy(0.5) - binary_entropy(0.25)
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.6887218755408672, abs=1e-9)
 
     def test_damping_general_closed_form(self):
         for p in (0.1, 0.3, 0.7, 0.95):
-            got = choi_ambiguity(choi_of(make_amplitude_damping(p)).matrix, "direct")
+            got = choi_ambiguity(choi_of(make_amplitude_damping(p)), "direct")
             want = 1 + 0.5 * binary_entropy(p) - binary_entropy(p / 2)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unitary_channels_leak_nothing(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
-            assert choi_ambiguity(choi_of(make_rotation(theta)).matrix, "direct") == pytest.approx(
+            assert choi_ambiguity(choi_of(make_rotation(theta)), "direct") == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_range(self, rng):
         for _ in range(100):
-            amb = choi_ambiguity(choi_of(random_cp_channel(rng)).matrix, "direct")
+            amb = choi_ambiguity(choi_of(random_cp_channel(rng)), "direct")
             assert -1e-12 <= amb <= 1.0 + 1e-12
 
     def test_rejects_unphysical(self):
         transpose = AffineChannel(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            choi_ambiguity(choi_of(transpose).matrix, "direct")
+            choi_ambiguity(choi_of(transpose), "direct")
 
 
 class TestAmbiguityReverse:
     def test_identity(self):
-        assert choi_ambiguity(choi_of(make_identity()).matrix, "reverse") == pytest.approx(
+        assert choi_ambiguity(choi_of(make_identity()), "reverse") == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -89,14 +88,14 @@ class TestAmbiguityReverse:
             if (q < 0).any():
                 continue
             choi = choi_of(make_pauli(PauliProbs(*q)))
-            assert choi_ambiguity(choi.matrix, "reverse") == pytest.approx(
-                choi_ambiguity(choi.matrix, "direct"), abs=1e-10
+            assert choi_ambiguity(choi, "reverse") == pytest.approx(
+                choi_ambiguity(choi, "direct"), abs=1e-10
             )
 
     def test_damping_half_value(self):
         # equal to the direct ambiguity at this channel; the reverse RATE then
         # differs through H(Y|X) only
-        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)).matrix, "reverse")
+        got = choi_ambiguity(choi_of(make_amplitude_damping(0.5)), "reverse")
         assert got == pytest.approx(0.6887218755408672, abs=1e-9)
 
     def test_unital_equality_condition(self, rng):
@@ -108,8 +107,8 @@ class TestAmbiguityReverse:
             choi = choi_of(ch)
             lhs = ch.r[1, 0] ** 2 + ch.r[2, 0] ** 2
             rhs = ch.r[0, 1] ** 2 + ch.r[0, 2] ** 2
-            d = choi_ambiguity(choi.matrix, "direct")
-            r = choi_ambiguity(choi.matrix, "reverse")
+            d = choi_ambiguity(choi, "direct")
+            r = choi_ambiguity(choi, "reverse")
             if abs(lhs - rhs) < 1e-12:
                 assert d == pytest.approx(r, abs=1e-9)
                 seen_equal = True
@@ -119,8 +118,8 @@ class TestAmbiguityReverse:
         assert seen_unequal
         # rotations satisfy the equality condition exactly
         choi = choi_of(make_rotation(1.234))
-        assert choi_ambiguity(choi.matrix, "direct") == pytest.approx(
-            choi_ambiguity(choi.matrix, "reverse"), abs=1e-12
+        assert choi_ambiguity(choi, "direct") == pytest.approx(
+            choi_ambiguity(choi, "reverse"), abs=1e-12
         )
 
 
@@ -204,7 +203,7 @@ class TestConventionalBaselines:
     def test_sixstate_baseline_equals_bell_spectrum_form(self, rng):
         for _ in range(20):
             ch = random_cp_channel(rng)
-            q = bell_diagonal_oracle(choi_of(ch).matrix)
+            q = bell_diagonal_oracle(choi_of(ch))
             q = np.clip(q, 0, None)
             q = q / q.sum()
             q = q[q > 1e-15]
@@ -216,7 +215,7 @@ class TestConventionalBaselines:
         # channel with the same matched error rates
         for _ in range(300):
             ch = random_cp_channel(rng)
-            want = keyrate(ChoiMatrix(twirl_oracle(choi_of(ch).matrix)), "direct").raw_rate
+            want = keyrate(twirl_oracle(choi_of(ch)), "direct").raw_rate
             assert abs(conventional_rates(ch)[1] - want) < 1e-12
 
     def test_damping_proposed_beats_conventional(self):
@@ -243,10 +242,10 @@ class TestUnitalClosedForm:
             ch = random_unital_channel(rng)
             choi = choi_of(ch)
             assert unital_ambiguity_closed_form(ch, "direct") == pytest.approx(
-                choi_ambiguity(choi.matrix, "direct"), abs=1e-9
+                choi_ambiguity(choi, "direct"), abs=1e-9
             )
             assert unital_ambiguity_closed_form(ch, "reverse") == pytest.approx(
-                choi_ambiguity(choi.matrix, "reverse"), abs=1e-9
+                choi_ambiguity(choi, "reverse"), abs=1e-9
             )
 
     def test_rejects_nonunital(self):
@@ -260,11 +259,11 @@ class TestConvexity:
         for _ in range(200):
             a = random_cp_channel(rng)
             b = random_cp_channel(rng)
-            amb_a = choi_ambiguity(choi_of(a).matrix, "direct")
-            amb_b = choi_ambiguity(choi_of(b).matrix, "direct")
+            amb_a = choi_ambiguity(choi_of(a), "direct")
+            amb_b = choi_ambiguity(choi_of(b), "direct")
             for lam in np.linspace(0.1, 0.9, 9):
                 mixed = AffineChannel(lam * a.r + (1 - lam) * b.r, lam * a.t + (1 - lam) * b.t)
-                amb_mix = choi_ambiguity(choi_of(mixed).matrix, "direct")
+                amb_mix = choi_ambiguity(choi_of(mixed), "direct")
                 assert amb_mix <= lam * amb_a + (1 - lam) * amb_b + 1e-9
 
 

@@ -1,6 +1,6 @@
 """Property tests of the input contract: every parser returns or raises ValueError,
-and the CLI answers every input file with exit code 0, 1 or 2 and at most one
-line on stderr.
+the CLI answers every input file with exit code 0, 1 or 2 and at most one
+line on stderr, and a protocol run returns a key or a clean abort.
 
 The strategies follow each format's grammar (rows of the right shape) but
 draw unbounded integers and floats that include inf and nan, so they reach
@@ -10,6 +10,7 @@ the overflow and non-finite corners that hand-written cases miss.
 import contextlib
 import io
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -19,11 +20,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qkdpost.channels import format_channel_spec, parse_channel_spec  # noqa: E402
+from qkdpost.channels import (  # noqa: E402
+    PauliProbs,
+    format_channel_spec,
+    make_amplitude_damping,
+    make_pauli,
+    make_rotation,
+    parse_channel_spec,
+)
 from qkdpost.cli import main, read_bits  # noqa: E402
 from qkdpost.reconciliation import read_alist, syndrome  # noqa: E402
-from qkdpost.simulate import ProtocolConfig, parse_config  # noqa: E402
-from qkdpost.tomography import TallyTable  # noqa: E402
+from qkdpost.simulate import ProtocolConfig, parse_config, run_protocol  # noqa: E402
+from qkdpost.tomography import EstimationError, ProjectionError, TallyTable  # noqa: E402
 
 from conftest import to_dense  # noqa: E402
 
@@ -272,3 +280,84 @@ def test_cli_decode_keeps_exit_contract(scratch, files, spec):
         ["decode", "--matrix", alist, "--syndrome", syn, "--observed", observed,
          "--channel", channel]
     )
+
+
+# ---------------------------------------------------------------------------
+# protocol runs: a key whose length the ledger states, or an abort without one
+# ---------------------------------------------------------------------------
+
+ABORTS = ("nonpositive_rate", "syndrome_rate_full", "decode_failure", "zero_key_length")
+
+
+def weighted(usual, wide):
+    """Mostly ``usual`` values, which reach a key, and one draw in four from
+    ``wide``, which reaches the aborts."""
+    return st.one_of(usual, usual, usual, wide)
+
+
+def finite_floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def split_error(error, z_share, x_share):
+    """Pauli weights with I at 1 - ``error`` and the rest split Z first, then X, then Y."""
+    rest = error * (1.0 - z_share)
+    return PauliProbs(1.0 - error, error * z_share, rest * x_share, rest * (1.0 - x_share))
+
+
+RUN_CHANNEL = st.one_of(
+    weighted(finite_floats(0.0, 0.1), finite_floats(0.0, 1.0)).map(make_amplitude_damping),
+    weighted(finite_floats(-0.2, 0.2), finite_floats(-math.pi, math.pi)).map(make_rotation),
+    st.tuples(
+        weighted(finite_floats(0.0, 0.05), finite_floats(0.0, 1.0)),
+        finite_floats(0.0, 1.0),
+        finite_floats(0.0, 1.0),
+    ).map(lambda t: make_pauli(split_error(*t))),
+)
+RUN_CONFIG = st.builds(
+    ProtocolConfig,
+    protocol=st.sampled_from(["bb84", "sixstate"]),
+    channel=RUN_CHANNEL,
+    direction=st.sampled_from(["direct", "reverse", "mismatched"]),
+    n_signals=weighted(st.integers(2_000, 20_000), st.integers(1_000, 2_000)),
+    estimation_fraction=weighted(finite_floats(0.2, 0.6), finite_floats(0.001, 0.999)),
+    margin=weighted(finite_floats(0.02, 0.2), finite_floats(0.001, 1.0)),
+    epsilon=weighted(finite_floats(0.0, 0.02), finite_floats(0.0, 1.0)),
+    seed_channel=st.integers(0, 10**6),
+    seed_code=st.integers(0, 10**6),
+    seed_hash=st.integers(0, 10**6),
+)
+
+
+def run_outcome(config):
+    """The abort reason of a run, or the name of the estimation error it raised."""
+    try:
+        report = run_protocol(config)
+    except (EstimationError, ProjectionError) as exc:
+        return type(exc).__name__
+    assert report.abort_reason in ("none", *ABORTS), report.abort_reason
+    if report.abort_reason != "none":
+        assert report.key_length == 0 and not report.keys_equal
+        assert report.empirical_key_rate == 0.0
+        return report.abort_reason
+    assert report.decode_success
+    m = round(report.syndrome_rate * report.n_key)
+    budget = report.n_key * report.decided_ambiguity - m - report.n_key * config.epsilon
+    assert report.key_length == math.floor(budget) > 0
+    return "none"
+
+
+def test_run_ends_with_a_stated_key_or_a_clean_abort():
+    # keys_equal is not asserted: success does not yet imply equal keys
+    # (test_cli.py::test_successful_run_has_equal_keys)
+    outcomes = Counter()
+
+    @PROPERTY
+    @given(RUN_CONFIG)
+    def check(config):
+        outcomes[run_outcome(config)] += 1
+
+    check()
+    # the draws reach a key often and every abort at least once
+    assert 4 * outcomes["none"] >= sum(outcomes.values()), outcomes
+    assert all(outcomes[reason] for reason in ABORTS), outcomes

@@ -87,9 +87,9 @@ class TestConstruction:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            gen_parity_check(10, 10)
+            gen_parity_check(10, 10, seed=0)
         with pytest.raises(ValueError, match="column weight 3 exceeds the row count 2"):
-            gen_parity_check(10, 2)
+            gen_parity_check(10, 2, seed=0)
 
     def test_large_build_under_a_second(self):
         import time

@@ -439,10 +439,10 @@ class TestSweep:
         assert lines[0].startswith("# qkdpost rates sweep v1")
         assert lines[1] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 13
-        assert sweep_rates("amplitude_damping", 0.0, 1.0, 11) == text
+        assert sweep_rates("amplitude_damping", 0.0, 1.0, 11, None) == text
 
     def test_damping_crossing_and_reverse_advantage(self):
-        text = sweep_rates("amplitude_damping", 0.0, 1.0, 21)
+        text = sweep_rates("amplitude_damping", 0.0, 1.0, 21, None)
         rows = _parse_sweep(text)
         by_p = {round(r["param"], 3): r for r in rows}
         assert by_p[0.5]["sixstate_direct"] == pytest.approx(0.0, abs=1e-9)
@@ -452,7 +452,7 @@ class TestSweep:
                 assert r["sixstate_reverse"] > r["sixstate_direct"]
 
     def test_rotation_rates_match_closed_forms(self):
-        text = sweep_rates("rotation", 0.1, 3.0, 30)
+        text = sweep_rates("rotation", 0.1, 3.0, 30, None)
         for r in _parse_sweep(text):
             theta = r["param"]
             flip = math.sin(theta / 2) ** 2
@@ -465,7 +465,7 @@ class TestSweep:
 
     def test_ordering_invariants(self):
         for family, lo, hi in (("amplitude_damping", 0.0, 0.9), ("rotation", 0.1, 2.9)):
-            for r in _parse_sweep(sweep_rates(family, lo, hi, 12)):
+            for r in _parse_sweep(sweep_rates(family, lo, hi, 12, None)):
                 assert r["sixstate_direct"] >= r["bb84_direct"] - 1e-9
                 assert r["bb84_direct"] >= r["conventional_bb84"] - 1e-9
                 assert r["sixstate_direct"] >= r["conventional_sixstate"] - 1e-9

@@ -5,8 +5,9 @@ exported class, must be used outside its own definition: by a module of the
 package other than ``__init__``, by the benchmark in ``blockbench/``, or by
 the README.  A member that only tests reach belongs in ``tests/conftest.py``.
 Likewise every parameter with a default of an exported function or method
-must be passed by one of those callers: a value only tests set is a knob
-nobody else can use.
+must be passed by one of those callers, and left out by another: a value
+only tests set is a knob nobody else can use, and a default every caller
+overrides is never used.
 """
 
 import ast
@@ -106,18 +107,37 @@ def defaulted_parameters():
                 yield member, p.name, None if keyword_only else pos
 
 
-def test_every_defaulted_parameter_is_passed_outside_the_tests():
+def caller_calls():
+    """Every call site in the callers and in the README's Python blocks."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in caller_sources()]
     trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
-    calls = [call for tree in trees for call in call_sites(tree)]
+    return [call for tree in trees for call in call_sites(tree)]
+
+
+def passes(call, name, param, pos):
+    called, count, keywords = call
+    return called == name and (
+        param in keywords or None in keywords or (pos is not None and count > pos)
+    )
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = caller_calls()
     unpassed = [
         f"{name}({param})"
         for name, param, pos in defaulted_parameters()
-        if not any(
-            called == name
-            and (param in keywords or None in keywords or (pos is not None and count > pos))
-            for called, count, keywords in calls
-        )
+        if not any(passes(call, name, param, pos) for call in calls)
     ]
     assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"
+
+
+def test_every_defaulted_parameter_is_left_out_outside_the_tests():
+    """A default no caller relies on is a value every caller restates."""
+    calls = caller_calls()
+    always_passed = [
+        f"{name}({param})"
+        for name, param, pos in defaulted_parameters()
+        if not any(call[0] == name and not passes(call, name, param, pos) for call in calls)
+    ]
+    assert not always_passed, f"defaulted parameters every caller passes: {always_passed}"

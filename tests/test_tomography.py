@@ -7,8 +7,8 @@ import qkdpost.tomography as tomography
 import qkdpost.worstcase as worstcase
 from qkdpost.channels import (
     Basis,
-    ChoiMatrix,
     PauliProbs,
+    check_choi,
     choi_from_affine,
     make_amplitude_damping,
     make_pauli,
@@ -168,35 +168,45 @@ class TestNearestChoi:
     def test_diagonal_perturbation_projected_back(self, rng):
         choi = choi_from_affine(make_amplitude_damping(0.3))
         pert = np.diag(rng.normal(0, 0.05, 4))
-        raw = choi.matrix + pert
-        out = nearest_choi(ChoiMatrix(raw))
-        assert out.min_eigenvalue() >= -1e-9
-        out.validate(1e-8)
+        raw = choi + pert
+        out = nearest_choi(raw)
+        assert np.linalg.eigvalsh(out)[0] >= -1e-9
+        check_choi(out, 1e-8)
         # nonexpansive: no farther from the raw point than the valid start
-        assert np.linalg.norm(out.matrix - raw) <= np.linalg.norm(pert) + 1e-12
+        assert np.linalg.norm(out - raw) <= np.linalg.norm(pert) + 1e-12
 
     def test_idempotent(self, rng):
         choi = choi_from_affine(random_cp_channel(rng))
-        noisy = choi.matrix + rng.normal(0, 0.03, (4, 4))
-        once = nearest_choi(ChoiMatrix(noisy))
+        noisy = choi + rng.normal(0, 0.03, (4, 4))
+        once = nearest_choi(noisy)
         twice = nearest_choi(once)
-        assert np.abs(twice.matrix - once.matrix).max() < 1e-10
+        assert np.abs(twice - once).max() < 1e-10
+
+    def test_choi_matrices_are_read_only(self, rng):
+        valid = choi_from_affine(make_amplitude_damping(0.4))
+        projected = nearest_choi(valid + np.diag(rng.normal(0, 0.05, 4)))
+        tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, 2000, rng)
+        estimated = estimate_rates_sixstate(tally).choi
+        for m in (valid, nearest_choi(valid), projected, estimated):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
 
     def test_projection_from_tally(self, rng):
         tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, 2000, rng)
         out = nearest_choi(choi_from_affine(linear_inversion(tally)))
-        out.validate(1e-8)
-        assert out.min_eigenvalue() >= -1e-9
+        check_choi(out, 1e-8)
+        assert np.linalg.eigvalsh(out)[0] >= -1e-9
 
     def test_consistency_with_growing_samples(self, rng):
-        truth = choi_from_affine(make_rotation(0.8)).matrix
+        truth = choi_from_affine(make_rotation(0.8))
         errors = []
         for size in (10**3, 10**5):
             dists = []
             for _ in range(10):
                 tally = sample_tally(make_rotation(0.8), SIXSTATE_BASES, size, rng)
                 est = nearest_choi(choi_from_affine(linear_inversion(tally)))
-                dists.append(np.linalg.norm(est.matrix - truth))
+                dists.append(np.linalg.norm(est - truth))
             errors.append(np.median(dists))
         assert errors[1] < errors[0]
 
@@ -385,7 +395,7 @@ class TestPipelines:
                 tally = pool_tally(ch, seed, protocol="sixstate")
                 raw = choi_from_affine(linear_inversion(tally))
                 projected = estimate_rates_sixstate(tally).projected
-                assert projected == (raw.min_eigenvalue() < -tomography.PSD_TOL)
+                assert projected == (np.linalg.eigvalsh(raw)[0] < -tomography.PSD_TOL)
                 flags.append(projected)
         assert any(flags) and not all(flags)
 
@@ -436,8 +446,8 @@ class TestPipelines:
         for _ in range(10):
             tally = sample_tally(random_cp_channel(rng), SIXSTATE_BASES, 500, rng)
             est = estimate_rates_sixstate(tally)
-            est.choi.validate(1e-8)
-            assert est.choi.min_eigenvalue() >= -1e-9
+            check_choi(est.choi, 1e-8)
+            assert np.linalg.eigvalsh(est.choi)[0] >= -1e-9
 
     def test_rate_error_decreases_with_samples(self, rng):
         medians = rate_error_curve(
