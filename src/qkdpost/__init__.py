@@ -62,9 +62,7 @@ from .tomography import (
     sample_tally,
 )
 from .worstcase import (
-    FeasibleInterval,
     ObservableParams,
-    feasible_interval,
     worst_case_ambiguity,
     worst_case_lower_bound,
 )

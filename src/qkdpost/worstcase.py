@@ -105,55 +105,35 @@ class ObservableParams:
         return base, step
 
     @cached_property
-    def interval(self) -> FeasibleInterval | None:
-        """The feasible r_yy interval, computed once per omega."""
+    def interval(self) -> tuple[float, float] | None:
+        """The feasible r_yy interval ``(lo, hi)``, computed once per omega."""
         return feasible_interval(self)
 
     @cached_property
     def max_entropy(self) -> float:
         """Largest ``S(base + r * step)`` in bits over the feasible interval.
 
-        Golden section to 1e-7 plus both ends, or the anchor of a degenerate
-        interval; raises ValueError when no completion exists.
+        Golden section to 1e-7 plus both ends; on a degenerate interval, the
+        entropy at the argmax of the Choi minimum eigenvalue.  Raises
+        ValueError when no completion exists.
         """
-        interval = self.interval
-        if interval is None:
+        if self.interval is None:
             raise ValueError("omega admits no completely positive completion")
+        lo, hi = self.interval
         base, step = self.pencil
 
-        def neg_entropy(r):
-            return -_plogp(np.linalg.eigvalsh(base + r * step))
+        def spectrum(r):
+            return np.linalg.eigvalsh(base + r * step)
 
-        if interval.width <= DEGENERATE_WIDTH:
-            return -neg_entropy(interval.anchor)
-        _, best = golden_section_min(neg_entropy, interval.lo, interval.hi, tol=1e-7)
-        return -min(best, neg_entropy(interval.lo), neg_entropy(interval.hi))
-
-
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """Closed interval of r_yy values completing omega to a valid channel.
-
-    ``anchor`` is the argmax of the Choi minimum eigenvalue when the interval
-    is degenerate (width at most DEGENERATE_WIDTH), otherwise the midpoint.
-    """
-
-    lo: float
-    hi: float
-    anchor: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
+        if hi - lo <= DEGENERATE_WIDTH:
+            r, _ = golden_section_min(lambda r: -spectrum(r)[0], lo, hi, tol=1e-12)
+            return _plogp(spectrum(r))
+        _, best = golden_section_min(lambda r: -_plogp(spectrum(r)), lo, hi, tol=1e-7)
+        return max(-best, _plogp(spectrum(lo)), _plogp(spectrum(hi)))
 
 
-def _min_eig(omega: ObservableParams, r_yy: float) -> float:
-    base, step = omega.pencil
-    return float(np.linalg.eigvalsh(base + r_yy * step)[0])
-
-
-def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
-    """Endpoints of the valid r_yy range, or None when no completion exists.
+def feasible_interval(omega: ObservableParams) -> tuple[float, float] | None:
+    """Ends ``(lo, hi)`` of the valid r_yy range, or None when no completion exists.
 
     With ``C(r) = base + r * step``, ``min_eig(C(r)) >= -PSD_SLACK`` can only
     change at a real root of ``det(base + PSD_SLACK * I + r * step)``, an
@@ -168,14 +148,10 @@ def feasible_interval(omega: ObservableParams) -> FeasibleInterval | None:
     roots = np.linalg.eigvals(np.linalg.solve(step, -(base + PSD_SLACK * np.eye(4))))
     cuts = np.unique(np.clip(np.append(roots.real, [-1.0, 1.0]), -1.0, 1.0))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    kept = [i for i, r in enumerate(mids) if _min_eig(omega, r) >= -PSD_SLACK]
+    kept = [i for i, r in enumerate(mids) if np.linalg.eigvalsh(base + r * step)[0] >= -PSD_SLACK]
     if not kept:
         return None
-    lo, hi = float(cuts[kept[0]]), float(cuts[kept[-1] + 1])
-    anchor = 0.5 * (lo + hi)
-    if hi - lo <= DEGENERATE_WIDTH:
-        anchor, _ = golden_section_min(lambda r: -_min_eig(omega, r), lo, hi, tol=1e-12)
-    return FeasibleInterval(lo, hi, anchor)
+    return float(cuts[kept[0]]), float(cuts[kept[-1] + 1])
 
 
 def worst_case_ambiguity(omega: ObservableParams, direction: str = "direct") -> float:

@@ -272,7 +272,7 @@ def completions_of_omega(ch, interval, rng, count):
     for _ in range(count):
         lam = rng.uniform(0.0, 1.0)
         mu = rng.uniform(0.0, 1.0)
-        r_yy = rng.uniform(interval.lo, interval.hi)
+        r_yy = rng.uniform(*interval)
         reduced = omega.complete(r_yy)
         r = mu * (lam * ch.r + (1 - lam) * partner.r) + (1 - mu) * reduced.r
         t = mu * (lam * ch.t + (1 - lam) * partner.t) + (1 - mu) * reduced.t

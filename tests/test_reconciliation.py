@@ -402,13 +402,10 @@ class TestBruteForceMap:
 
 
 def _coset_members(code, syn):
-    dense = to_dense(code)
-    out = []
-    for v in range(2**code.n):
-        vec = np.array([(v >> i) & 1 for i in range(code.n)], np.uint8)
-        if np.array_equal((dense @ vec) % 2, syn):
-            out.append(vec)
-    return out
+    """Every word of syndrome syn, in increasing order of its value with bit
+    i of the value as entry i."""
+    words = ((np.arange(2**code.n)[:, None] >> np.arange(code.n)) & 1).astype(np.uint8)
+    return list(words[((words @ to_dense(code).T) % 2 == syn).all(axis=1)])
 
 
 def _scan_all(code, syn, priors):
@@ -531,10 +528,15 @@ class TestSumProduct:
         assert agree / conv >= 0.95
 
     def test_converged_beats_nearest_member_with_symmetric_priors(self, rng):
-        q = 0.1
+        """A converged word is a coset member, so it never scores above the
+        nearest member, the MAP member under symmetric priors.  Sum-product
+        is not MAP decoding, so equality is asserted on 97% of the converged
+        draws rather than on each: over 2,000 draws at each of 11 seeds, 92
+        of 18,911 converged words (0.5%, at most 13 of 1,738 in one seed)
+        scored below the nearest member."""
         joint = JointDistribution([[0.45, 0.05], [0.05, 0.45]])
-        checked = 0
-        for _ in range(100):
+        nearest_found = []
+        for _ in range(1000):
             n = int(rng.integers(10, 15))
             m = int(np.ceil(n * 0.7))
             code = gen_parity_check(n, m, seed=int(rng.integers(1e9)))
@@ -544,14 +546,16 @@ class TestSumProduct:
             res = sp_decode(code, syn, joint, y)
             if not res.converged:
                 continue
-            checked += 1
             members = _coset_members(code, syn)
             dists = [(v ^ y).sum() for v in members]
             nearest = members[int(np.argmin(dists))]
             lp = np.log(np.clip(priors, 1e-300, None))
             score = lambda v: lp[np.arange(n), v].sum()
-            assert score(res.bits) >= score(nearest) - 1e-9
-        assert checked > 40
+            decoded, best = score(res.bits), score(nearest)
+            assert decoded <= best + 1e-9
+            nearest_found.append(decoded >= best - 1e-9)
+        assert len(nearest_found) > 700
+        assert sum(nearest_found) >= 0.97 * len(nearest_found)
 
 
 class TestSumProductSegments:

@@ -222,7 +222,7 @@ def barrier_stationarity(omega, omega_raw, mu=1e-9):
         sign, logdet = np.linalg.slogdet(tomography._barrier_rho(np.append(w, r)))
         return -logdet if sign > 0 else np.inf
 
-    r_yy, _ = golden_section_min(neg_logdet, iv.lo, iv.hi, tol=1e-13)
+    r_yy, _ = golden_section_min(neg_logdet, *iv, tol=1e-13)
     rho_inv = np.linalg.inv(tomography._barrier_rho(np.append(w, r_yy)))
     traces = np.trace(rho_inv @ tomography._BARRIER_G, axis1=1, axis2=2)
     observed = np.abs(2.0 * (w - omega_raw.as_array()) - mu * traces[:6]).max()

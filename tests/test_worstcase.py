@@ -5,14 +5,13 @@ import pytest
 
 from qkdpost import worstcase
 from qkdpost.channels import choi_from_affine, make_amplitude_damping, make_rotation
-from qkdpost.entropy import binary_entropy
+from qkdpost.entropy import _plogp, binary_entropy
 from qkdpost.keyrate import DIRECTIONS, choi_ambiguity
 from qkdpost.tomography import linear_inversion, project_omega_bb84
 from qkdpost.worstcase import (
     DEGENERATE_WIDTH,
     PSD_SLACK,
     ObservableParams,
-    _min_eig,
     feasible_interval,
     golden_section_min,
     worst_case_ambiguity,
@@ -31,6 +30,27 @@ from conftest import (
 
 def omega_of(ch):
     return ObservableParams.from_channel(ch)
+
+
+def min_eig(omega, r_yy):
+    """Minimum eigenvalue of the completed Choi matrix at r_yy."""
+    base, step = omega.pencil
+    return float(np.linalg.eigvalsh(base + r_yy * step)[0])
+
+
+def argmax_min_eig(omega):
+    """The point of omega's feasible interval where the completion is most
+    positive, found as ``max_entropy`` finds it on a degenerate interval."""
+    lo, hi = omega.interval
+    r, _ = golden_section_min(lambda r: -min_eig(omega, r), lo, hi, tol=1e-12)
+    return r
+
+
+def anchor(omega):
+    """One point per interval: the argmax of the minimum eigenvalue on a
+    degenerate interval, the midpoint otherwise."""
+    lo, hi = omega.interval
+    return argmax_min_eig(omega) if hi - lo <= DEGENERATE_WIDTH else 0.5 * (lo + hi)
 
 
 def feasible_omega(rng, unital=False):
@@ -55,24 +75,33 @@ class TestGoldenSection:
 class TestFeasibleInterval:
     @pytest.mark.parametrize("p", [0.1, 0.36, 0.8])
     def test_damping_interval_is_a_point(self, p):
+        """The interval is sqrt(1 - p) inflated by the slack, and the maximum
+        entropy is read at the argmax of the minimum eigenvalue."""
         om = omega_of(make_amplitude_damping(p))
         iv = feasible_interval(om)
         assert iv is not None
+        lo, hi = iv
         want = math.sqrt(1 - p)
-        assert iv.lo == pytest.approx(want, abs=1e-5)
-        assert iv.hi == pytest.approx(want, abs=1e-5)
-        assert iv.anchor == pytest.approx(want, abs=1e-6)
+        assert lo == pytest.approx(want, abs=1e-5)
+        assert hi == pytest.approx(want, abs=1e-5)
+        assert hi - lo <= DEGENERATE_WIDTH
+        r = argmax_min_eig(om)
+        assert r == pytest.approx(want, abs=1e-6)
+        base, step = om.pencil
+        assert om.max_entropy == _plogp(np.linalg.eigvalsh(base + r * step))
 
     def test_identity_pins_to_one(self):
         iv = feasible_interval(omega_of(make_identity()))
         assert iv is not None
-        assert iv.lo - 1e-12 <= 1.0 <= iv.hi + 1e-12
-        assert iv.hi == pytest.approx(1.0, abs=1e-9)
+        lo, hi = iv
+        assert lo - 1e-12 <= 1.0 <= hi + 1e-12
+        assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_rotation_contains_one(self):
         iv = feasible_interval(omega_of(make_rotation(math.pi / 6)))
         assert iv is not None
-        assert iv.lo - 1e-12 <= 1.0 <= iv.hi + 1e-12
+        lo, hi = iv
+        assert lo - 1e-12 <= 1.0 <= hi + 1e-12
 
     def test_grid_oracle_agreement(self, rng):
         """Interval endpoints bracket exactly the grid points whose completion
@@ -83,12 +112,13 @@ class TestFeasibleInterval:
         for om in cases:
             iv = feasible_interval(om)
             assert iv is not None
+            lo, hi = iv
             ok = np.array(
                 [is_completely_positive(om.complete(float(r)), tol=1e-12) for r in grid]
             )
-            inside = (grid >= iv.lo - 1e-3) & (grid <= iv.hi + 1e-3)
+            inside = (grid >= lo - 1e-3) & (grid <= hi + 1e-3)
             assert not (ok & ~inside).any()
-            well_inside = (grid >= iv.lo + 1e-3) & (grid <= iv.hi - 1e-3)
+            well_inside = (grid >= lo + 1e-3) & (grid <= hi - 1e-3)
             assert (ok | ~well_inside).all()
 
     def test_infeasible_omega(self):
@@ -113,10 +143,11 @@ class TestFeasibleInterval:
                             for r in grid
                         )
                         continue
-                    for end, outward in ((iv.lo, -1e-9), (iv.hi, 1e-9)):
+                    lo, hi = iv
+                    for end, outward in ((lo, -1e-9), (hi, 1e-9)):
                         if -1.0 < end < 1.0:
-                            assert _min_eig(om, end) >= -PSD_SLACK - 1e-14
-                            assert _min_eig(om, end + outward) < -PSD_SLACK
+                            assert min_eig(om, end) >= -PSD_SLACK - 1e-14
+                            assert min_eig(om, end + outward) < -PSD_SLACK
         assert nones > 0
 
 
@@ -156,17 +187,17 @@ class TestPencil:
         for tally in pool_tallies:
             raw = ObservableParams.from_channel(linear_inversion(tally))
             for om in {raw, project_omega_bb84(raw)}:
-                iv = om.interval
-                if iv is None:
+                if om.interval is None:
                     continue
+                lo, hi = om.interval
                 base, step = om.pencil
                 worst = {d: worst_case_ambiguity(om, d) for d in ("direct", "reverse")}
-                for r in (iv.lo, iv.hi, iv.anchor, iv.lo + 0.3 * iv.width):
+                for r in (lo, hi, anchor(om), lo + 0.3 * (hi - lo)):
                     for direction in ("direct", "reverse"):
                         got = choi_ambiguity(base + r * step, direction)
                         want = purification_ambiguity(base + r * step, direction)
                         assert abs(got - want) <= 1e-9
-                        if iv.width > DEGENERATE_WIDTH:
+                        if hi - lo > DEGENERATE_WIDTH:
                             assert worst[direction] <= got + 1e-12
                     checked += 1
         assert checked >= 4 * len(pool_tallies)
@@ -177,7 +208,7 @@ class TestPencil:
         with pytest.raises(ValueError, match="direction"):
             worst_case_ambiguity(om, "sideways")
         with pytest.raises(ValueError, match="direction"):
-            choi_ambiguity(base + om.interval.anchor * step, "sideways")
+            choi_ambiguity(base + argmax_min_eig(om) * step, "sideways")
         with pytest.raises(ValueError, match="direction"):
             worst_case_lower_bound(om, "sideways")
         for direction in ("direct", "reverse"):
@@ -185,8 +216,8 @@ class TestPencil:
                 choi_ambiguity(base - step, direction)
 
     def test_one_search_per_omega_for_both_directions(self, rng, monkeypatch):
-        om = feasible_omega(rng)
-        assert om.interval.width > DEGENERATE_WIDTH
+        """One golden search per omega on either branch: the entropy search
+        on a wide interval, the minimum-eigenvalue argmax on a degenerate one."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -194,9 +225,16 @@ class TestPencil:
             return golden_section_min(*args, **kwargs)
 
         monkeypatch.setattr(worstcase, "golden_section_min", counted)
-        worst = {d: worst_case_ambiguity(om, d) for d in DIRECTIONS}
-        assert len(calls) == 1
-        assert worst["mismatched"] == worst["direct"]
+        for om, degenerate in (
+            (feasible_omega(rng), False),
+            (omega_of(make_amplitude_damping(0.3)), True),
+        ):
+            calls.clear()
+            worst = {d: worst_case_ambiguity(om, d) for d in DIRECTIONS}
+            assert len(calls) == 1
+            assert worst["mismatched"] == worst["direct"]
+            lo, hi = om.interval
+            assert (hi - lo <= DEGENERATE_WIDTH) == degenerate
 
 
 class TestWorstCaseAmbiguity:
@@ -274,10 +312,10 @@ class TestWorstCaseAmbiguity:
         for _ in range(10):
             om = feasible_omega(rng)
             iv = feasible_interval(om)
-            if iv is None or iv.width < 1e-3:
+            if iv is None or iv[1] - iv[0] < 1e-3:
                 continue
             amb = lambda r: choi_ambiguity(choi_from_affine(om.complete(r)), "direct")
-            lo, hi = iv.lo + 1e-6, iv.hi - 1e-6
+            lo, hi = iv[0] + 1e-6, iv[1] - 1e-6
             for lam in (0.25, 0.5, 0.75):
                 mid = lo + lam * (hi - lo)
                 assert amb(mid) <= lam * amb(hi) + (1 - lam) * amb(lo) + 1e-9
