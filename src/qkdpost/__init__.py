@@ -15,17 +15,12 @@ from .channels import (
     affine_from_choi,
     check_choi,
     choi_from_affine,
-    joint_distribution,
     make_amplitude_damping,
     make_pauli,
     make_rotation,
     parse_channel_spec,
 )
-from .entropy import (
-    JointDistribution,
-    binary_entropy,
-    cond_entropy,
-)
+from .entropy import binary_entropy, cond_entropy
 from .hashing import HashDescriptor, apply_hash, key_length, sample_hash
 from .keyrate import (
     RateReport,

@@ -197,23 +197,16 @@ def affine_from_choi(choi: np.ndarray) -> AffineChannel:
 # ---------------------------------------------------------------------------
 
 
-def _joint(ch: AffineChannel, a, b) -> np.ndarray:
-    """P(x, y) in the last two axes for a uniform x sent on axis ``a`` and read
-    on axis ``b`` (integer arrays that broadcast): the output component is
-    ``r[b, a] s_x + t[b]`` with s = (1, -1), and P(y | x) = (1 + s_y component) / 2."""
-    comp = ch.r[b, a][..., None] * _BIT_SIGNS + ch.t[b][..., None]
-    return 0.5 * np.clip(0.5 * (1.0 + _BIT_SIGNS * comp[..., None]), 0.0, 1.0)
-
-
-def joint_distribution(ch: AffineChannel, a: Basis, b: Basis) -> np.ndarray:
-    """2x2 table P(x, y) for a uniform input bit; rows x, columns y."""
-    return _joint(ch, a.axis, b.axis)
-
-
 def joint_tables(ch: AffineChannel, bases: tuple[Basis, ...]) -> np.ndarray:
-    """Exact P(x, y) of every basis pair, indexed [a, b, x, y] like a tally."""
+    """Exact P(x, y) of every basis pair, indexed [a, b, x, y] like a tally.
+
+    A uniform x sent on axis a and read on axis b leaves the output
+    component ``r[b, a] s_x + t[b]`` with s = (1, -1), and P(y | x) =
+    (1 + s_y component) / 2, clipped to [0, 1].
+    """
     axes = np.array([b.axis for b in bases])
-    return _joint(ch, axes[:, None], axes)
+    comp = ch.r[axes, axes[:, None]][..., None] * _BIT_SIGNS + ch.t[axes][..., None]
+    return 0.5 * np.clip(0.5 * (1.0 + _BIT_SIGNS * comp[..., None]), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,10 @@ from .channels import (
     AffineChannel,
     Basis,
     affine_from_choi,
-    joint_distribution,
+    joint_tables,
     pauli_weights,
 )
-from .entropy import (
-    JointDistribution,
-    _plogp,
-    binary_entropy,
-    cond_entropy,
-)
+from .entropy import _plogp, binary_entropy, cond_entropy
 
 # direction -> (Alice's basis, Bob's basis, key party) of the key pair; key
 # party 0 distills the key from Alice's bits, 1 from Bob's
@@ -63,16 +58,15 @@ class RateReport:
     ``raw_rate`` keeps the unclamped difference.
     """
 
-    direction: str
     ambiguity: float
     cond_entropy: float
     raw_rate: float
     key_rate: float
 
     @classmethod
-    def build(cls, direction: str, ambiguity: float, ce: float) -> "RateReport":
+    def build(cls, ambiguity: float, ce: float) -> "RateReport":
         raw = ambiguity - ce
-        return cls(direction, ambiguity, ce, raw, max(0.0, raw))
+        return cls(ambiguity, ce, raw, max(0.0, raw))
 
 
 def key_entropy(c: np.ndarray, direction: str) -> float:
@@ -115,16 +109,18 @@ def key_party(direction: str) -> int:
     return _direction_row(direction)[2]
 
 
-def key_joint(table: np.ndarray, direction: str) -> JointDistribution:
-    """The key pair's joint P(x, y) oriented as P(key, helper): transposed
-    when Bob is the key party."""
-    table = np.asarray(table)
-    return JointDistribution(table.T if key_party(direction) else table)
+def key_joint(table: np.ndarray, direction: str) -> np.ndarray:
+    """Read-only copy of the key pair's 2x2 joint P(x, y) oriented as
+    P(key, helper): transposed when Bob is the key party."""
+    table = np.asarray(table, dtype=float)
+    joint = (table.T if key_party(direction) else table).copy()
+    joint.setflags(write=False)
+    return joint
 
 
-def channel_key_joint(ch: AffineChannel, direction: str) -> JointDistribution:
+def channel_key_joint(ch: AffineChannel, direction: str) -> np.ndarray:
     """The key pair's exact joint under channel ``ch``, as P(key, helper)."""
-    return key_joint(joint_distribution(ch, *key_bases(direction)), direction)
+    return key_joint(joint_tables(ch, key_bases(direction))[0, 1], direction)
 
 
 def keyrate(choi: np.ndarray, direction: str) -> RateReport:
@@ -135,7 +131,7 @@ def keyrate(choi: np.ndarray, direction: str) -> RateReport:
     mismatched:  H(X|E) - H(X|Y')  (Bob measured in the x basis)
     """
     joint = channel_key_joint(affine_from_choi(choi), direction)
-    return RateReport.build(direction, choi_ambiguity(choi, direction), cond_entropy(joint))
+    return RateReport.build(choi_ambiguity(choi, direction), cond_entropy(joint))
 
 
 # ---------------------------------------------------------------------------

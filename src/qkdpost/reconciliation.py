@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import JointDistribution
+from .entropy import ZERO_CUTOFF
 
 # bound on every log-likelihood ratio, prior and message alike
 LLR_CLAMP = 30.0
@@ -240,9 +240,15 @@ def syndrome(matrix: ParityCheckMatrix, x: np.ndarray) -> np.ndarray:
     return syn
 
 
-def _prior_llrs(priors: np.ndarray) -> np.ndarray:
-    logs = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
-    return np.clip(logs[:, 0] - logs[:, 1], -LLR_CLAMP, LLR_CLAMP)
+def _prior_llrs(joint: np.ndarray) -> np.ndarray:
+    """ln P(key 0 | helper) / P(key 1 | helper) of the (key, helper) joint,
+    one per helper bit; a helper bit of probability <= ZERO_CUTOFF has a
+    uniform key column and LLR 0."""
+    py = joint.sum(axis=0)
+    cond = joint / np.where(py > ZERO_CUTOFF, py, 1.0)
+    cond[:, py <= ZERO_CUTOFF] = 0.5
+    logs = np.log(np.clip(cond, 1e-300, None))
+    return np.clip(logs[0] - logs[1], -LLR_CLAMP, LLR_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ def _group_count(num_edges: int) -> int:
 def sp_decode(
     matrix: ParityCheckMatrix,
     syn: np.ndarray,
-    joint: JointDistribution,
+    joint: np.ndarray,
     observed: np.ndarray,
     max_iter: int = 100,
 ) -> DecodeResult:
@@ -321,7 +327,7 @@ def sp_decode(
     lift = (half - np.arctanh(np.full(1, 1 - eps))[0]) / eps
     # llr > 0 means bit 0 is more likely.  The totals start at the prior of
     # each position's helper bit and each group updates them in place
-    tot = np.take((0.5 * _prior_llrs(joint.conditional().T)).astype(np.float32), observed)
+    tot = np.take((0.5 * _prior_llrs(joint)).astype(np.float32), observed)
     # an empty check has parity 0, so a 1 on one fails every syndrome test
     testable = not syn[matrix.row_weights() == 0].any()
     syn = syn[layout.checks]

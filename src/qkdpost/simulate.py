@@ -276,7 +276,7 @@ def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
         est = estimate_rates_bb84(tally)
         estimate_text = "omega " + " ".join(repr(float(v)) for v in est.omega.as_array())
     ambiguity = (est.direct, est.reverse)[key_party(config.direction)].ambiguity
-    return RateReport.build(config.direction, ambiguity, ce), joint, estimate_text
+    return RateReport.build(ambiguity, ce), joint, estimate_text
 
 
 def run_protocol(config: ProtocolConfig) -> RunReport:

@@ -30,7 +30,7 @@ from .channels import (
     choi_from_coefficients,
     joint_tables,
 )
-from .entropy import JointDistribution, cond_entropy
+from .entropy import cond_entropy
 from .keyrate import (
     RateReport,
     channel_key_joint,
@@ -151,7 +151,7 @@ def sample_tally(
     return TallyTable(np.array(counts), bases)
 
 
-def empirical_key_joint(tally: TallyTable, direction: str) -> JointDistribution:
+def empirical_key_joint(tally: TallyTable, direction: str) -> np.ndarray:
     """Relative frequencies of the key basis pair's tally cell, as P(key, helper)."""
     ia, ib = (tally.bases.index(b) for b in key_bases(direction))
     cell = tally.counts[ia, ib].astype(float)
@@ -385,8 +385,8 @@ def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
     completion = omega.complete(0.0)
     ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
 
-    def report(direction: str, joint: JointDistribution) -> RateReport:
-        return RateReport.build(direction, ambiguity[key_party(direction)], cond_entropy(joint))
+    def report(direction: str, joint: np.ndarray) -> RateReport:
+        return RateReport.build(ambiguity[key_party(direction)], cond_entropy(joint))
 
     return BB84Estimate(
         omega=omega,

@@ -11,9 +11,9 @@ from qkdpost.channels import (
     make_pauli,
     make_rotation,
 )
-from qkdpost.entropy import _plogp, binary_entropy
+from qkdpost.entropy import ZERO_CUTOFF, _plogp, binary_entropy
 from qkdpost.keyrate import key_bases, keyrate
-from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, ParityCheckMatrix, _bits, _prior_llrs
+from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, ParityCheckMatrix, _bits
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     _BARRIER_G,
@@ -358,7 +358,16 @@ def rate_error_curve(ch, protocol, sample_sizes, trials, seed):
 def error_probability(joint):
     """P(x != y) of a joint table, the flip rate the error-syndrome floor
     h(P(x != y)) reads."""
-    return float(joint.table[0, 1] + joint.table[1, 0])
+    return float(joint[0, 1] + joint[1, 0])
+
+
+def conditional(joint):
+    """Columns P(x | y) of a 2x2 joint P(x, y); a y of probability at most
+    ZERO_CUTOFF gets a uniform column."""
+    py = joint.sum(axis=0)
+    cols = joint / np.where(py > ZERO_CUTOFF, py, 1.0)
+    cols[:, py <= ZERO_CUTOFF] = 0.5
+    return cols
 
 
 def priors_from_joint(joint, observed):
@@ -367,7 +376,14 @@ def priors_from_joint(joint, observed):
     ``sp_decode`` reads from ``(joint, observed)`` without building them.
     ``observed`` holds the helper's bits; anything else raises ``ValueError``.
     """
-    return joint.conditional().T[_bits(observed, "observed")]
+    return conditional(joint).T[_bits(observed, "observed")]
+
+
+def prior_llrs(priors):
+    """ln p0 / p1 of each row of an n x 2 prior array, each prior clipped at
+    1e-300 and each LLR clamped to LLR_CLAMP."""
+    logs = np.log(np.clip(np.asarray(priors, dtype=float), 1e-300, None))
+    return np.clip(logs[:, 0] - logs[:, 1], -LLR_CLAMP, LLR_CLAMP)
 
 
 def flooding_oracle(matrix, syn, priors, max_iter=100):
@@ -393,7 +409,7 @@ def flooding_oracle(matrix, syn, priors, max_iter=100):
     starts = matrix.chk_ptr[:-1][full]
     half = np.float32(0.5 * LLR_CLAMP)
     sgn = (1.0 - 2.0 * syn).astype(np.float32)
-    tot = (0.5 * _prior_llrs(priors)).astype(np.float32)
+    tot = (0.5 * prior_llrs(priors)).astype(np.float32)
     cv = np.zeros(var.shape[0], np.float32)
     prod, par = np.zeros(matrix.m, np.float32), np.zeros(matrix.m, bool)
     for it in range(1, max_iter + 1):

@@ -13,7 +13,7 @@ from qkdpost.channels import (
     make_amplitude_damping,
     make_rotation,
 )
-from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
+from qkdpost.entropy import binary_entropy, cond_entropy
 from qkdpost.keyrate import choi_ambiguity, keyrate
 from qkdpost.reconciliation import (
     gen_parity_check,
@@ -28,11 +28,12 @@ from qkdpost.worstcase import (
     worst_case_ambiguity,
     worst_case_lower_bound,
 )
-from qkdpost.channels import Basis, joint_distribution
+from qkdpost.channels import Basis, joint_tables
 
 from conftest import (
     closed_form_example_rates,
     completions_of_omega,
+    conditional,
     error_probability,
     map_decode_bruteforce,
     priors_from_joint,
@@ -92,7 +93,7 @@ def test_criterion_3_rotation_worst_case_and_limit():
         om = ObservableParams.from_channel(ch)
         f = worst_case_ambiguity(om, "direct")
         worst_f = max(worst_f, abs(f - 1.0))
-        joint = JointDistribution(joint_distribution(ch, Basis.Z, Basis.Z))
+        joint = joint_tables(ch, (Basis.Z, Basis.Z))[0, 1]
         rate = f - cond_entropy(joint)
         want = 1.0 - binary_entropy(math.sin(theta / 2) ** 2)
         worst_rate = max(worst_rate, abs(rate - want))
@@ -193,9 +194,7 @@ def test_criterion_6_tomography_consistency():
 def test_criterion_7_reconciliation():
     """Frame errors, oracle agreement on decodes, and the conditional-entropy
     floor inequality."""
-    joint = JointDistribution(
-        joint_distribution(make_amplitude_damping(0.3), Basis.Z, Basis.Z)
-    )
+    joint = joint_tables(make_amplitude_damping(0.3), (Basis.Z, Basis.Z))[0, 1]
     hxy = cond_entropy(joint)
     n = 10_000
     m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
@@ -203,7 +202,7 @@ def test_criterion_7_reconciliation():
     rng = np.random.default_rng(4321)
     fails = 0
     for _ in range(50):
-        flat = rng.choice(4, size=n, p=joint.table.ravel())
+        flat = rng.choice(4, size=n, p=joint.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
         res = sp_decode(code, syndrome(code, x), joint, y)
         if not (res.converged and np.array_equal(res.bits, x)):
@@ -218,7 +217,7 @@ def test_criterion_7_reconciliation():
         nn = int(rng.integers(10, 17))
         mm = int(np.ceil(nn * (hxy + 0.2)))
         small = gen_parity_check(nn, mm, seed=int(rng.integers(1e9)))
-        flat = rng.choice(4, size=nn, p=joint.table.ravel())
+        flat = rng.choice(4, size=nn, p=joint.ravel())
         x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
         syn = syndrome(small, x)
         priors = priors_from_joint(joint, y)
@@ -234,11 +233,10 @@ def test_criterion_7_reconciliation():
     strict = 0
     for _ in range(1000):
         table = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        j = JointDistribution(table)
-        hx = cond_entropy(j)
-        hw = binary_entropy(error_probability(j))
+        hx = cond_entropy(table)
+        hw = binary_entropy(error_probability(table))
         assert hx <= hw + 1e-12
-        cond = j.conditional()
+        cond = conditional(table)
         if abs(cond[0, 0] - cond[1, 1]) > 1e-6:
             assert hw > hx - 1e-12
             strict += hw > hx + 1e-9

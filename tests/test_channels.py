@@ -13,7 +13,6 @@ from qkdpost.channels import (
     choi_from_affine,
     choi_from_coefficients,
     format_channel_spec,
-    joint_distribution,
     joint_tables,
     make_amplitude_damping,
     make_pauli,
@@ -261,16 +260,16 @@ def _oracle_choi(ch):
 
 class TestOutcomeStatistics:
     def test_identity_matched(self):
-        assert 2 * joint_distribution(make_identity(), Basis.Z, Basis.Z)[0, 0] == pytest.approx(1.0)
+        assert 2 * joint_tables(make_identity(), (Basis.Z, Basis.Z))[0, 1, 0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.9])
     def test_damping_flip_from_one(self, p):
-        got = 2 * joint_distribution(make_amplitude_damping(p), Basis.Z, Basis.Z)[1, 0]
+        got = 2 * joint_tables(make_amplitude_damping(p), (Basis.Z, Basis.Z))[0, 1, 1, 0]
         assert got == pytest.approx(p)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.2])
     def test_rotation_cross_basis(self, theta):
-        got = 2 * joint_distribution(make_rotation(theta), Basis.Z, Basis.X)[0, 1]
+        got = 2 * joint_tables(make_rotation(theta), (Basis.Z, Basis.X))[0, 1, 0, 1]
         assert got == pytest.approx(math.sin(theta / 2 - math.pi / 4) ** 2, abs=1e-12)
 
     def test_outcomes_normalize(self, rng):
@@ -279,7 +278,7 @@ class TestOutcomeStatistics:
             for a in Basis:
                 for b in Basis:
                     for x in (0, 1):
-                        total = sum(2 * joint_distribution(ch, a, b)[x, y] for y in (0, 1))
+                        total = sum(2 * joint_tables(ch, (a, b))[0, 1, x, y] for y in (0, 1))
                         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_matches_choi_trace_in_real_bases(self, rng):
@@ -297,7 +296,7 @@ class TestOutcomeStatistics:
                             kb = KETS[b][:, y]
                             proj = np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()).conj())
                             want = 2.0 * np.real(np.trace(choi @ proj))
-                            got = 2 * joint_distribution(ch, a, b)[x, y]
+                            got = 2 * joint_tables(ch, (a, b))[0, 1, x, y]
                             assert got == pytest.approx(want, abs=1e-12)
 
     def test_joint_tables_match_choi_trace_in_all_bases(self, rng):
@@ -315,19 +314,19 @@ class TestOutcomeStatistics:
                 assert got[a, b, x, y] == pytest.approx(want, abs=1e-12)
 
     def test_joint_identity(self):
-        j = joint_distribution(make_identity(), Basis.Z, Basis.Z)
+        j = joint_tables(make_identity(), (Basis.Z, Basis.Z))[0, 1]
         assert np.allclose(j, np.diag([0.5, 0.5]))
 
     def test_joint_rotation_flip_probability(self):
         theta = 0.9
-        j = joint_distribution(make_rotation(theta), Basis.Z, Basis.Z)
+        j = joint_tables(make_rotation(theta), (Basis.Z, Basis.Z))[0, 1]
         flip = math.sin(theta / 2) ** 2
         assert j[0, 1] == pytest.approx(flip / 2, abs=1e-12)
         assert j[1, 0] == pytest.approx(flip / 2, abs=1e-12)
 
     def test_joint_damping(self):
         p = 0.35
-        j = joint_distribution(make_amplitude_damping(p), Basis.Z, Basis.Z)
+        j = joint_tables(make_amplitude_damping(p), (Basis.Z, Basis.Z))[0, 1]
         assert j[0, 0] == pytest.approx(0.5)
         assert j[0, 1] == pytest.approx(0.0)
         assert j[1, 0] == pytest.approx(p / 2)

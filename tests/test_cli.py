@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qkdpost import cli
-from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping, make_rotation
+from qkdpost.channels import Basis, joint_tables, make_amplitude_damping, make_rotation
 from qkdpost.cli import main, read_bits, write_bits
-from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
+from qkdpost.entropy import binary_entropy, cond_entropy
 from qkdpost.reconciliation import (
     ParityCheckMatrix,
     _group_count,
@@ -168,10 +168,10 @@ def test_simulate_seed_override_changes_report(tmp_path):
 
 
 def test_decode_command(tmp_path, capsys):
-    joint = JointDistribution(joint_distribution(make_amplitude_damping(0.3), Basis.Z, Basis.Z))
+    joint = joint_tables(make_amplitude_damping(0.3), (Basis.Z, Basis.Z))[0, 1]
     code = gen_parity_check(1200, 740, seed=21)
     rng = np.random.default_rng(5)
-    flat = rng.choice(4, size=1200, p=joint.table.ravel())
+    flat = rng.choice(4, size=1200, p=joint.ravel())
     x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
 
     mpath = tmp_path / "code.alist"
@@ -212,7 +212,7 @@ def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
     enough for the decoder to split its checks into groups: the command
     decodes exactly as the library does."""
     n = 12_000
-    joint = JointDistribution(joint_distribution(make_amplitude_damping(0.1), Basis.Z, Basis.Z))
+    joint = joint_tables(make_amplitude_damping(0.1), (Basis.Z, Basis.Z))[0, 1]
     m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
     base = gen_parity_check(n, m, seed=23)
     rng = np.random.default_rng(6)
@@ -222,7 +222,7 @@ def test_decode_command_on_a_shuffled_code_in_check_groups(tmp_path, capsys):
     order = np.lexsort((cols, rows))
     code = ParityCheckMatrix(n, m, np.searchsorted(rows[order], np.arange(m + 1)), cols[order])
     assert _group_count(code.num_edges) >= 2
-    flat = rng.choice(4, size=n, p=joint.table.ravel())
+    flat = rng.choice(4, size=n, p=joint.ravel())
     x, y = (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
     want = sp_decode(code, syndrome(code, x), joint, y)
     assert want.converged and np.array_equal(want.bits, x)

@@ -7,21 +7,27 @@ from qkdpost.channels import (
     AffineChannel,
     PauliProbs,
     choi_from_affine,
+    joint_tables,
     make_amplitude_damping,
     make_pauli,
     make_rotation,
 )
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import (
+    channel_key_joint,
     choi_ambiguity,
+    key_joint,
     keyrate,
     keyrate_conventional_bb84,
     keyrate_conventional_sixstate,
 )
 
+from qkdpost.tomography import BB84_BASES, empirical_key_joint
+
 from conftest import (
     bell_diagonal_oracle,
     closed_form_example_rates,
+    exact_tally,
     make_identity,
     random_cp_channel,
     random_unital_channel,
@@ -172,6 +178,36 @@ class TestKeyrate:
             rep = keyrate(choi_of(random_cp_channel(rng)), "direct")
             assert rep.key_rate == max(0.0, rep.ambiguity - rep.cond_entropy)
             assert rep.raw_rate == pytest.approx(rep.ambiguity - rep.cond_entropy)
+
+
+class TestKeyJoint:
+    """The key pair's joint is a read-only float (2, 2) array P(key, helper)
+    that shares no memory with what it was read from."""
+
+    @staticmethod
+    def assert_read_only_copy(joint, want, source):
+        assert joint.dtype == np.float64 and np.array_equal(joint, want)
+        assert not joint.flags.writeable and not np.shares_memory(joint, source)
+        with pytest.raises(ValueError, match="read-only"):
+            joint[0, 0] = 0.0
+
+    def test_key_joint_is_transposed_only_when_bob_holds_the_key(self):
+        table = np.array([[0.45, 0.05], [0.15, 0.35]])
+        for direction in ("direct", "reverse", "mismatched"):
+            want = table.T if direction == "reverse" else table
+            self.assert_read_only_copy(key_joint(table, direction), want, table)
+
+    def test_channel_and_empirical_joints(self):
+        ch = make_amplitude_damping(0.3)
+        tally = exact_tally(ch, BB84_BASES)
+        exact = joint_tables(ch, BB84_BASES)
+        for direction, cell in (("direct", (0, 0)), ("reverse", (0, 0)), ("mismatched", (0, 1))):
+            counts = tally.counts[cell].astype(float)
+            exact_cell, freqs = exact[cell], counts / counts.sum()
+            if direction == "reverse":
+                exact_cell, freqs = exact_cell.T, freqs.T
+            self.assert_read_only_copy(channel_key_joint(ch, direction), exact_cell, ch.r)
+            self.assert_read_only_copy(empirical_key_joint(tally, direction), freqs, tally.counts)
 
 
 def conventional_rates(ch):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from qkdpost import reconciliation
-from qkdpost.channels import Basis, joint_distribution, make_amplitude_damping
-from qkdpost.entropy import JointDistribution, binary_entropy, cond_entropy
+from qkdpost.channels import Basis, joint_tables, make_amplitude_damping
+from qkdpost.entropy import binary_entropy, cond_entropy
 from qkdpost.keyrate import key_joint
 from qkdpost.reconciliation import (
     COL_WEIGHT,
     _group_count,
+    _prior_llrs,
     gen_parity_check,
     read_alist,
     sp_decode,
@@ -20,10 +21,12 @@ from qkdpost.reconciliation import (
 from conftest import (
     alist_oracle,
     col_weights,
+    conditional,
     error_probability,
     flooding_oracle,
     gf2_rank,
     map_decode_bruteforce,
+    prior_llrs,
     priors_from_joint,
     to_dense,
     weight_two_code,
@@ -32,17 +35,17 @@ from conftest import (
 
 
 def damping_joint(p):
-    return JointDistribution(joint_distribution(make_amplitude_damping(p), Basis.Z, Basis.Z))
+    return joint_tables(make_amplitude_damping(p), (Basis.Z, Basis.Z))[0, 1]
 
 
 def bsc_joint(p):
-    return JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+    return np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
 
 
 def weak_one_joint(q):
     """Helper bit 0 gives the prior 0.9/0.1 toward key bit 0, helper bit 1
     the prior q/(1 - q), with q = P(key = 0 | helper = 1)."""
-    return JointDistribution([[0.45, 0.5 * q], [0.05, 0.5 * (1 - q)]])
+    return np.array([[0.45, 0.5 * q], [0.05, 0.5 * (1 - q)]])
 
 
 def half_every_seventh(rng):
@@ -56,7 +59,7 @@ def half_every_seventh(rng):
 
 def sample_pair(joint, n, rng):
     """(x, y) of length n drawn iid from a 2x2 joint table."""
-    flat = rng.choice(4, size=n, p=joint.table.ravel())
+    flat = rng.choice(4, size=n, p=joint.ravel())
     return (flat // 2).astype(np.uint8), (flat % 2).astype(np.uint8)
 
 
@@ -354,7 +357,7 @@ class TestObserved:
         code = gen_parity_check(60, 40, seed=4)
         x, y = sample_pair(joint, 60, rng)
         syn = syndrome(code, x)
-        want = flooding_oracle(code, syn, joint.conditional()[:, y].T, max_iter=5)
+        want = flooding_oracle(code, syn, conditional(joint)[:, y].T, max_iter=5)
         for obs in (y, y.tolist(), y.astype(bool), y.astype(float)):
             got = sp_decode(code, syn, joint, obs, max_iter=5)
             assert np.array_equal(got.bits, want.bits)
@@ -365,6 +368,33 @@ class TestObserved:
         code = gen_parity_check(60, 30, seed=4)
         with pytest.raises(ValueError, match="observed length"):
             sp_decode(code, np.zeros(30, np.uint8), bsc_joint(0.1), np.zeros(shape, np.uint8))
+
+
+class TestPriorLlrs:
+    """``sp_decode``'s two prior LLRs are read straight off the joint, with the
+    conditional's arithmetic: a helper bit of probability <= ZERO_CUTOFF gets
+    a uniform key column and LLR 0."""
+
+    EDGE_TABLES = [
+        [[0.5, 0.0], [0.0, 0.5]],
+        [[0.0, 0.5], [0.5, 0.0]],
+        [[0.5, 0.5], [0.0, 0.0]],
+        [[0.5, 0.0], [0.5, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.5, 1e-13], [0.5 - 1e-13, 0.0]],
+        [[0.5, 1e-12], [0.5 - 1e-12, 0.0]],
+        [[0.5, 2e-12], [0.5 - 2e-12, 0.0]],
+        [[0.5, 1e-200], [0.5, 1e-320]],
+    ]
+
+    def test_equals_the_conditional_formula(self, rng):
+        tables = [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(1000)]
+        for table in tables + [np.array(t) for t in self.EDGE_TABLES]:
+            got, want = _prior_llrs(table), prior_llrs(conditional(table).T)
+            assert (got == want).all(), table
+
+    def test_a_helper_bit_of_probability_at_most_the_cutoff_gives_llr_zero(self):
+        assert _prior_llrs(np.array([[0.5, 1e-13], [0.5 - 1e-13, 0.0]]))[1] == 0.0
 
 
 class TestBruteForceMap:
@@ -453,7 +483,7 @@ class TestSumProduct:
         code = _explicit_code([[0, 1, 2], [3, 4]], n=5)
         assert _group_count(code.num_edges) == groups
         s = 1 / (1 + np.exp(24.0))
-        joint = JointDistribution([[0.5, 0.5 * s], [0.0, 0.5 * (1 - s)]])
+        joint = np.array([[0.5, 0.5 * s], [0.0, 0.5 * (1 - s)]])
         res = sp_decode(code, np.zeros(2, np.uint8), joint, [0, 0, 1, 0, 0])
         assert res.converged and res.iterations == 1
         assert not res.bits.any()
@@ -495,7 +525,7 @@ class TestSumProduct:
         assert fails <= 2
 
     def test_frame_errors_rare_on_a_symmetric_channel(self, rng):
-        joint = JointDistribution([[0.47, 0.03], [0.03, 0.47]])
+        joint = np.array([[0.47, 0.03], [0.03, 0.47]])
         n = 12_000
         m = int(np.ceil(n * (cond_entropy(joint) + 0.1)))
         code = gen_parity_check(n, m, seed=8)
@@ -534,7 +564,7 @@ class TestSumProduct:
         draws rather than on each: over 2,000 draws at each of 11 seeds, 92
         of 18,911 converged words (0.5%, at most 13 of 1,738 in one seed)
         scored below the nearest member."""
-        joint = JointDistribution([[0.45, 0.05], [0.05, 0.45]])
+        joint = np.array([[0.45, 0.05], [0.05, 0.45]])
         nearest_found = []
         for _ in range(1000):
             n = int(rng.integers(10, 15))
@@ -590,7 +620,7 @@ class TestSumProductSegments:
 
     def test_one_check_over_every_variable(self, rng):
         n, p = 2000, 0.03
-        joint = JointDistribution([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+        joint = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
         m = int(np.ceil(n * (cond_entropy(joint) + 0.2)))
         base = gen_parity_check(n, m, seed=9)
         supports = [base.chk_vars[a:b] for a, b in zip(base.chk_ptr[:-1], base.chk_ptr[1:])]
@@ -607,7 +637,7 @@ class TestSumProductSegments:
 
     def test_exact_half_priors_agree_with_map_on_tiny_codes(self, rng):
         # helper bit 1, one bit in 7, leaves the key bit at exactly 1/2
-        joint = JointDistribution([[0.774, 0.07], [0.086, 0.07]])
+        joint = np.array([[0.774, 0.07], [0.086, 0.07]])
         agree = conv = 0
         for _ in range(40):
             n = int(rng.integers(10, 17))
@@ -798,16 +828,16 @@ class TestReverseMapVsMl:
     def test_map_and_ml_pick_different_words(self):
         """Reverse reconciliation: the decoded side has a non-uniform prior,
         so weighting by it changes the argmax on this frozen instance."""
-        joint = JointDistribution(np.array([[0.45, 0.05], [0.15, 0.35]]))
+        joint = np.array([[0.45, 0.05], [0.15, 0.35]])
         # weight_two_code(8, 4, seed=653866010)
         code = _explicit_code([[0, 2, 4], [0, 1, 4, 5], [2, 3, 5, 6], [1, 3, 6, 7]], n=8)
         x = np.array([0, 0, 1, 1, 0, 1, 0, 1], np.uint8)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 0], np.uint8)
         syn = syndrome(code, y)
-        priors_map = priors_from_joint(key_joint(joint.table, "reverse"), x)
+        priors_map = priors_from_joint(key_joint(joint, "reverse"), x)
         got_map = map_decode_bruteforce(code, syn, priors_map)
         # likelihood-only decoding scores candidates by P(x_j | yhat_j)
-        cxy = joint.conditional()
+        cxy = conditional(joint)
         priors_ml = cxy[x, :]
         got_ml = map_decode_bruteforce(code, syn, priors_ml)
         assert np.array_equal(got_map, y)
