@@ -416,12 +416,36 @@ def _column_checks(tokens: list[str], m: int) -> list[int]:
     return rows
 
 
+def _column_ids(columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 tokens of the column lines, and the token count of each line.
+
+    One ``np.fromstring`` reads the lines, each ended by a -1 marker.  When
+    the text has no sign but the markers' and every marker is read back, each
+    token was a run of decimal digits and was read as ``int()`` reads it,
+    except that one beyond int64 reads as 2^63 - 1, which no check index can
+    be.  Any other text is read token by token, where a token ``int()``
+    rejects, or one beyond int64, raises.
+    """
+    text = " -1 ".join(columns) + " -1"
+    if "+" not in text and text.count("-") == len(columns):
+        try:
+            ids = np.fromstring(text, dtype=np.int64, sep=" ")
+        # numpy raises on unmatched text, or warns and stops reading there
+        except (ValueError, DeprecationWarning):
+            ids = np.zeros(0, np.int64)
+        ends = np.flatnonzero(ids == -1)
+        if ends.size == len(columns):
+            return ids[ids != -1], np.diff(ends, prepend=-1) - 1
+    ids = np.array(" ".join(columns).split(), dtype=np.int64)
+    return ids, np.array([len(line.split()) for line in columns], np.int64)
+
+
 def read_alist(path) -> ParityCheckMatrix:
     """Parse an alist file; malformed input raises ValueError naming the line.
 
-    The column lines are parsed as one array and validated once, by
-    :class:`ParityCheckMatrix`; a file it rejects is read again line by line
-    with :func:`_column_checks` to name its first bad line.
+    The column lines are parsed as one array by :func:`_column_ids` and
+    validated once, by :class:`ParityCheckMatrix`; a file it rejects is read
+    again line by line with :func:`_column_checks` to name its first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().split("\n")
@@ -442,17 +466,19 @@ def read_alist(path) -> ParityCheckMatrix:
         col_linenos = nonblank[4 : 4 + n]
         columns = [lines[k - 1] for k in col_linenos]
         try:
-            # a token int() rejects, or one beyond int64, raises here
-            ids = np.array(" ".join(columns).split(), dtype=np.int64)
-            per_line = [len(line.split()) for line in columns]
+            ids, per_line = _column_ids(columns)
             # 0 pads a column to the maximum weight
             col = np.repeat(np.arange(len(columns)), per_line)[ids != 0]
             row = ids[ids != 0] - 1
-            # a stable sort by check keeps each check's columns ascending; a
-            # check out of range or repeated in one column fails validation
-            order = np.argsort(row, kind="stable")
-            chk_ptr = np.searchsorted(row[order], np.arange(m + 1))
-            matrix = ParityCheckMatrix(n, m, chk_ptr, col[order])
+            # a check out of range fails here, one repeated in one column
+            # fails validation
+            if row.size and not (0 <= row.min() and row.max() < m):
+                raise ValueError("check index out of range")
+            # edges sorted by (check, column): each check's columns ascend
+            width = len(columns)
+            edges = np.sort(row * width + col)
+            chk_ptr = np.searchsorted(edges, np.arange(m + 1) * width)
+            matrix = ParityCheckMatrix(n, m, chk_ptr, edges % width)
         except (ValueError, OverflowError):
             for lineno, line in zip(col_linenos, columns):
                 _column_checks(line.split(), m)

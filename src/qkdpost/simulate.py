@@ -147,9 +147,11 @@ def load_config(path) -> ProtocolConfig:
         return parse_config(f.read())
 
 
-# Signals per draw call: each chunk allocates a few int64 / float64 arrays
-# of this length, and consecutive draws continue one stream unchanged.
-EXCHANGE_CHUNK = 1 << 16
+# Words per ``random_raw`` call; consecutive calls continue one stream
+# unchanged.  Each chunk allocates a few arrays of at most 128 KiB: with
+# 512 KiB ones the allocator gave the memory back after every chunk, and
+# page faults took about a fifth of the exchange.
+EXCHANGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,9 +161,54 @@ class ExchangeResult:
     y_key: np.ndarray
 
 
-def _chunks(n: int):
-    for start in range(0, n, EXCHANGE_CHUNK):
-        yield start, min(start + EXCHANGE_CHUNK, n)
+class _RawStream:
+    """One PCG64 stream read as a ``Generator`` on it reads it.
+
+    A word yields its low 32-bit half and then its high half to 32-bit draws,
+    and is used whole by 64-bit ones; the ``'<u8'`` to ``'<u4'`` view gives
+    that order on any host.  Words are drawn ``EXCHANGE_CHUNK`` at a time.
+    """
+
+    def __init__(self, bitgen: np.random.BitGenerator):
+        self._bitgen = bitgen
+        self._halves = np.zeros(0, "<u4")
+
+    def _draw(self, k: int) -> np.ndarray:
+        return self._bitgen.random_raw(min(k, EXCHANGE_CHUNK)).astype("<u8", copy=False)
+
+    def integers(self, high: int, n: int):
+        """``Generator.integers(0, high, n)`` for high 2 or 3, as uint8 pieces.
+
+        A 32-bit output w maps to floor(w high / 2^32), the number of cuts
+        ceil(j 2^32 / high) at or below w.  Lemire's rejection threshold
+        (2^32 - high) mod high is 0 for range 2 and 1 for range 3, so only a
+        range-3 draw redraws, and only at w = 0.
+        """
+        cuts = [((j << 32) + high - 1) // high for j in range(1, high)]
+        while n:
+            if not self._halves.size:
+                self._halves = self._draw(EXCHANGE_CHUNK).view("<u4")
+            w, self._halves = self._halves[:n], self._halves[n:]
+            if high == 3 and not w.all():
+                w = w[w != 0]
+            n -= w.size
+            draw = (w >= cuts[0]).view(np.uint8)
+            for c in cuts[1:]:
+                draw += w >= c
+            yield draw
+
+    def words(self, k: int) -> np.ndarray:
+        """Between 1 and ``k`` next whole words; the high half of a word
+        whose low half was read is dropped, as a 64-bit draw drops it."""
+        whole = self._halves[self._halves.size % 2 :].view("<u8")[:k]
+        self._halves = self._halves[self._halves.size % 2 + 2 * whole.size :]
+        return whole if whole.size else self._draw(k)
+
+
+def _random_threshold(p: np.ndarray) -> np.ndarray:
+    """The integers t with ``Generator.random() < p`` exactly when
+    ``(word >> 11) < t``, for p in [0, 1]: random() is (word >> 11) 2^-53."""
+    return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
 def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
@@ -172,46 +219,58 @@ def simulate_exchange(config: ProtocolConfig) -> ExchangeResult:
     of the remainder only the configured key basis pair is kept, as aligned
     (x, y) sequences.
 
-    Stream contract: a ``default_rng(seed_channel)`` draws n int64 values of
-    Alice's bits, then n of Alice's bases, then n of Bob's bases, then n
-    uniforms that decide Bob's bits.  Each is drawn in chunks of
-    ``EXCHANGE_CHUNK``; consecutive draws continue the same stream, so the
-    values do not depend on the chunk size.  The three integer draws are
-    kept as one uint8 cell per signal, (Alice basis, Bob basis, x), so the
-    exchange holds O(n) bytes.
+    Stream contract: the raw words of ``default_rng(seed_channel)`` are read
+    to give exactly what its Generator gives for ``integers(0, 2, n)``
+    (Alice's bits), then ``integers(0, nb, n)`` twice (Alice's and Bob's
+    bases), then ``random(n)`` (the uniforms that decide Bob's bits).  The
+    integer draws read 32-bit halves, low half first: a bit is w >= 2^31,
+    and a basis the number of cuts ceil(j 2^32 / nb) at or below w, where a
+    six-state basis skips w = 0 as numpy's rejection does.  The uniforms
+    start at the next whole word, and u < p is read as
+    ``(word >> 11) < ceil(p 2^53)``.  Words are drawn ``EXCHANGE_CHUNK`` at a
+    time, so the values do not depend on the chunk size.  The three integer
+    draws are kept as one uint8 cell per signal, (Alice basis, Bob basis,
+    x), so the exchange holds O(n) bytes.
     """
-    rng = np.random.default_rng(config.seed_channel)
+    stream = _RawStream(np.random.default_rng(config.seed_channel).bit_generator)
     bases = config.bases
     nb = len(bases)
     n = config.n_signals
     # cell = (a * nb + b) * 2 + x, the tally's index without Bob's bit
     cell = np.zeros(n, np.uint8)
     for high, weight in ((2, 1), (nb, 2 * nb), (nb, 2)):  # x, then a, then b
-        for start, stop in _chunks(n):
-            # the int64 draw keeps the stream; a uint8 draw would pack the words
-            draw = rng.integers(0, high, size=stop - start).astype(np.uint8)
-            cell[start:stop] += draw * weight
-    # P(y = 1 | cell); the factor 2 undoes P(x) = 1/2 exactly
+        start = 0
+        for draw in stream.integers(high, n):
+            draw *= weight
+            cell[start : start + draw.size] += draw
+            start += draw.size
+    # P(y = 1 | cell); the factor 2 undoes P(x) = 1/2 exactly, and
+    # joint_tables clips it to [0, 1]
     p1 = 2.0 * joint_tables(config.channel, bases)[..., 1].reshape(-1)
+    threshold = _random_threshold(p1)
 
     n_est = int(round(n * config.estimation_fraction))
     ia_key, ib_key = (bases.index(b) for b in key_bases(config.direction))
     key_pair = ia_key * nb + ib_key
     counts = np.zeros(nb * nb * 4, np.int64)
     x_parts, y_parts = [np.zeros(0, np.uint8)], [np.zeros(0, np.uint8)]
-    for start, stop in _chunks(n):
-        u = rng.random(stop - start)
+    start = 0
+    while start < n:
+        u53 = stream.words(n - start) >> 11
+        stop = start + u53.size
         split = min(max(n_est - start, 0), stop - start)
         if split:
             est = cell[start : start + split]
-            flat = 2 * est + (u[:split] < p1[est])
+            # an intp index gathers about twice as fast as a uint8 one
+            flat = 2 * est + (u53[:split] < threshold[est.astype(np.intp)])
             counts += np.bincount(flat, minlength=counts.size)
         if split < stop - start:
             tail = cell[start + split : stop]
             pos = np.flatnonzero(tail >> 1 == key_pair)
             key = tail[pos]
             x_parts.append(key & 1)
-            y_parts.append((u[split:][pos] < p1[key]).astype(np.uint8))
+            y_parts.append((u53[split:][pos] < threshold[key.astype(np.intp)]).view(np.uint8))
+        start = stop
     tally = TallyTable(counts.reshape(nb, nb, 2, 2), bases)
     return ExchangeResult(tally, np.concatenate(x_parts), np.concatenate(y_parts))
 

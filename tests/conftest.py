@@ -309,6 +309,42 @@ def exchange_oracle(config):
     return ExchangeResult(tally, abit[mask].astype(np.uint8), ybit[mask].astype(np.uint8))
 
 
+# numpy's PCG64 steps its 128-bit state as state * multiplier + inc, then
+# outputs rotr64(hi ^ lo, hi >> 58) of the new state
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+
+
+def pcg64_with_output(word_index, word, seed=0):
+    """A fresh PCG64 whose output number ``word_index`` (0-based) is ``word``.
+
+    Any ``hi`` gives a stepped state with that output, ``lo = hi ^
+    rotl64(word, hi >> 58)``; the state is then stepped back ``word_index + 1``
+    times with the multiplier's inverse mod 2^128.
+    """
+    bitgen = np.random.PCG64(seed)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    hi = state["state"]["state"] >> 64
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & _MASK64)
+    s = (hi << 64) | lo
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(word_index + 1):
+        s = ((s - inc) * inverse) % (1 << 128)
+    state["state"]["state"] = s
+    bitgen.state = state
+    check = np.random.PCG64()
+    check.state = state
+    assert int(check.random_raw(word_index + 1)[-1]) == word
+    return bitgen
+
+
+def hash_generator_oracle(nbits, seed):
+    """The Toeplitz generator bits drawn through the Generator itself."""
+    return np.random.default_rng(seed).integers(0, 2, size=nbits, dtype=np.uint8)
+
+
 def exact_tally(ch, bases, scale=10**12):
     """Idealized tally with counts proportional to the exact probabilities.
 

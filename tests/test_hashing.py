@@ -3,7 +3,7 @@ import pytest
 
 from qkdpost.hashing import HashDescriptor, apply_hash, key_length, sample_hash
 
-from conftest import toeplitz_matrix
+from conftest import hash_generator_oracle, toeplitz_matrix
 
 
 class TestKeyLength:
@@ -59,6 +59,13 @@ class TestDescriptor:
         with pytest.raises(ValueError) as built:
             HashDescriptor(n, ell, np.zeros(max(n + ell - 1, 0), np.uint8))
         assert str(sampled.value) == str(built.value)
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 63, 64, 65, 58541])
+    def test_generator_bits_are_the_generator_draw(self, nbits):
+        # one input bit per generator bit: ell = 1, n = nbits
+        for seed in (0, 3, 2**40 + 1):
+            got = sample_hash(1, nbits, seed=seed).generator
+            assert np.array_equal(got, hash_generator_oracle(nbits, seed))
 
     def test_sampling_deterministic(self):
         a = sample_hash(64, 256, seed=9)
@@ -152,3 +159,50 @@ class TestApplyHash:
         want = (toeplitz_matrix(desc).astype(np.int64) @ (x ^ 1).astype(np.int64)) & 1
         assert np.array_equal(second, want.astype(np.uint8))
         assert np.array_equal(first, apply_hash(desc, x))
+
+
+def _dense_key(desc, x):
+    return ((toeplitz_matrix(desc).astype(np.int64) @ x.astype(np.int64)) & 1).astype(np.uint8)
+
+
+class TestHashMemo:
+    """``apply_hash`` keeps each descriptor's last input and key."""
+
+    def test_repeated_input_is_not_transformed_again(self, rng, monkeypatch):
+        desc = sample_hash(100, 400, seed=4)
+        x = rng.integers(0, 2, 400).astype(np.uint8)
+        first = apply_hash(desc, x)
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        second = apply_hash(desc, x.copy())
+        assert calls == []
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
+    def test_keys_and_input_are_not_shared_with_the_memo(self, rng):
+        desc = sample_hash(100, 400, seed=4)
+        x = rng.integers(0, 2, 400).astype(np.uint8)
+        want = _dense_key(desc, x)
+        first = apply_hash(desc, x)
+        first ^= 1
+        second = apply_hash(desc, x)
+        assert np.array_equal(second, want)
+        second ^= 1
+        assert np.array_equal(apply_hash(desc, x), want)
+        x[:50] ^= 1
+        assert np.array_equal(apply_hash(desc, x), _dense_key(desc, x))
+
+    def test_alternating_inputs(self, rng):
+        desc = sample_hash(60, 300, seed=5)
+        a = rng.integers(0, 2, 300).astype(np.uint8)
+        b = a.copy()
+        b[-1] ^= 1
+        for x in (a, b, a):
+            assert np.array_equal(apply_hash(desc, x), _dense_key(desc, x))
+
+    def test_memo_belongs_to_its_descriptor(self, rng):
+        one, other = sample_hash(60, 300, seed=5), sample_hash(60, 300, seed=6)
+        x = rng.integers(0, 2, 300).astype(np.uint8)
+        assert not np.array_equal(apply_hash(one, x), _dense_key(other, x))
+        assert np.array_equal(apply_hash(other, x), _dense_key(other, x))
+        assert np.array_equal(apply_hash(one, x), _dense_key(one, x))

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import product, takewhile
 
 import numpy as np
 import pytest
@@ -339,6 +339,50 @@ class TestAlist:
             assert np.array_equal(back.chk_vars, want[3])
             outcomes.add("parsed")
         assert outcomes == {"error", "parsed"}
+
+    # tokens the one-pass parse must not read otherwise than int(): a token
+    # beyond int64 either way, one whose edge key (index - 1) * 10 wraps
+    # around to 4, bare signs (fromstring reads "+ 2" as 2 and "- 0" as 0),
+    # a sign inside a token, digit separators and non-ASCII digits, a NUL,
+    # and whitespace that only Python splits on
+    ODD_TOKENS = ["9" * 25, "-" + "9" * 25, str(2**64 // 10 + 2), "-", "+", "+ 2", "- 0",
+                  "- 1", "+-2", "1-2", "2+", "-0", "+1", "1_0", "\u0661", "1\x002",
+                  "1\x1c2", "1\x0b2"]
+
+    @staticmethod
+    def _assert_token_reads_as_the_oracle_reads_it(tmp_path, token, column):
+        path = tmp_path / "code.alist"
+        write_alist(weight_two_code(10, 4, 1), path)
+        lines = path.read_text().split("\n")
+        lines[4 + column] += " " + token
+        path.write_text("\n".join(lines))
+        try:
+            want = alist_oracle(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_alist(path)
+            assert str(got.value) == str(exc)
+            return
+        back = read_alist(path)
+        assert (back.n, back.m) == want[:2]
+        assert np.array_equal(back.chk_ptr, want[2])
+        assert np.array_equal(back.chk_vars, want[3])
+
+    @pytest.mark.parametrize("token", ODD_TOKENS, ids=[repr(t) for t in ODD_TOKENS])
+    @pytest.mark.parametrize("column", [0, 5])
+    def test_odd_token_reads_as_the_oracle_reads_it(self, tmp_path, token, column):
+        self._assert_token_reads_as_the_oracle_reads_it(tmp_path, token, column)
+
+    # "\u0662", an Arabic-Indic 2, is a check this column lacks: int() reads it
+    @pytest.mark.parametrize("token", ["x", "\u0662", "1_0"])
+    def test_a_short_one_pass_read_falls_back(self, tmp_path, monkeypatch, token):
+        # older numpy warns at unmatched text and returns the values before it
+        def stops_at_unmatched(text, dtype, sep):
+            plain = lambda t: t.lstrip("-").isascii() and t.lstrip("-").isdigit()  # noqa: E731
+            return np.array(list(takewhile(plain, text.split())), dtype=dtype)
+
+        monkeypatch.setattr(np, "fromstring", stops_at_unmatched)
+        self._assert_token_reads_as_the_oracle_reads_it(tmp_path, token, 5)
 
     def test_round_trip_keeps_an_empty_column(self, tmp_path):
         code = _explicit_code([{0}, {2}], 3)

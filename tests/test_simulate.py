@@ -25,11 +25,18 @@ from qkdpost.simulate import (
     load_config,
     parse_config,
     run_protocol,
+    _random_threshold,
+    _RawStream,
     simulate_exchange,
     sweep_rates,
 )
 
-from conftest import closed_form_example_rates, exchange_oracle, make_identity
+from conftest import (
+    closed_form_example_rates,
+    exchange_oracle,
+    make_identity,
+    pcg64_with_output,
+)
 
 
 class TestConfig:
@@ -202,6 +209,64 @@ def test_exchange_memory_is_bytes_per_signal():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _read_like_the_exchange(bitgen, n, nb):
+    """Bits, two basis draws and n uniforms' top 53 bits from the raw reader."""
+    stream = _RawStream(bitgen)
+    draws = [np.concatenate(list(stream.integers(high, n))) for high in (2, nb, nb)]
+    words = []
+    while sum(w.size for w in words) < n:
+        words.append(stream.words(n - sum(w.size for w in words)))
+    return draws, np.concatenate(words) >> 11
+
+
+def _draw_like_the_oracle(bitgen, n, nb):
+    gen = np.random.Generator(bitgen)
+    draws = [gen.integers(0, high, n) for high in (2, nb, nb)]
+    return draws, gen.random(n)
+
+
+# (n, index of the zero 32-bit output): odd n with the zero on the last bit or
+# the first basis, which share a word; n = C + 1 with the zero on the last
+# output of the first chunk of words or the first of the second
+ZERO_HALVES = ((1001, 1000), (1001, 1001), (C + 1, 2 * C - 1), (C + 1, 2 * C))
+
+
+@pytest.mark.parametrize("nb", [2, 3])
+@pytest.mark.parametrize("n, zero", ZERO_HALVES)
+def test_raw_reader_skips_a_zero_output_as_the_generator_does(n, zero, nb):
+    """A range-3 draw redraws a zero 32-bit output and a range-2 draw keeps
+    it; no seed reaches one, so the stream is set to make one."""
+    # the other half of the word is nonzero and odd
+    word = 0x9E3779B9 << 32 if zero % 2 == 0 else 0x7F4A7C15
+    make = lambda: pcg64_with_output(zero // 2, word)  # noqa: E731
+    halves = make().random_raw(zero // 2 + 1).astype("<u8").view("<u4")
+    assert halves[zero] == 0
+    (x, a, b), u53 = _read_like_the_exchange(make(), n, nb)
+    (want_x, want_a, want_b), want_u = _draw_like_the_oracle(make(), n, nb)
+    for got, want in ((x, want_x), (a, want_a), (b, want_b)):
+        assert got.size == n and np.array_equal(got, want)
+    assert np.array_equal(u53 * 2.0**-53, want_u)
+
+
+# the last two are not multiples of 2^-53, so ceil(p 2^53) is not floor(p 2^53)
+EDGE_PROBABILITIES = (0.0, 2.0**-53, 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0, 0.1, 1 / 3)
+
+
+@pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+def test_random_threshold_is_the_generator_comparison(p):
+    t = int(_random_threshold(np.float64(p)))
+    # words whose top 53 bits sit one below, at and one above the threshold
+    for top in {max(t - 1, 0), min(t, 2**53 - 1), min(t + 1, 2**53 - 1)}:
+        bitgen = pcg64_with_output(0, (top << 11) | 0x5A5)
+        word = _RawStream(bitgen).words(1)
+        bitgen = pcg64_with_output(0, (top << 11) | 0x5A5)
+        assert ((word >> 11) < t).tolist() == [np.random.Generator(bitgen).random() < p]
+    for seed in range(3):
+        words = _RawStream(np.random.default_rng(seed).bit_generator).words(10_000)
+        want = np.random.default_rng(seed).random(10_000) < p
+        assert np.array_equal((words >> 11) < _random_threshold(np.float64(p)), want)
 
 
 class TestRunProtocol:
