@@ -15,7 +15,9 @@ gives position j the one its observed helper bit selects.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -83,7 +85,7 @@ class ParityCheckMatrix:
 
     def __post_init__(self):
         for name in ("chk_ptr", "chk_vars"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
+            arr = np.array(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         ptr, var = self.chk_ptr, self.chk_vars
@@ -146,7 +148,7 @@ class ParityCheckMatrix:
             start, stop = stop, stop + w * k
             # row j of a bucket holds the j-th variable of each of its checks
             edges = self.chk_ptr[order[lo:hi]] + np.arange(w)[:, None]
-            edge_vars[start:stop] = self.chk_vars[edges].ravel()
+            np.take(self.chk_vars, edges, out=edge_vars[start:stop].reshape(w, k), mode="clip")
             groups.setdefault(g, []).append(_Bucket(slice(start, stop), slice(lo, hi), (w, k)))
         return _Layout(order, edge_vars, tuple(tuple(b) for b in groups.values()))
 
@@ -164,7 +166,17 @@ def gen_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
     hence invertible over GF(2).  Drawing the band per row rather than per
     column keeps the row weights of H even and leaves T columns of weight 2
     or more; it decodes with fewer frame errors than a per-column band or a
-    random column-regular code.  Deterministic for a given seed.
+    random column-regular code.
+
+    Deterministic for a given seed, whose stream is read in this order:
+    ``permutation(m)``, whose first (n - m) * COL_WEIGHT mod m rows join the
+    pool; ``shuffle`` of the pool; each redraw round's
+    ``integers(m, size=r)`` for its r repeats (entries equal to the one
+    before them in their sorted column), given out in the C order of the
+    (n - m, COL_WEIGHT) array of columns; then the band's
+    ``integers(2, max(COL_WEIGHT, m // 4) + 2, size=m)``.  Edges sort by
+    the key ``row << s | col``, s = (n - 1).bit_length(), a uint32 when
+    m * 2^s < 2^32 and a uint64 otherwise.
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m} n={n}")
@@ -173,32 +185,48 @@ def gen_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
     w, k = COL_WEIGHT, n - m
     rng = np.random.default_rng(seed)
     base, extra = divmod(k * w, m)
-    pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
+    pool = np.empty(k * w, np.int64)
+    pool[: base * m].reshape(m, base)[:] = np.arange(m)[:, None]
+    pool[base * m :] = rng.permutation(m)[:extra]
     rng.shuffle(pool)
     a_rows = pool.reshape(k, w)
-    while True:
-        a_rows.sort(axis=1)
-        repeat = np.zeros(a_rows.shape, bool)
-        repeat[:, 1:] = a_rows[:, 1:] == a_rows[:, :-1]
-        if not repeat.any():
-            break
-        a_rows[repeat] = rng.integers(m, size=int(repeat.sum()))
-    diag = np.arange(m)
-    band = diag - rng.integers(2, max(w, m // 4) + 2, size=m)
-    t_rows = np.concatenate([diag, diag[1:], diag])
-    t_cols = np.concatenate([diag, diag[:-1], band])
-    inside = t_cols >= 0
+    # sort each column's rows with a min/max network, then redraw the
+    # repeats of the columns that hold one until none does
+    a, b, c = a_rows.T
+    lo = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    np.minimum(b, c, out=a)
+    np.maximum(b, c, out=c)
+    np.maximum(lo, a, out=b)
+    np.minimum(lo, a, out=a)
+    redo = np.flatnonzero((a == b) | (b == c))
+    while redo.size:
+        sub = a_rows[redo]
+        repeat = sub[:, 1:] == sub[:, :-1]
+        sub[:, 1:][repeat] = rng.integers(m, size=int(repeat.sum()))
+        sub.sort(axis=1)
+        a_rows[redo] = sub
+        redo = redo[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+    r = rng.integers(2, max(w, m // 4) + 2, size=m)
+    inside = r <= np.arange(m)
+    # check i's edges: its A entries, T's diagonal and subdiagonal (none in check 0)
+    # and its band entry when inside
+    sizes = np.bincount(pool, minlength=m) + inside + 2
+    sizes[0] -= 1
+    # A's keys, then T's (i, k + i), (i + 1, k + i) and (i, k + i - r)
+    s = (n - 1).bit_length()
+    pool <<= s
+    for rows in (a, b, c):
+        rows |= np.arange(k)
+    diag = np.arange(k, k + m * ((1 << s) + 1), (1 << s) + 1)
+    parts = [pool, diag, diag[:-1] + (1 << s), (diag - r)[inside]]
+    key = np.concatenate(parts, dtype=np.uint32 if m << s < 2**32 else np.uint64, casting="unsafe")
     # one sort groups the edges by check with variables ascending; no key
     # repeats, since A's columns hold distinct rows and row i's band entry
     # lies before T's columns i - 1 and i
-    key = np.sort(
-        np.concatenate(
-            [a_rows.ravel() * n + np.repeat(np.arange(k), w), t_rows[inside] * n + k + t_cols[inside]]
-        )
-    )
-    chk, chk_vars = np.divmod(key, n)
-    chk_ptr = np.searchsorted(chk, np.arange(m + 1))
-    return ParityCheckMatrix(n, m, chk_ptr, chk_vars)
+    key.sort()
+    key &= (1 << s) - 1
+    return ParityCheckMatrix(n, m, np.concatenate([[0], np.cumsum(sizes)]), key)
 
 
 def _bits(values, what: str) -> np.ndarray:
@@ -440,53 +468,64 @@ def _column_ids(columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.array([len(line.split()) for line in columns], np.int64)
 
 
+def _line_number(path, index: int) -> int:
+    """The line number (from 1) of ``path``'s nonblank line ``index`` (from 0)."""
+    with open(path, "r", encoding="utf-8") as f:
+        return [k for k, line in enumerate(f, start=1) if line.strip()][index]
+
+
 def read_alist(path) -> ParityCheckMatrix:
     """Parse an alist file; malformed input raises ValueError naming the line.
 
-    The column lines are parsed as one array by :func:`_column_ids` and
-    validated once, by :class:`ParityCheckMatrix`; a file it rejects is read
-    again line by line with :func:`_column_checks` to name its first bad line.
+    Reading stops at the last column line.  The column lines are parsed as
+    one array by :func:`_column_ids` and validated once, by
+    :class:`ParityCheckMatrix`; a file it rejects is read again line by line
+    with :func:`_column_checks` to name its first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    # alist fields count nonblank lines only
-    nonblank = [k for k, line in enumerate(lines, start=1) if line.strip()]
-    if not nonblank:
-        raise ValueError("empty alist file")
-    try:
-        lineno = nonblank[0]
-        n, m = (int(v) for v in lines[lineno - 1].split())
-        if n < 1 or m < 1:
-            raise ValueError(f"sizes n={n} m={m} must be positive")
-        # line 4 lists the m row weights, so a file bounds its own m
-        lineno = nonblank[min(3, len(nonblank) - 1)]
-        weights = lines[lineno - 1].split() if len(nonblank) > 3 else []
-        if len(weights) != m:
-            raise ValueError(f"expected m={m} row weights, got {len(weights)}")
-        col_linenos = nonblank[4 : 4 + n]
-        columns = [lines[k - 1] for k in col_linenos]
+        # alist fields count nonblank lines only, read here stripped
+        lines = filter(None, map(str.strip, f))
+        head = list(islice(lines, 4))
+        if not head:
+            raise ValueError("empty alist file")
+        # the nonblank line an error names, counted from 0
+        at = 0
         try:
-            ids, per_line = _column_ids(columns)
-            # 0 pads a column to the maximum weight
-            col = np.repeat(np.arange(len(columns)), per_line)[ids != 0]
-            row = ids[ids != 0] - 1
-            # a check out of range fails here, one repeated in one column
-            # fails validation
-            if row.size and not (0 <= row.min() and row.max() < m):
-                raise ValueError("check index out of range")
-            # edges sorted by (check, column): each check's columns ascend
-            width = len(columns)
-            edges = np.sort(row * width + col)
-            chk_ptr = np.searchsorted(edges, np.arange(m + 1) * width)
-            matrix = ParityCheckMatrix(n, m, chk_ptr, edges % width)
-        except (ValueError, OverflowError):
-            for lineno, line in zip(col_linenos, columns):
-                _column_checks(line.split(), m)
+            n, m = (int(v) for v in head[0].split())
+            if n < 1 or m < 1:
+                raise ValueError(f"sizes n={n} m={m} must be positive")
+            # line 4 lists the m row weights, so a file bounds its own m
+            at = len(head) - 1
+            weights = head[3].split() if len(head) > 3 else []
+            if len(weights) != m:
+                raise ValueError(f"expected m={m} row weights, got {len(weights)}")
+            # islice takes at most sys.maxsize, more lines than a file holds
+            columns = list(islice(lines, min(n, sys.maxsize)))
+            try:
+                ids, per_line = _column_ids(columns)
+                # 0 pads a column to the maximum weight
+                col = np.repeat(np.arange(len(columns)), per_line)[ids != 0]
+                row = ids[ids != 0] - 1
+                # a check out of range fails here, one repeated in one column
+                # fails validation
+                if row.size and not (0 <= row.min() and row.max() < m):
+                    raise ValueError("check index out of range")
+                # edges sorted by (check, column): each check's columns ascend
+                width = len(columns)
+                edges = np.sort(row * width + col)
+                chk_ptr = np.searchsorted(edges, np.arange(m + 1) * width)
+                matrix = ParityCheckMatrix(n, m, chk_ptr, edges % width)
+            except (ValueError, OverflowError):
+                for at, line in enumerate(columns, start=4):
+                    _column_checks(line.split(), m)
+                raise
+        except UnicodeDecodeError:  # text that is not UTF-8 raises as it is read
             raise
-    except ValueError as exc:
-        raise ValueError(f"alist line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"alist line {_line_number(path, at)}: {exc}") from None
     if len(columns) < n:
         raise ValueError(
-            f"alist ends at line {nonblank[-1]}, before column {len(columns) + 1} of {n}"
+            f"alist ends at line {_line_number(path, 3 + len(columns))}, "
+            f"before column {len(columns) + 1} of {n}"
         )
     return matrix

@@ -13,7 +13,13 @@ from qkdpost.channels import (
 )
 from qkdpost.entropy import ZERO_CUTOFF, _plogp, binary_entropy
 from qkdpost.keyrate import key_bases, keyrate
-from qkdpost.reconciliation import LLR_CLAMP, DecodeResult, ParityCheckMatrix, _bits
+from qkdpost.reconciliation import (
+    COL_WEIGHT,
+    LLR_CLAMP,
+    DecodeResult,
+    ParityCheckMatrix,
+    _bits,
+)
 from qkdpost.simulate import ExchangeResult, ProtocolConfig, simulate_exchange
 from qkdpost.tomography import (
     _BARRIER_G,
@@ -495,6 +501,37 @@ def write_alist(matrix, path):
             f.writelines(
                 (" ".join(words[a:b]) or "0") + "\n" for a, b in zip(bounds[:-1], bounds[1:])
             )
+
+
+def parity_check_oracle(n, m, seed):
+    """``gen_parity_check`` with a row sort of A, a redraw round over every
+    column and one int64 key sort: the stream oracle of the construction."""
+    w, k = COL_WEIGHT, n - m
+    rng = np.random.default_rng(seed)
+    base, extra = divmod(k * w, m)
+    pool = np.concatenate([np.repeat(np.arange(m), base), rng.permutation(m)[:extra]])
+    rng.shuffle(pool)
+    a_rows = pool.reshape(k, w)
+    while True:
+        a_rows.sort(axis=1)
+        repeat = np.zeros(a_rows.shape, bool)
+        repeat[:, 1:] = a_rows[:, 1:] == a_rows[:, :-1]
+        if not repeat.any():
+            break
+        a_rows[repeat] = rng.integers(m, size=int(repeat.sum()))
+    diag = np.arange(m)
+    band = diag - rng.integers(2, max(w, m // 4) + 2, size=m)
+    t_rows = np.concatenate([diag, diag[1:], diag])
+    t_cols = np.concatenate([diag, diag[:-1], band])
+    inside = t_cols >= 0
+    key = np.sort(
+        np.concatenate(
+            [a_rows.ravel() * n + np.repeat(np.arange(k), w), t_rows[inside] * n + k + t_cols[inside]]
+        )
+    )
+    chk, chk_vars = np.divmod(key, n)
+    chk_ptr = np.searchsorted(chk, np.arange(m + 1))
+    return ParityCheckMatrix(n, m, chk_ptr, chk_vars)
 
 
 def weight_two_code(n, m, seed):

@@ -26,6 +26,7 @@ from conftest import (
     flooding_oracle,
     gf2_rank,
     map_decode_bruteforce,
+    parity_check_oracle,
     prior_llrs,
     priors_from_joint,
     to_dense,
@@ -87,6 +88,22 @@ class TestConstruction:
                 code = gen_parity_check(n, m, seed=seed)
                 assert gf2_rank(to_dense(code)) == m
                 assert (col_weights(code)[: n - m] == COL_WEIGHT).all()
+
+    # m = COL_WEIGHT and m = 4 redraw often, m = n - 1 leaves A one column;
+    # then the benchmark's sizes, and 64-bit keys at n = 10^6.  Keys are
+    # row << s | col with s = 17 at n = 2^16 + 1, so those of m = 32,767 fit
+    # 32 bits (32,767 * 2^17 < 2^32) and those of m = 32,769 do not
+    @pytest.mark.parametrize(
+        "n, m, seeds",
+        [(10, 3, 20), (40, 3, 20), (100, 4, 20), (41, 4, 20), (7, 6, 20), (200, 199, 20),
+         (37_621, 14_500, 3), (16_700, 6_000, 3), (4_900, 1_900, 3), (1_000_000, 341_724, 1),
+         (65_537, 32_767, 1), (65_537, 32_769, 1)],
+    )
+    def test_equals_the_stream_oracle(self, n, m, seeds):
+        for seed in range(seeds):
+            code, want = gen_parity_check(n, m, seed=seed), parity_check_oracle(n, m, seed)
+            assert np.array_equal(code.chk_ptr, want.chk_ptr)
+            assert np.array_equal(code.chk_vars, want.chk_vars)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
