@@ -20,7 +20,7 @@ layout; ``tr(B_k B_l) = 4 delta_kl``, so ``theta_k = Re tr(B_k C)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -137,16 +137,9 @@ class PauliProbs:
     q_y: float
 
     def __post_init__(self):
-        q = self.as_array()
+        q = np.array(astuple(self))
         if (q < -1e-9).any() or abs(q.sum() - 1.0) > 1e-9:
             raise ValueError(f"not a probability distribution: {q}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q_i, self.q_z, self.q_x, self.q_y])
-
-    def diagonal(self) -> np.ndarray:
-        """The (e_z, e_x, e_y) contraction factors of the matching channel."""
-        return pauli_diagonal(self.as_array())
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def make_rotation(theta: float) -> AffineChannel:
 
 
 def make_pauli(q: PauliProbs) -> AffineChannel:
-    return AffineChannel(np.diag(q.diagonal()), np.zeros(3))
+    return AffineChannel(np.diag(pauli_diagonal(np.array(astuple(q)))), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

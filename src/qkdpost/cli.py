@@ -116,17 +116,15 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"{args.tally}: six-state estimation needs tallies in all three bases")
     est = estimate_rates_sixstate(tally) if sixstate else estimate_rates_bb84(tally)
     print(f"projected={'true' if est.projected else 'false'}")
-    if not sixstate:
-        print("omega=" + " ".join(repr(float(v)) for v in est.omega.as_array()))
-    for name in DIRECTIONS:
-        rep = getattr(est, name, None)  # a six-state estimate has no mismatched report
-        if rep is not None:
-            print(
-                f"{name}: ambiguity={rep.ambiguity!r} cond_entropy={rep.cond_entropy!r} "
-                f"key_rate={rep.key_rate!r}"
-            )
+    if est.choi is None:  # a BB84 estimate knows omega, the values its text lists
+        print("omega=" + est.text.removeprefix("omega "))
+    for name, rep in zip(DIRECTIONS, (est.direct, est.reverse, est.mismatched)):
+        print(
+            f"{name}: ambiguity={rep.ambiguity!r} cond_entropy={rep.cond_entropy!r} "
+            f"key_rate={rep.key_rate!r}"
+        )
     print(f"conventional_bb84={est.conventional_bb84!r}")
-    if sixstate:
+    if est.conventional_sixstate is not None:
         print(f"conventional_sixstate={est.conventional_sixstate!r}")
     return 0
 

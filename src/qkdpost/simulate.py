@@ -25,7 +25,6 @@ from .channels import (
     AffineChannel,
     Basis,
     choi_from_affine,
-    format_channel_spec,
     joint_tables,
     make_amplitude_damping,
     make_rotation,
@@ -33,15 +32,7 @@ from .channels import (
 )
 from .entropy import cond_entropy
 from .hashing import apply_hash, key_length, sample_hash
-from .keyrate import (
-    RateReport,
-    channel_key_joint,
-    key_bases,
-    key_party,
-    keyrate,
-    keyrate_conventional_bb84,
-    keyrate_conventional_sixstate,
-)
+from .keyrate import RateReport, channel_key_joint, key_bases, key_party
 from .reconciliation import (
     COL_WEIGHT,
     gen_parity_check,
@@ -52,11 +43,13 @@ from .tomography import (
     BB84_BASES,
     SIXSTATE_BASES,
     TallyTable,
+    choi_estimate,
     empirical_key_joint,
     estimate_rates_bb84,
     estimate_rates_sixstate,
+    omega_estimate,
 )
-from .worstcase import ObservableParams, worst_case_ambiguity
+from .worstcase import ObservableParams
 
 SWEEP_FORMAT_VERSION = 1
 SWEEP_COLUMNS = (
@@ -327,15 +320,10 @@ def _estimate_for_run(config: ProtocolConfig, tally: TallyTable):
     would otherwise pick up a large upward entropy bias from the noise floor.
     """
     joint = empirical_key_joint(tally, config.direction)
-    ce = cond_entropy(joint)
-    if config.protocol == "sixstate":
-        est = estimate_rates_sixstate(tally)
-        estimate_text = format_channel_spec(est.channel)
-    else:
-        est = estimate_rates_bb84(tally)
-        estimate_text = "omega " + " ".join(repr(float(v)) for v in est.omega.as_array())
+    estimate = estimate_rates_sixstate if config.protocol == "sixstate" else estimate_rates_bb84
+    est = estimate(tally)
     ambiguity = (est.direct, est.reverse)[key_party(config.direction)].ambiguity
-    return RateReport.build(ambiguity, ce), joint, estimate_text
+    return RateReport.build(ambiguity, cond_entropy(joint)), joint, est.text
 
 
 def run_protocol(config: ProtocolConfig) -> RunReport:
@@ -415,24 +403,19 @@ def make_family_channel(family: str, param: float) -> AffineChannel:
 
 
 def sweep_row(ch: AffineChannel) -> dict[str, float]:
-    """All analytic rates for one channel; unclamped."""
-    choi = choi_from_affine(ch)
-    direct = keyrate(choi, "direct")
-    reverse = keyrate(choi, "reverse")
-    mismatched = keyrate(choi, "mismatched")
+    """All analytic rates for one channel, from the estimators' builders on
+    the exact channel; unclamped."""
+    six = choi_estimate(choi_from_affine(ch), ch, False)
     omega = ObservableParams.from_channel(ch)
-    bb84 = {
-        d: worst_case_ambiguity(omega, d) - cond_entropy(channel_key_joint(ch, d))
-        for d in ("direct", "reverse")
-    }
+    bb84 = omega_estimate(omega, channel_key_joint(ch, "mismatched"), False)
     return {
-        "sixstate_direct": direct.raw_rate,
-        "sixstate_reverse": reverse.raw_rate,
-        "bb84_direct": bb84["direct"],
-        "bb84_reverse": bb84["reverse"],
-        "mismatched": mismatched.raw_rate,
-        "conventional_bb84": keyrate_conventional_bb84(ch.r[0, 0], ch.r[1, 1]),
-        "conventional_sixstate": keyrate_conventional_sixstate(np.diag(ch.r)),
+        "sixstate_direct": six.direct.raw_rate,
+        "sixstate_reverse": six.reverse.raw_rate,
+        "bb84_direct": bb84.direct.raw_rate,
+        "bb84_reverse": bb84.reverse.raw_rate,
+        "mismatched": six.mismatched.raw_rate,
+        "conventional_bb84": six.conventional_bb84,
+        "conventional_sixstate": six.conventional_sixstate,
     }
 
 

@@ -28,10 +28,12 @@ from .channels import (
     choi_coefficients,
     choi_from_affine,
     choi_from_coefficients,
+    format_channel_spec,
     joint_tables,
 )
 from .entropy import cond_entropy
 from .keyrate import (
+    DIRECTIONS,
     RateReport,
     channel_key_joint,
     key_bases,
@@ -333,66 +335,78 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
 
 
 @dataclass(frozen=True)
-class SixStateEstimate:
-    channel: AffineChannel
-    choi: np.ndarray
-    direct: RateReport
-    reverse: RateReport
-    conventional_bb84: float
-    conventional_sixstate: float
-    projected: bool
+class Estimate:
+    """The rate decision of either protocol, from what its statistics fix.
 
+    ``text`` is the estimate as a run report prints it.  A BB84 estimate
+    knows omega only, so its ``choi`` and ``conventional_sixstate`` are None.
+    """
 
-@dataclass(frozen=True)
-class BB84Estimate:
-    omega: ObservableParams
+    text: str
+    choi: np.ndarray | None
     direct: RateReport
     reverse: RateReport
     mismatched: RateReport
     conventional_bb84: float
+    conventional_sixstate: float | None
     projected: bool
 
 
-def estimate_rates_sixstate(tally: TallyTable) -> SixStateEstimate:
+def choi_estimate(choi: np.ndarray, channel: AffineChannel, projected: bool) -> Estimate:
+    """Exact-channel key rates of a valid Choi matrix; ``channel`` is its
+    affine form, which the baselines and the text read."""
+    r_diag = np.diag(channel.r)
+    return Estimate(
+        text=format_channel_spec(channel),
+        choi=choi,
+        **{d: keyrate(choi, d) for d in DIRECTIONS},
+        conventional_bb84=keyrate_conventional_bb84(r_diag[0], r_diag[1]),
+        conventional_sixstate=keyrate_conventional_sixstate(r_diag),
+        projected=projected,
+    )
+
+
+def omega_estimate(
+    omega: ObservableParams, mismatched_joint: np.ndarray, projected: bool
+) -> Estimate:
+    """Worst-case key rates over the completions of a feasible omega.
+
+    The worst-case ambiguity is one per key party.  The matched pairs'
+    conditional entropies read the completion ``omega.complete(0.0)``: the Z
+    pair sees only r_zz and t_z, so every completion gives the same joint.
+    The mismatched rate reads the joint it is given, the distribution that
+    variant actually reconciles against.
+    """
+    ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
+    completion = omega.complete(0.0)
+
+    def report(direction: str, joint: np.ndarray) -> RateReport:
+        return RateReport.build(ambiguity[key_party(direction)], cond_entropy(joint))
+
+    return Estimate(
+        text="omega " + " ".join(repr(float(v)) for v in omega.as_array()),
+        choi=None,
+        direct=report("direct", channel_key_joint(completion, "direct")),
+        reverse=report("reverse", channel_key_joint(completion, "reverse")),
+        mismatched=report("mismatched", mismatched_joint),
+        conventional_bb84=keyrate_conventional_bb84(omega.r_zz, omega.r_xx),
+        conventional_sixstate=None,
+        projected=projected,
+    )
+
+
+def estimate_rates_sixstate(tally: TallyTable) -> Estimate:
     """Linear inversion, nearest-Choi projection, exact-channel key rates."""
     if tally.protocol != "sixstate":
         raise EstimationError("six-state estimation needs tallies in all three bases")
     raw = choi_from_affine(linear_inversion(tally))
     choi = nearest_choi(raw)
-    channel = affine_from_choi(choi)
-    r_diag = np.diag(channel.r)
-    return SixStateEstimate(
-        channel=channel,
-        choi=choi,
-        direct=keyrate(choi, "direct"),
-        reverse=keyrate(choi, "reverse"),
-        conventional_bb84=keyrate_conventional_bb84(r_diag[0], r_diag[1]),
-        conventional_sixstate=keyrate_conventional_sixstate(r_diag),
-        projected=choi is not raw,
-    )
+    return choi_estimate(choi, affine_from_choi(choi), choi is not raw)
 
 
-def estimate_rates_bb84(tally: TallyTable) -> BB84Estimate:
-    """Worst-case BB84 rates from Z/X statistics only.
-
-    Matched-pair conditional entropies come from the projected observable
-    block; the mismatched-basis rate reads its conditional entropy straight
-    off the z-sent / x-measured tally cell, the distribution that variant
-    actually reconciles against.  The worst-case ambiguity is one per key party.
-    """
+def estimate_rates_bb84(tally: TallyTable) -> Estimate:
+    """Worst-case BB84 rates from Z/X statistics only; the mismatched rate
+    reads its joint straight off the z-sent / x-measured tally cell."""
     raw = ObservableParams.from_channel(linear_inversion(tally))
     omega = project_omega_bb84(raw)
-    completion = omega.complete(0.0)
-    ambiguity = {key_party(d): worst_case_ambiguity(omega, d) for d in ("direct", "reverse")}
-
-    def report(direction: str, joint: np.ndarray) -> RateReport:
-        return RateReport.build(ambiguity[key_party(direction)], cond_entropy(joint))
-
-    return BB84Estimate(
-        omega=omega,
-        direct=report("direct", channel_key_joint(completion, "direct")),
-        reverse=report("reverse", channel_key_joint(completion, "reverse")),
-        mismatched=report("mismatched", empirical_key_joint(tally, "mismatched")),
-        conventional_bb84=keyrate_conventional_bb84(omega.r_zz, omega.r_xx),
-        projected=omega is not raw,
-    )
+    return omega_estimate(omega, empirical_key_joint(tally, "mismatched"), omega is not raw)

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from qkdpost import cli
-from qkdpost.channels import Basis, joint_tables, make_amplitude_damping, make_rotation
+from qkdpost.channels import (
+    Basis,
+    affine_from_choi,
+    joint_tables,
+    make_amplitude_damping,
+    make_rotation,
+)
 from qkdpost.cli import main, read_bits, write_bits
 from qkdpost.entropy import binary_entropy, cond_entropy
+from qkdpost.keyrate import keyrate
 from qkdpost.reconciliation import (
     ParityCheckMatrix,
     _group_count,
@@ -104,8 +111,15 @@ def test_estimate_command(tmp_path, capsys):
     assert main(["estimate", "--tally", str(path)]) == 0
     out = capsys.readouterr().out
     assert "direct: ambiguity=" in out
+    est = estimate_rates_sixstate(tally)
+    # a six-state estimate reports the mismatched variant of its Choi matrix too
+    mis = keyrate(est.choi, "mismatched")
+    assert (
+        f"mismatched: ambiguity={mis.ambiguity!r} cond_entropy={mis.cond_entropy!r} "
+        f"key_rate={mis.key_rate!r}"
+    ) in out.splitlines()
     printed = _printed(out)
-    r_zz, r_xx, r_yy = np.diag(estimate_rates_sixstate(tally).channel.r)
+    r_zz, r_xx, r_yy = np.diag(affine_from_choi(est.choi).r)
     assert float(printed["conventional_bb84"]) == pytest.approx(
         _bb84_closed_form(r_zz, r_xx), abs=1e-12
     )
