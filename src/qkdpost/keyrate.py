@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .channels import (
     PSD_TOL,
     AffineChannel,
@@ -78,7 +79,8 @@ def key_entropy(c: np.ndarray, direction: str) -> float:
     with ``m = c.reshape(2, 2, 2, 2)``; ``_KEY_BLOCKS`` stacks them over k.
     """
     blocks = np.einsum(_KEY_BLOCKS[key_party(direction)], np.asarray(c).reshape(2, 2, 2, 2))
-    return _plogp(np.linalg.eigvalsh(blocks))
+    with _lapack.errors():
+        return _plogp(_lapack.eigvalsh(blocks))
 
 
 def choi_ambiguity(c: np.ndarray, direction: str) -> float:
@@ -86,7 +88,8 @@ def choi_ambiguity(c: np.ndarray, direction: str) -> float:
 
     Raises ValueError when the lowest eigenvalue of ``c`` is below ``-PSD_TOL``.
     """
-    ev = np.linalg.eigvalsh(c)
+    with _lapack.errors():
+        ev = _lapack.eigvalsh(np.asarray(c))
     if ev[0] < -PSD_TOL:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {ev[0]:.3e})")
     return key_entropy(c, direction) - _plogp(ev)

@@ -417,7 +417,7 @@ def sp_decode(
             np.take(tot, v, out=t, mode="clip")
             np.less(t, 0.0, out=neg_g)
             _xor_checks(blocks)
-            if not np.array_equal(par_g, want_g):
+            if (par_g != want_g).any():
                 break
         else:
             if testable:

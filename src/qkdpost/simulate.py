@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _lapack
 from .channels import (
     PSD_TOL,
     AffineChannel,
@@ -95,7 +96,10 @@ class ProtocolConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         # the exchange would silently clip a non-physical channel's probabilities
-        if (ev := np.linalg.eigvalsh(choi_from_affine(self.channel))[0]) < -PSD_TOL:
+        choi = choi_from_affine(self.channel)
+        with _lapack.errors():
+            ev = _lapack.eigvalsh(choi)[0]
+        if ev < -PSD_TOL:
             raise ValueError(f"channel is not completely positive (Choi min eigenvalue {ev:.3e})")
 
     @property

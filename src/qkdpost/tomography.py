@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .channels import (
     PSD_TOL,
     AffineChannel,
@@ -208,9 +209,8 @@ def _project_affine_constraints(m: np.ndarray) -> np.ndarray:
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    w, v = _lapack.eigh(0.5 * (m + m.conj().T))
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 def nearest_choi(choi: np.ndarray) -> np.ndarray:
@@ -220,27 +220,32 @@ def nearest_choi(choi: np.ndarray) -> np.ndarray:
     object); a projected result is read-only.  Raises ProjectionError when
     the iteration has not stabilized to 1e-10 after 10,000 rounds.
     """
-    try:
-        check_choi(choi, PSD_TOL)
-        if np.linalg.eigvalsh(choi)[0] >= -PSD_TOL:
-            return choi
-    except ValueError:
-        pass
+    with _lapack.errors():
+        try:
+            check_choi(choi, PSD_TOL)
+            if _lapack.eigvalsh(choi)[0] >= -PSD_TOL:
+                return choi
+        except ValueError:
+            pass
 
-    x = choi.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(10_000):
-        y = _project_psd(x + p)
-        p = x + p - y
-        x_new = _project_affine_constraints(y + q)
-        q = y + q - x_new
-        if np.linalg.norm(x_new - x) < 1e-10:
-            if np.linalg.eigvalsh(x_new)[0] < -PSD_TOL:
-                raise ProjectionError("converged iterate violates positivity")
-            x_new.setflags(write=False)
-            return x_new
-        x = x_new
+        x = choi.copy()
+        p = np.zeros_like(x)
+        q = np.zeros_like(x)
+        for _ in range(10_000):
+            xp = x + p
+            y = _project_psd(xp)
+            p = xp - y
+            yq = y + q
+            x_new = _project_affine_constraints(yq)
+            q = yq - x_new
+            # the Frobenius norm of x_new - x as numpy.linalg.norm computes it
+            d = (x_new - x).ravel()
+            if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < 1e-10:
+                if _lapack.eigvalsh(x_new)[0] < -PSD_TOL:
+                    raise ProjectionError("converged iterate violates positivity")
+                x_new.setflags(write=False)
+                return x_new
+            x = x_new
     raise ProjectionError("Dykstra projection did not converge in 10000 iterations")
 
 
@@ -287,41 +292,43 @@ def project_omega_bb84(omega_raw: ObservableParams) -> ObservableParams:
     target = omega_raw.as_array()
 
     def barrier_value(vv, mu):
-        # Cholesky doubles as the strict-feasibility test; a positive
+        # a NaN-filled Cholesky factor is the strict-feasibility test; a positive
         # determinant alone would admit points with two negative eigenvalues
-        try:
-            chol = np.linalg.cholesky(_barrier_rho(vv))
-        except np.linalg.LinAlgError:
+        chol = _lapack.cholesky(_barrier_rho(vv))
+        if math.isnan(chol[0, 0]):
             return None
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        return float(np.sum((vv[:6] - target) ** 2) - mu * logdet)
+        logdet = 2.0 * np.log(chol.diagonal()).sum()
+        d = vv[:6] - target
+        return float((d * d).sum() - mu * logdet)
 
     v = np.zeros(7)
-    diag = np.arange(6)
-    for mu in 10.0 ** -np.arange(0, 10, 3):
-        f0 = barrier_value(v, mu)
-        for _ in range(200):
-            rg = np.linalg.inv(_barrier_rho(v)) @ _BARRIER_G
-            grad = -mu * np.trace(rg, axis1=1, axis2=2)
-            grad[:6] += 2.0 * (v[:6] - target)
-            # d2(-log det)/dv_k dv_l = tr(rho^-1 G_k rho^-1 G_l)
-            hess = mu * (rg.reshape(7, 16) @ rg.transpose(0, 2, 1).reshape(7, 16).T)
-            hess[diag, diag] += 2.0
-            step_dir = np.linalg.solve(hess, -grad)
-            slope = float(grad @ step_dir)
-            if -slope <= 1e-18:
-                break
-            step = 1.0
-            # a line search that cannot descend ends the stage; the next,
-            # smaller mu starts from here
-            while step > 1e-6:
-                f1 = barrier_value(v + step * step_dir, mu)
-                if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
+    with _lapack.errors():
+        for mu in 10.0 ** -np.arange(0, 10, 3):
+            f0 = barrier_value(v, mu)
+            for _ in range(200):
+                rg = _lapack.inv(_barrier_rho(v)) @ _BARRIER_G
+                grad = -mu * rg.trace(axis1=1, axis2=2)
+                grad[:6] += 2.0 * (v[:6] - target)
+                # d2(-log det)/dv_k dv_l = tr(rho^-1 G_k rho^-1 G_l)
+                hess = mu * (rg.reshape(7, 16) @ rg.transpose(0, 2, 1).reshape(7, 16).T)
+                # the quadratic term adds 2 to the first six diagonal entries
+                hess.ravel()[:41:8] += 2.0
+                step_dir = _lapack.solve(hess, -grad)
+                slope = float(grad @ step_dir)
+                if -slope <= 1e-18:
                     break
-                step *= 0.5
-            if step <= 1e-6:
-                break
-            v, f0 = v + step * step_dir, f1
+                step = 1.0
+                # a line search that cannot descend ends the stage; the next,
+                # smaller mu starts from here
+                while step > 1e-6:
+                    trial = v + step * step_dir
+                    f1 = barrier_value(trial, mu)
+                    if f1 is not None and f1 <= f0 + 1e-4 * step * slope:
+                        break
+                    step *= 0.5
+                if step <= 1e-6:
+                    break
+                v, f0 = trial, f1
 
     out = ObservableParams(*v[:6])
     if out.interval is None:

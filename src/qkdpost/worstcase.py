@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _lapack
 from .channels import AffineChannel, choi_from_affine
 from .entropy import _plogp, binary_entropy
 from .keyrate import key_entropy, key_party
@@ -123,13 +124,14 @@ class ObservableParams:
         base, step = self.pencil
 
         def spectrum(r):
-            return np.linalg.eigvalsh(base + r * step)
+            return _lapack.eigvalsh(base + r * step)
 
-        if hi - lo <= DEGENERATE_WIDTH:
-            r, _ = golden_section_min(lambda r: -spectrum(r)[0], lo, hi, tol=1e-12)
-            return _plogp(spectrum(r))
-        _, best = golden_section_min(lambda r: -_plogp(spectrum(r)), lo, hi, tol=1e-7)
-        return max(-best, _plogp(spectrum(lo)), _plogp(spectrum(hi)))
+        with _lapack.errors():
+            if hi - lo <= DEGENERATE_WIDTH:
+                r, _ = golden_section_min(lambda r: -spectrum(r)[0], lo, hi, tol=1e-12)
+                return _plogp(spectrum(r))
+            _, best = golden_section_min(lambda r: -_plogp(spectrum(r)), lo, hi, tol=1e-7)
+            return max(-best, _plogp(spectrum(lo)), _plogp(spectrum(hi)))
 
 
 def feasible_interval(omega: ObservableParams) -> tuple[float, float] | None:
@@ -145,11 +147,13 @@ def feasible_interval(omega: ObservableParams) -> tuple[float, float] | None:
     :attr:`ObservableParams.interval`, which caches this per omega.
     """
     base, step = omega.pencil
-    roots = np.linalg.eigvals(np.linalg.solve(step, -(base + PSD_SLACK * np.eye(4))))
-    cuts = np.unique(np.clip(np.append(roots.real, [-1.0, 1.0]), -1.0, 1.0))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    kept = [i for i, r in enumerate(mids) if np.linalg.eigvalsh(base + r * step)[0] >= -PSD_SLACK]
-    if not kept:
+    with _lapack.errors():
+        roots = np.linalg.eigvals(_lapack.solve(step, -(base + PSD_SLACK * np.eye(4))))
+        cuts = np.unique(np.clip(np.append(roots.real, [-1.0, 1.0]), -1.0, 1.0))
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        spectra = _lapack.eigvalsh(base + mids[:, None, None] * step)
+    kept = np.flatnonzero(spectra[:, 0] >= -PSD_SLACK)
+    if not kept.size:
         return None
     return float(cuts[kept[0]]), float(cuts[kept[-1] + 1])
 
